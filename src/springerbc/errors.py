@@ -51,3 +51,9 @@ class NotNilpotent(SpringerError):
 
 class HalvingFailed(SpringerError):
     """Jordan type expected to be of the doubled form lambda-union-lambda."""
+
+
+class InvariantViolation(SpringerError):
+    """A computed result breaks an invariant its formula guarantees (an
+    internal error, not bad input); raised, not asserted, so that the check
+    also holds under ``python -O``."""

@@ -7,15 +7,24 @@ of the values of its rank n-1 restriction terms.  The recursion bottoms
 out at rank 1, where the values are fixed base data; rank 0 carries the
 trivial character.
 
-The memo table is a plain dict shared across calls.  Reads and inserts
-are atomic under the GIL and recomputation is idempotent, so concurrent
-use from threads is safe.  SPRINGERBC_MEMO_CAP caps the number of cached
-entries (unbounded by default); past the cap results are still correct,
-just recomputed.
+The weighted sum is accumulated in one list of ints: restriction
+coefficients are sparse (q^a, q^a - q^b, geometric sums), so each nonzero
+coefficient c at degree e adds c times the sub-value into the slice
+starting at e.  Only the finished sum becomes a QPoly.
+
+The memo table is the only cache: a plain dict keyed by (parameter, w),
+shared across calls.  Reads and inserts are atomic under the GIL and
+recomputation is idempotent, so concurrent use from threads is safe.
+SPRINGERBC_MEMO_CAP caps the number of cached entries (unbounded by
+default; a negative cap is an InvalidParam); past the cap results are
+still correct, just recomputed.
 """
 
 import os
+from itertools import repeat
+from operator import add, mul, sub
 
+from . import restrict
 from .errors import InvalidParam
 from .params import (
     Bipartition,
@@ -24,7 +33,7 @@ from .params import (
     enumerate_omega,
 )
 from .partitions import Partition
-from .qpoly import ONE, QPoly, ZERO
+from .qpoly import ONE, QPoly, _canonical
 
 GROUP_ELEMENTS = ("id", "s1")
 
@@ -54,7 +63,12 @@ _memo = {}
 
 def _memo_cap():
     raw = os.environ.get("SPRINGERBC_MEMO_CAP")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    cap = int(raw)
+    if cap < 0:
+        raise InvalidParam(f"SPRINGERBC_MEMO_CAP must be >= 0, got {cap}")
+    return cap
 
 
 def clear_cache():
@@ -63,29 +77,44 @@ def clear_cache():
 
 def value(param, w):
     """Character value of the given parameter at w in {"id", "s1"}."""
-    from .restrict import restrict_exotic, restrict_symplectic
-
     if w not in GROUP_ELEMENTS:
         raise InvalidParam(f"group element must be one of {GROUP_ELEMENTS}, got {w!r}")
+    key = (param, w)
+    cached = _memo.get(key)
+    if cached is not None:
+        return cached
     n = param.rank
     if n == 0:
         return ONE
     if n == 1:
         try:
-            return _BASE[(param, w)]
+            return _BASE[key]
         except KeyError:
             raise InvalidParam(f"not a valid rank-1 parameter: {param}") from None
-    key = (param, w)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
+    # read off the module on every miss, so that a wrapped or patched
+    # restriction is the one called
     if isinstance(param, OmegaParam):
-        terms = restrict_symplectic(param)
+        terms = restrict.restrict_symplectic(param)
     else:
-        terms = restrict_exotic(param)
-    total = ZERO
-    for sub, coeff in terms.terms.items():
-        total = total + coeff * value(sub, w)
+        terms = restrict.restrict_exotic(param)
+    acc = []
+    for target, coeff in terms.terms.items():
+        v = value(target, w)
+        for e, c in enumerate(coeff):
+            if not c:
+                continue
+            end = e + len(v)
+            if len(acc) < end:
+                acc += [0] * (end - len(acc))
+            if c == 1:
+                acc[e:end] = map(add, acc[e:end], v)
+            elif c == -1:
+                acc[e:end] = map(sub, acc[e:end], v)
+            else:
+                acc[e:end] = map(add, acc[e:end], map(mul, v, repeat(c)))
+    while acc and acc[-1] == 0:
+        acc.pop()
+    total = _canonical(acc)
     cap = _memo_cap()
     if cap is None or len(_memo) < cap:
         _memo[key] = total

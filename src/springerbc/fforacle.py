@@ -10,6 +10,7 @@ the invariants are recomputed from matrices alone.
 """
 
 import itertools
+import os
 from dataclasses import dataclass
 
 from .errors import BadCharacteristic, HalvingFailed, InvalidParam, NotNilpotent
@@ -389,15 +390,19 @@ def brute_force_restriction(param, fieldctx, jobs=1):
 
     Returns (tally, empty_fiber) where tally maps rank n-1 parameters to
     line counts and empty_fiber counts the lines whose fiber is empty.
+    ``jobs`` must be at least 1; at most one process per CPU (and per
+    line) is started.
     """
+    if jobs < 1:
+        raise InvalidParam(f"jobs must be >= 1, got {jobs}")
     if param.rank < 1:
         raise InvalidParam("oracle needs rank >= 1")
     model = _standard_model(param, fieldctx)
     d = len(_kernel_basis(model))
     total = line_count(fieldctx.q, d)
+    jobs = min(jobs, total, os.cpu_count() or 1)
     if jobs <= 1:
         return _tally_range(param, fieldctx.q, 0, total)
-    jobs = min(jobs, total) or 1
     bounds = [(total * i) // jobs for i in range(jobs + 1)]
     chunks = [
         (param, fieldctx.q, bounds[i], bounds[i + 1])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (
     DomainMismatch,
@@ -63,7 +64,8 @@ class OmegaParam:
     @classmethod
     def make(cls, lam, chi_mapping):
         """Construct after validating all defining conditions."""
-        lam = Partition(lam)
+        if type(lam) is not Partition:
+            lam = Partition(lam)
         bad = validate_omega(lam, chi_mapping)
         if bad:
             raise InvalidParam("; ".join(bad))
@@ -88,11 +90,12 @@ def validate_omega(lam, chi):
     bad = []
     for r in und:
         c = chi[r]
-        if r % 2 == 1 and multiplicity(lam, r) % 2 == 1:
+        odd_mult = lam.count(r) % 2 == 1
+        if r % 2 == 1 and odd_mult:
             bad.append(f"condition 1 at r={r}: odd part with odd multiplicity")
         if not (0 <= c and 2 * c <= r):
             bad.append(f"condition 2 at r={r}: chi={c} outside [0, {r}/2]")
-        if multiplicity(lam, r) % 2 == 1 and 2 * c != r:
+        if odd_mult and 2 * c != r:
             bad.append(
                 f"condition 2 at r={r}: odd multiplicity forces chi={r}/2, got {c}"
             )
@@ -468,26 +471,33 @@ def nabla_delta(b, r):
     """The (mu-part, nu-part) sitting at part value r of mu + nu; (0, 0) at r=0."""
     if r == 0:
         return (0, 0)
-    lam = sum_partitions(b.mu, b.nu)
-    for i in range(1, len(lam) + 1):
-        if lam.part_at(i) == r:
-            return (b.mu.part_at(i), b.nu.part_at(i))
-    raise NotAPart(f"{r} is not a part of {lam}")
+    for pair in zip_longest(b.mu, b.nu, fillvalue=0):
+        if pair[0] + pair[1] == r:
+            return pair
+    raise NotAPart(f"{r} is not a part of {sum_partitions(b.mu, b.nu)}")
+
+
+def _components(b):
+    """``nabla_delta`` at every distinct part of mu + nu at once: a dict
+    from each part value r, in decreasing order, to its (mu-part, nu-part)."""
+    out = {}
+    for pair in zip_longest(b.mu, b.nu, fillvalue=0):
+        out.setdefault(pair[0] + pair[1], pair)
+    return out
 
 
 def und_v(b):
     """Marked parts: values r of mu + nu whose mu-component strictly exceeds
     the mu-component of every smaller part, including the sentinel 0 (so the
     mu-component must be at least 1).  Decreasing order."""
-    lam = sum_partitions(b.mu, b.nu)
     out = []
     best = 0
-    for r in sorted(underlying_set(lam)):
-        nab = nabla_delta(b, r)[0]
+    for r, (nab, _) in reversed(_components(b).items()):
         if nab > best:
             out.append(r)
             best = nab
-    return tuple(sorted(out, reverse=True))
+    out.reverse()
+    return tuple(out)
 
 
 def next_step(b, r):

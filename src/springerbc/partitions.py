@@ -5,7 +5,7 @@ tuple is the unique partition of 0.  Indexing beyond the length reads as 0
 (use ``part_at``).  All operations return new, canonically sorted values.
 """
 
-from collections import Counter
+from operator import add
 
 from .errors import NegativePart, OldsNotPresent
 
@@ -44,6 +44,20 @@ class Partition(tuple):
         return partition_to_text(self)
 
 
+def _canonical(parts):
+    """Partition from ints already sorted descending and positive, without
+    the constructor's re-normalization.  Internal: callers guarantee it."""
+    return tuple.__new__(Partition, parts)
+
+
+def _sorted(parts):
+    """Partition from nonnegative ints in any order: sort, drop zeros."""
+    parts.sort(reverse=True)
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return _canonical(parts)
+
+
 EMPTY = Partition()
 
 
@@ -68,28 +82,36 @@ def partition_from_text(text):
 
 
 def multiplicity(p, r, mode="eq"):
-    """Number of parts of p equal to r, or in the given relation to r.
+    """Number of parts of the partition p equal to r, or in the given
+    relation to r.
 
-    ``mode`` is one of "eq", "geq", "gt", "leq", "lt".
+    ``mode`` is one of "eq", "geq", "gt", "leq", "lt".  The parts are
+    sorted, so the parts above r form a prefix.
     """
     if r < 1:
         raise ValueError(f"part value must be >= 1, got {r}")
     if mode == "eq":
-        return sum(1 for x in p if x == r)
-    if mode == "geq":
-        return sum(1 for x in p if x >= r)
+        return p.count(r)
+    gt = len(p)
+    for i, x in enumerate(p):
+        if x <= r:
+            gt = i
+            break
     if mode == "gt":
-        return sum(1 for x in p if x > r)
+        return gt
     if mode == "leq":
-        return sum(1 for x in p if x <= r)
+        return len(p) - gt
+    ge = gt + p.count(r)
+    if mode == "geq":
+        return ge
     if mode == "lt":
-        return sum(1 for x in p if x < r)
+        return len(p) - ge
     raise ValueError(f"unknown multiplicity mode {mode!r}")
 
 
 def underlying_set(p):
-    """Distinct part values, as a tuple in decreasing order."""
-    return tuple(sorted(set(p), reverse=True))
+    """Distinct part values of the partition p, in decreasing order."""
+    return tuple(dict.fromkeys(p))
 
 
 def union_partitions(a, b):
@@ -99,8 +121,10 @@ def union_partitions(a, b):
 
 def sum_partitions(a, b):
     """Componentwise sum, shorter argument padded with zeros."""
-    n = max(len(a), len(b))
-    return Partition(a.part_at(i) + b.part_at(i) for i in range(1, n + 1))
+    if len(a) < len(b):
+        a, b = b, a
+    # the sum of two decreasing positive sequences is decreasing and positive
+    return _canonical(tuple(map(add, a, b)) + a[len(b):])
 
 
 def substitute(p, olds, news):
@@ -111,13 +135,16 @@ def substitute(p, olds, news):
         raise ValueError("olds and news must have the same cardinality")
     if any(x < 0 for x in news):
         raise NegativePart(f"substitute target below zero: {news}")
-    have = Counter(p)
-    need = Counter(olds)
-    if any(have[k] < v for k, v in need.items()):
-        raise OldsNotPresent(f"{sorted(olds, reverse=True)} not contained in {p}")
-    have.subtract(need)
-    rest = [x for x, m in have.items() for _ in range(m)]
-    return Partition(rest + news)
+    rest = list(p)
+    try:
+        for x in olds:
+            rest.remove(x)
+    except ValueError:
+        raise OldsNotPresent(
+            f"{sorted(olds, reverse=True)} not contained in {p}"
+        ) from None
+    rest.extend(map(int, news))
+    return _sorted(rest)
 
 
 def shift(p, direction, a, b):
@@ -142,7 +169,7 @@ def shift(p, direction, a, b):
         parts[i] += step
         if parts[i] < 0:
             raise NegativePart(f"down-shift made part {i + 1} negative in {p}")
-    return Partition(parts)
+    return _sorted(parts)
 
 
 def partitions_of(n, max_part=None):

@@ -6,6 +6,8 @@ arithmetic; in particular every division by (q - 1) that the restriction
 formulas need is realized up front as a geometric sum.
 """
 
+from operator import add, neg
+
 from .errors import BadRange
 
 
@@ -26,11 +28,15 @@ class QPoly(tuple):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self), len(other))
-        return QPoly(
-            (self[i] if i < len(self) else 0) + (other[i] if i < len(other) else 0)
-            for i in range(n)
-        )
+        if len(self) < len(other):
+            self, other = other, self
+        out = list(map(add, self, other))
+        if len(self) > len(other):
+            out += self[len(other):]
+        else:  # equal lengths: the leading coefficients may cancel
+            while out and out[-1] == 0:
+                out.pop()
+        return _canonical(out)
 
     __radd__ = __add__
 
@@ -47,26 +53,27 @@ class QPoly(tuple):
         return other + (-self)
 
     def __neg__(self):
-        return QPoly(-c for c in self)
+        return _canonical(map(neg, self))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return QPoly(c * other for c in self)
+            return _canonical(c * other for c in self) if other else ZERO
         if isinstance(other, tuple):
+            if type(other) is not QPoly:
+                other = QPoly(other)
             if not self or not other:
                 return ZERO
+            # the product of two leading coefficients is nonzero, so the
+            # convolution of canonical inputs is canonical
             out = [0] * (len(self) + len(other) - 1)
             for i, a in enumerate(self):
                 if a:
                     for j, b in enumerate(other):
                         out[i + j] += a * b
-            return QPoly(out)
+            return _canonical(out)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __bool__(self):
-        return len(self) > 0
 
     def __call__(self, x):
         """Evaluate at the integer x (Horner)."""
@@ -80,6 +87,12 @@ class QPoly(tuple):
 
     def __repr__(self):
         return f"QPoly({list(self)})"
+
+
+def _canonical(coeffs):
+    """QPoly from ints already in canonical form (no trailing zero), without
+    the constructor's re-normalization.  Internal: callers guarantee it."""
+    return tuple.__new__(QPoly, coeffs)
 
 
 def _coerce(other):
@@ -98,7 +111,8 @@ ONE = QPoly((1,))
 
 def monomial(e, c=1):
     """The polynomial c * q^e."""
-    return QPoly((0,) * e + (c,))
+    c = int(c)
+    return _canonical((0,) * e + (c,)) if c else ZERO
 
 
 def geometric_sum(a, b):
@@ -109,7 +123,7 @@ def geometric_sum(a, b):
     """
     if a < b:
         raise BadRange(f"geometric_sum needs a >= b, got a={a}, b={b}")
-    return QPoly((0,) * b + (1,) * (a - b))
+    return _canonical((0,) * b + (1,) * (a - b)) if a > b else ZERO
 
 
 def _term_text(c, e):

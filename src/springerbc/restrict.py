@@ -7,11 +7,13 @@ coefficient is the zero polynomial are skipped before their target
 parameter is even constructed, and like terms are collected.
 """
 
-from .errors import InvalidParam
+from collections import Counter
+
+from .errors import InvalidParam, InvariantViolation
 from .params import (
     Bipartition,
     OmegaParam,
-    nabla_delta,
+    _components,
     param_sort_key,
     psi,
     und_v,
@@ -22,7 +24,6 @@ from .partitions import (
     shift,
     substitute,
     sum_partitions,
-    underlying_set,
 )
 from .qpoly import QPoly, ZERO, geometric_sum, monomial
 
@@ -53,8 +54,10 @@ class CharSum:
                 self.add(param, coeff)
 
     def add(self, param, coeff):
-        coeff = coeff if isinstance(coeff, QPoly) else QPoly(coeff)
-        total = self.terms.get(param, ZERO) + coeff
+        if not isinstance(coeff, QPoly):
+            coeff = QPoly(coeff)
+        old = self.terms.get(param)
+        total = coeff if old is None else old + coeff
         if total:
             self.terms[param] = total
         else:
@@ -92,17 +95,36 @@ class CharSum:
         return f"CharSum[{body}]"
 
 
+def _counts(lam):
+    """(m(> r), m(>= r)) for each distinct part r of lam, in decreasing
+    order of r: the multiplicities every case below reads."""
+    out = {}
+    gt = 0
+    for r, m in Counter(lam).items():
+        out[r] = (gt, gt + m)
+        gt += m
+    return out
+
+
+def _check_rank(sub, n, param):
+    if sub.rank != n - 1:
+        raise InvariantViolation(
+            f"restriction of {param} (rank {n}) emitted {sub} of rank {sub.rank}"
+        )
+
+
 def _largest_j_sp(und, chi, r):
     """Largest part value with the same chi as r whose slack is not repeated
     at any larger part.  Exists whenever r is a corner."""
     c = chi[r]
-    for j in und:  # decreasing
+    for i, j in enumerate(und):  # decreasing
         if chi[j] != c:
             continue
-        if all(rp - chi[rp] != j - c for rp in und if rp > j):
-            assert j >= r
+        if all(rp - chi[rp] != j - c for rp in und[:i]):
+            if j < r:
+                raise InvariantViolation(f"j={j} below r={r}, chi={chi}")
             return j
-    raise AssertionError(f"no valid j for r={r}, chi={chi}")
+    raise InvariantViolation(f"no valid j for r={r}, chi={chi}")
 
 
 def restrict_symplectic(p):
@@ -111,7 +133,8 @@ def restrict_symplectic(p):
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
     lam = p.lam
-    und = underlying_set(lam)
+    counts = _counts(lam)
+    und = tuple(counts)
     chi = p.chi_map()
     crit_pts = x_crit(p)
     crit = {r for r, _ in crit_pts}
@@ -122,12 +145,15 @@ def restrict_symplectic(p):
         if not coeff:
             return
         sub = OmegaParam.make(lam_new, psi(lam_new, points))
-        assert sub.rank == n - 1
+        _check_rank(sub, n, p)
         out.add(sub, coeff)
 
+    def step(k):  # q^m(>=k) - q^m(>k)
+        m_gt_k, m_ge_k = counts[k]
+        return monomial(m_ge_k) - monomial(m_gt_k)
+
     for r in und:
-        m_ge = multiplicity(lam, r, "geq")
-        m_gt = multiplicity(lam, r, "gt")
+        m_gt, m_ge = counts[r]
         c = chi[r]
         if r not in crit:
             pair = substitute(lam, (r, r), (r - 1, r - 1))
@@ -145,7 +171,7 @@ def restrict_symplectic(p):
             continue
 
         j = _largest_j_sp(und, chi, r)
-        m_gt_j = multiplicity(lam, j, "gt")
+        m_gt_j = counts[j][0]
         ks = [k for k in und if r < k <= j]
         if 2 * c != r:
             # corner with chi below the ceiling; multiplicity is even >= 2
@@ -155,11 +181,8 @@ def restrict_symplectic(p):
             emit(geometric_sum(m_ge - 1, m_gt + 1), pair, crit_pts)
             emit(monomial(m_gt_j), pair, star)
             for k in ks:
-                coeff = monomial(multiplicity(lam, k, "geq")) - monomial(
-                    multiplicity(lam, k, "gt")
-                )
-                emit(coeff, pair, star | {(k, c)})
-        elif multiplicity(lam, r) % 2 == 1:
+                emit(step(k), pair, star | {(k, c)})
+        elif (m_ge - m_gt) % 2 == 1:
             # corner at the ceiling, odd multiplicity (r even)
             dstar = (crit_pts | {(r - 2, (r - 2) // 2)}) - {(r, c)}
             coeff = geometric_sum(m_ge - 1, m_gt)
@@ -173,10 +196,7 @@ def restrict_symplectic(p):
             )
             emit(monomial(m_gt_j), drop, dstar)
             for k in ks:
-                coeff = monomial(multiplicity(lam, k, "geq")) - monomial(
-                    multiplicity(lam, k, "gt")
-                )
-                emit(coeff, drop, dstar | {(k, c)})
+                emit(step(k), drop, dstar | {(k, c)})
         else:
             # corner at the ceiling, even multiplicity (r even)
             tstar = (crit_pts | {(r - 1, (r - 2) // 2)}) - {(r, c)}
@@ -186,10 +206,7 @@ def restrict_symplectic(p):
             emit(geometric_sum(m_ge - 1, m_gt + 1), pair, crit_pts)
             emit(monomial(m_gt_j), pair, tstar)
             for k in ks:
-                coeff = monomial(multiplicity(lam, k, "geq")) - monomial(
-                    multiplicity(lam, k, "gt")
-                )
-                emit(coeff, pair, tstar | {(k, c)})
+                emit(step(k), pair, tstar | {(k, c)})
     return out
 
 
@@ -199,7 +216,6 @@ def restrict_symplectic_q1(p):
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
     lam = p.lam
-    und = underlying_set(lam)
     chi = p.chi_map()
     crit_pts = x_crit(p)
     crit = {r for r, _ in crit_pts}
@@ -211,8 +227,7 @@ def restrict_symplectic_q1(p):
         sub = OmegaParam.make(lam_new, psi(lam_new, points))
         out.add(sub, QPoly((const,)))
 
-    for r in und:
-        m_r = multiplicity(lam, r)
+    for r, m_r in Counter(lam).items():
         c = chi[r]
         if r not in crit:
             pair = substitute(lam, (r, r), (r - 1, r - 1))
@@ -239,18 +254,19 @@ def restrict_symplectic_q1(p):
     return out
 
 
-def _largest_j_exo(b, und, r):
+def _largest_j_exo(comps, r):
     """Largest part with the same mu-component as r whose nu-component is not
-    repeated at any larger part."""
-    nab = nabla_delta(b, r)[0]
-    for j in und:  # decreasing
-        if nabla_delta(b, j)[0] != nab:
-            continue
-        dj = nabla_delta(b, j)[1]
-        if all(nabla_delta(b, rp)[1] != dj for rp in und if rp > j):
-            assert j >= r
+    repeated at any larger part.  ``comps`` maps each part, decreasing, to
+    its (mu-component, nu-component)."""
+    nab = comps[r][0]
+    larger = []  # nu-components of the parts above j
+    for j, (nab_j, delt_j) in comps.items():
+        if nab_j == nab and delt_j not in larger:
+            if j < r:
+                raise InvariantViolation(f"j={j} below r={r} in {comps}")
             return j
-    raise AssertionError(f"no valid j for r={r} in {b}")
+        larger.append(delt_j)
+    raise InvariantViolation(f"no valid j for r={r} in {comps}")
 
 
 def restrict_exotic(b):
@@ -259,8 +275,8 @@ def restrict_exotic(b):
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
     mu, nu = b.mu, b.nu
-    lam = sum_partitions(mu, nu)
-    und = underlying_set(lam)
+    comps = _components(b)
+    counts = _counts(sum_partitions(mu, nu))
     marked = set(und_v(b))
     out = CharSum()
 
@@ -268,13 +284,15 @@ def restrict_exotic(b):
         if not coeff:
             return
         sub = Bipartition(mu2, nu2)
-        assert sub.rank == n - 1, (b, sub)
+        _check_rank(sub, n, b)
         out.add(sub, coeff)
 
-    for r in und:
-        m_ge = multiplicity(lam, r, "geq")
-        m_gt = multiplicity(lam, r, "gt")
-        nab, delt = nabla_delta(b, r)
+    above = []  # (mu-component, nu-component) of the parts above r
+    for r, (nab, delt) in comps.items():
+        m_gt, m_ge = counts[r]
+        case3 = any(d == delt for _, d in above)
+        case4 = any(m == nab for m, _ in above)
+        above.append((nab, delt))
         if r not in marked:
             # unmarked parts have a positive nu-component
             emit(
@@ -283,10 +301,8 @@ def restrict_exotic(b):
                 substitute(nu, (delt,), (delt - 1,)),
             )
             continue
-        bigger = [rp for rp in und if rp > r]
-        case3 = any(nabla_delta(b, rp)[1] == delt for rp in bigger)
-        case4 = any(nabla_delta(b, rp)[0] == nab for rp in bigger)
-        assert not (case3 and case4), (b, r)
+        if case3 and case4:
+            raise InvariantViolation(f"cases 3 and 4 both hold at r={r} in {b}")
         if delt > 0:
             # growth term; dropped when the nu-component is 0 (empty fiber)
             m_nu = multiplicity(nu, delt, "geq")
@@ -309,18 +325,17 @@ def restrict_exotic(b):
         )
         m_mu = multiplicity(mu, nab, "geq")
         if case4:
-            j = _largest_j_exo(b, und, r)
-            m_gt_j = multiplicity(lam, j, "gt")
+            j = _largest_j_exo(comps, r)
+            m_gt_j = counts[j][0]
             emit(
                 monomial(2 * m_gt_j),
                 shift(mu, "down", m_gt_j + 1, m_mu),
                 shift(nu, "up", m_gt_j + 1, m_mu - 1),
             )
-            for k in und:
+            for k in comps:
                 if not (r < k <= j):
                     continue
-                m_ge_k = multiplicity(lam, k, "geq")
-                m_gt_k = multiplicity(lam, k, "gt")
+                m_gt_k, m_ge_k = counts[k]
                 emit(
                     monomial(2 * m_ge_k) - monomial(2 * m_gt_k),
                     shift(mu, "down", m_ge_k + 1, m_mu),
@@ -341,8 +356,8 @@ def restrict_exotic_q1(b):
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
     mu, nu = b.mu, b.nu
-    lam = sum_partitions(mu, nu)
-    und = underlying_set(lam)
+    comps = _components(b)
+    counts = _counts(sum_partitions(mu, nu))
     marked = set(und_v(b))
     out = CharSum()
 
@@ -351,17 +366,16 @@ def restrict_exotic_q1(b):
             return
         out.add(Bipartition(mu2, nu2), QPoly((const,)))
 
-    for r in und:
-        m_r = multiplicity(lam, r)
-        m_ge = multiplicity(lam, r, "geq")
-        m_gt = multiplicity(lam, r, "gt")
-        nab, delt = nabla_delta(b, r)
+    above = []  # (mu-component, nu-component) of the parts above r
+    for r, (nab, delt) in comps.items():
+        m_gt, m_ge = counts[r]
+        m_r = m_ge - m_gt
+        case3 = any(d == delt for _, d in above)
+        case4 = any(m == nab for m, _ in above)
+        above.append((nab, delt))
         if r not in marked:
             emit(2 * m_r, mu, substitute(nu, (delt,), (delt - 1,)))
             continue
-        bigger = [rp for rp in und if rp > r]
-        case3 = any(nabla_delta(b, rp)[1] == delt for rp in bigger)
-        case4 = any(nabla_delta(b, rp)[0] == nab for rp in bigger)
         if case3:
             emit(2 * m_r, substitute(mu, (nab,), (nab - 1,)), nu)
             continue
@@ -371,8 +385,8 @@ def restrict_exotic_q1(b):
         emit(2 * m_r - 2, substitute(mu, (nab,), (nab - 1,)), nu)
         m_mu = multiplicity(mu, nab, "geq")
         if case4:
-            j = _largest_j_exo(b, und, r)
-            m_gt_j = multiplicity(lam, j, "gt")
+            j = _largest_j_exo(comps, r)
+            m_gt_j = counts[j][0]
             emit(
                 1,
                 shift(mu, "down", m_gt_j + 1, m_mu),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import springerbc.evaluator as evaluator
 from springerbc.cli import run
 
 
@@ -192,6 +193,18 @@ def test_oracle_failure_exit_code(capsys, monkeypatch):
     code = run(["oracle", "--theory", "sp2", "--param", "2^2_1", "--q", "2"])
     out_of(capsys)
     assert code == 3
+
+
+def test_bad_knobs_exit_2(capsys, monkeypatch):
+    oracle = ["oracle", "--theory", "exotic", "--mu", "[1]", "--nu", "[1]", "--q", "3"]
+    assert run(oracle + ["--jobs", "0"]) == 2
+    _, err = out_of(capsys)
+    assert "jobs" in err
+    monkeypatch.setenv("SPRINGERBC_MEMO_CAP", "-5")
+    evaluator.clear_cache()
+    assert run(["value", "--theory", "exotic", "--mu", "[1]", "--nu", "[1]", "--at", "id"]) == 2
+    _, err = out_of(capsys)
+    assert "SPRINGERBC_MEMO_CAP" in err
 
 
 def test_usage_errors(capsys):

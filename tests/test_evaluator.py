@@ -1,6 +1,8 @@
 import pytest
 
 from golden_data import IOTA_PAIRS, VALUES_1, VALUES_2, VALUES_3
+import springerbc.evaluator as evaluator
+import springerbc.restrict as restrict_module
 from springerbc.errors import InvalidParam
 from springerbc.evaluator import value, value_table
 from springerbc.params import (
@@ -142,3 +144,32 @@ def test_value_consistent_with_own_restriction():
                 for sub, coeff in restrict_exotic(b).terms.items():
                     total = total + coeff * value(sub, w)
                 assert total == value(b, w), (b, w)
+
+
+def test_negative_memo_cap_rejected(monkeypatch):
+    evaluator.clear_cache()
+    monkeypatch.setenv("SPRINGERBC_MEMO_CAP", "-1")
+    with pytest.raises(InvalidParam):
+        value(bipartition_from_text("mu=[1] nu=[1]"), "id")
+
+
+@pytest.mark.parametrize("theory", ["sp2", "exotic"])
+def test_cold_table_restricts_once_per_memo_entry(monkeypatch, theory):
+    # the identities the benchmark's traced runs check on their counters
+    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
+    calls = []
+    for name in ("restrict_symplectic", "restrict_exotic"):
+        original = getattr(restrict_module, name)
+
+        def counted(param, original=original):
+            calls.append(param)
+            return original(param)
+
+        monkeypatch.setattr(restrict_module, name, counted)
+    memo = evaluator._memo
+    evaluator.clear_cache()
+    assert evaluator._memo is memo and not memo
+    value_table(6, theory)
+    assert len(calls) == len(memo) > 0
+    evaluator.clear_cache()
+    assert evaluator._memo is memo and not memo

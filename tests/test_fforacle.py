@@ -1,6 +1,8 @@
+import multiprocessing
+
 import pytest
 
-from springerbc.errors import BadCharacteristic, HalvingFailed, NotNilpotent
+from springerbc.errors import BadCharacteristic, HalvingFailed, InvalidParam, NotNilpotent
 from springerbc.fforacle import (
     FieldModel,
     V_NOT_PERP,
@@ -313,6 +315,43 @@ def test_parallel_matches_serial():
     serial = brute_force_restriction(bp("mu=[1] nu=[1,1]"), GF3, jobs=1)
     parallel = brute_force_restriction(bp("mu=[1] nu=[1,1]"), GF3, jobs=2)
     assert serial == parallel
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records the process count and
+    maps in this process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(chunk) for chunk in chunks]
+
+
+def test_jobs_below_one_rejected():
+    with pytest.raises(InvalidParam):
+        brute_force_restriction(bp("mu=[1] nu=[1]"), GF3, jobs=0)
+    with pytest.raises(InvalidParam):
+        verify_against_formula(bp("mu=[1] nu=[1]"), GF3, jobs=-2)
+
+
+@pytest.mark.parametrize("cpus, expected", [(2, [2]), (1, []), (None, [])])
+def test_jobs_capped_at_cpu_count(monkeypatch, cpus, expected):
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    param = bp("mu=[1] nu=[1,1]")
+    serial = brute_force_restriction(param, GF3, jobs=1)
+    assert brute_force_restriction(param, GF3, jobs=64) == serial
+    assert _SerialPool.sizes == expected
 
 
 def test_verify_higher_rank_branch_coverage():

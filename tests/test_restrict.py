@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import springerbc.restrict as restrict_module
 from golden_data import (
     EXOTIC_RESTRICTION_2,
     EXOTIC_RESTRICTION_3,
     IOTA_PAIRS,
     SP2_RESTRICTION_2,
 )
-from springerbc.errors import InvalidParam
+from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
     bipartition_from_text,
     bipartition_to_text,
@@ -168,3 +175,47 @@ def test_charsum_term_order_is_enumeration_order():
     cs = restrict_exotic(bipartition_from_text("mu=[1,1] nu=[1]"))
     got = [bipartition_to_text(param) for param, _ in cs.items()]
     assert got == ["mu=[1,1] nu=[]", "mu=[1] nu=[1]", "mu=[] nu=[2]"]
+
+
+def _keep_partition(p, olds, news):
+    # a broken substitute: the target keeps the rank of the source
+    return p
+
+
+def test_wrong_rank_target_raises(monkeypatch):
+    monkeypatch.setattr(restrict_module, "substitute", _keep_partition)
+    with pytest.raises(InvariantViolation):
+        restrict_exotic(bipartition_from_text("mu=[] nu=[1]"))
+    with pytest.raises(InvariantViolation):
+        restrict_symplectic(omega_from_text("1^2_0"))
+
+
+def test_wrong_rank_target_raises_under_python_O():
+    code = textwrap.dedent(
+        """
+        import springerbc.restrict as r
+        from springerbc.errors import InvariantViolation
+        from springerbc.params import bipartition_from_text, omega_from_text
+
+        assert False, "asserts must be stripped"
+        r.substitute = lambda p, olds, news: p
+        for restrict, param in (
+            (r.restrict_exotic, bipartition_from_text("mu=[] nu=[1]")),
+            (r.restrict_symplectic, omega_from_text("1^2_0")),
+        ):
+            try:
+                restrict(param)
+            except InvariantViolation:
+                print("raised")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised", "raised"]
