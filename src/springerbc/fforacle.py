@@ -7,24 +7,37 @@ the resulting tallies against the formula coefficients evaluated at q.
 
 Everything here is deliberately independent of the formulas it verifies:
 the invariants are recomputed from matrices alone.
+
+A tally computes the invariant once per distinct quotient model within one
+call (many lines of one kernel give the same quotient matrices).  This is
+sound because the invariant is a function of the model's matrices alone:
+two quotients with equal N, form and vector have equal Jordan types, kernel
+chains and cyclic spans, hence equal invariants.  The memo is keyed by the
+quotient's entries, never by the line or the parameter, lives for one call
+only, and takes no formula input.
 """
 
 import itertools
 import os
 from dataclasses import dataclass
 
-from .errors import BadCharacteristic, HalvingFailed, InvalidParam, NotNilpotent
+from .errors import (
+    BadCharacteristic,
+    HalvingFailed,
+    InvalidParam,
+    InvariantViolation,
+    NotNilpotent,
+)
 from .gf import (
     Echelon,
     FieldCtx,
-    field,
     mat_mul,
     mat_vec,
     normalize_vector,
     nullspace,
-    pair,
     rank,
     vec_dot,
+    vec_mat,
     zero_vector,
 )
 from .params import (
@@ -65,18 +78,21 @@ class FieldModel:
     basis_index: dict | None = None
 
     def check(self):
-        """Assert the structural invariants: the form is alternating and
-        invertible, and the nilpotent is self-adjoint for it (in both
-        theories the nilpotent pairs as <Nx, y> = <x, Ny>)."""
+        """Check the structural invariants, raising InvariantViolation: the
+        form is alternating and invertible, and the nilpotent is self-adjoint
+        for it (in both theories the nilpotent pairs as <Nx, y> = <x, Ny>)."""
         F, G, N = self.field, self.gram, self.N
-        assert all(G[i][i] == 0 for i in range(self.dim)), "form not alternating"
+        if any(G[i][i] for i in range(self.dim)):
+            raise InvariantViolation("form not alternating")
         for i in range(self.dim):
             for j in range(i):
-                assert G[i][j] == F.neg(G[j][i]), "form not skew-symmetric"
-        assert rank(F, G) == self.dim, "form degenerate"
+                if G[i][j] != F.neg(G[j][i]):
+                    raise InvariantViolation("form not skew-symmetric")
+        if rank(F, G) != self.dim:
+            raise InvariantViolation("form degenerate")
         nt_g = mat_mul(F, [list(col) for col in zip(*N)], G)
-        g_n = mat_mul(F, G, N)
-        assert nt_g == g_n, "nilpotent not self-adjoint for the form"
+        if nt_g != mat_mul(F, G, N):
+            raise InvariantViolation("nilpotent not self-adjoint for the form")
         return self
 
 
@@ -155,35 +171,38 @@ def standard_model_exotic(b, fieldctx):
 
 
 def jordan_type(fieldctx, mat, dim):
-    """Jordan type of a nilpotent matrix from its rank sequence."""
+    """Jordan type of a nilpotent matrix from its rank sequence.
+
+    The rows of N^k span the image of the row space of N^(k-1) under
+    x -> xN, so each rank comes from the previous echelon basis by one
+    vector-matrix product per basis row; no power of N is formed.
+    """
     if dim == 0:
         return Partition()
     ranks = [dim]
-    power = mat
-    while ranks[-1] > 0:
-        r = rank(fieldctx, power)
+    ech = Echelon(fieldctx, dim)
+    for row in mat:
+        ech.add(row)
+    while True:
+        r = ech.size
         if r == ranks[-1]:
             raise NotNilpotent(f"rank stabilized at {r} > 0")
         ranks.append(r)
         if r == 0:
             break
-        power = mat_mul(fieldctx, power, mat)
+        rows = ech.rows
+        ech = Echelon(fieldctx, dim)
+        for row in rows:
+            ech.add(vec_mat(fieldctx, row, mat))
     at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
     parts = []
     for i, cnt in enumerate(at_least, start=1):
         nxt = at_least[i] if i < len(at_least) else 0
         parts.extend([i] * (cnt - nxt))
     jt = Partition(parts)
-    assert jt.size == dim
+    if jt.size != dim:
+        raise InvariantViolation(f"Jordan type {jt} does not have size {dim}")
     return jt
-
-
-def _matrix_powers(fieldctx, mat, top):
-    """[mat^0 is skipped] list powers mat^1 .. mat^top."""
-    out = [mat]
-    for _ in range(top - 1):
-        out.append(mat_mul(fieldctx, out[-1], mat))
-    return out
 
 
 def chi_invariant(model):
@@ -196,23 +215,25 @@ def chi_invariant(model):
     F = model.field
     if F.p != 2:
         raise BadCharacteristic("invariant defined in characteristic 2")
-    lam = jordan_type(F, model.N, model.dim)
+    N, G = model.N, model.gram
+    lam = jordan_type(F, N, model.dim)
     if not lam:
         return OmegaParam.make(lam, {})
-    powers = _matrix_powers(F, model.N, lam.part_at(1) + 1)  # powers[j] = N^(j+1)
+    powers = [N]  # powers[j] = N^(j+1), up to the largest part
+    while len(powers) < lam.part_at(1):
+        powers.append(mat_mul(F, powers[-1], N))
     chi = {}
     for r in underlying_set(lam):
         kernel = nullspace(F, powers[r - 1])
+        g_b = [mat_vec(F, G, b) for b in kernel]
+        odd = [mat_vec(F, N, b) for b in kernel]  # N^(2i+1) b
         for i in range(0, r // 2 + 1):
-            odd = powers[2 * i]  # N^(2i+1)
-            if all(
-                pair(F, model.gram, mat_vec(F, odd, bvec), bvec) == 0
-                for bvec in kernel
-            ):
+            if not any(vec_dot(F, x, gb) for x, gb in zip(odd, g_b)):
                 chi[r] = i
                 break
+            odd = [mat_vec(F, N, mat_vec(F, N, x)) for x in odd]
         else:
-            raise AssertionError(f"chi search exceeded r/2 at r={r}")
+            raise InvariantViolation(f"chi search exceeded r/2 at r={r}")
     return OmegaParam.make(lam, chi)
 
 
@@ -257,11 +278,43 @@ def _kernel_basis(model):
     return nullspace(model.field, model.N)
 
 
-def _projective_tuples(q, d):
-    """One coefficient tuple per line of GF(q)^d, first nonzero entry 1."""
+def _projective_tuples(q, d, start=0):
+    """One coefficient tuple per line of GF(q)^d, first nonzero entry 1,
+    from the ``start``-th one on (see ``_unrank_projective``)."""
+    if start >= line_count(q, d):
+        return
+    first = _unrank_projective(q, d, start)
+    pivot = first.index(1)
+    for pv in range(pivot, d):
+        head = (0,) * pv + (1,)
+        rest = first[pv + 1 :] if pv == pivot else (0,) * (d - pv - 1)
+        for tail in _tuples_from(q, rest):
+            yield head + tail
+
+
+def _tuples_from(q, rest):
+    """Digit tuples of length len(rest) in lexicographic order, from rest on."""
+    yield rest
+    for j in range(len(rest) - 1, -1, -1):
+        for x in range(rest[j] + 1, q):
+            head = rest[:j] + (x,)
+            for tail in itertools.product(range(q), repeat=len(rest) - j - 1):
+                yield head + tail
+
+
+def _unrank_projective(q, d, k):
+    """The k-th tuple of ``_projective_tuples(q, d)``: tuples are ordered by
+    pivot, then by the digits after the pivot read as a base-q number."""
     for pivot in range(d):
-        for rest in itertools.product(range(q), repeat=d - pivot - 1):
-            yield (0,) * pivot + (1,) + rest
+        block = q ** (d - pivot - 1)
+        if k < block:
+            rest = []
+            for _ in range(d - pivot - 1):
+                k, digit = divmod(k, q)
+                rest.append(digit)
+            return (0,) * pivot + (1,) + tuple(reversed(rest))
+        k -= block
+    raise IndexError("line index out of range")
 
 
 def _combine(F, basis, coeffs):
@@ -279,6 +332,15 @@ def line_count(q, d):
     return (q**d - 1) // (q - 1)
 
 
+def _lines(F, basis, lo=0, hi=None):
+    """Normalized vectors of the lines lo .. hi-1 of the span of basis."""
+    tuples = _projective_tuples(F.q, len(basis), lo)
+    if hi is not None:
+        tuples = itertools.islice(tuples, hi - lo)
+    for coeffs in tuples:
+        yield normalize_vector(F, _combine(F, basis, coeffs))
+
+
 def enumerate_lines(model, within="full", r=None):
     """Yield one normalized vector per rational line of ker N.
 
@@ -288,9 +350,7 @@ def enumerate_lines(model, within="full", r=None):
     """
     F = model.field
     if within == "full":
-        basis = _kernel_basis(model)
-        for coeffs in _projective_tuples(F.q, len(basis)):
-            yield normalize_vector(F, _combine(F, basis, coeffs))
+        yield from _lines(F, _kernel_basis(model))
         return
     if within != "stratum":
         raise ValueError(f"within must be 'full' or 'stratum', got {within!r}")
@@ -299,8 +359,7 @@ def enumerate_lines(model, within="full", r=None):
     skip = Echelon(F, model.dim)
     for bvec in deeper:
         skip.add(bvec)
-    for coeffs in _projective_tuples(F.q, len(deep)):
-        vec = normalize_vector(F, _combine(F, deep, coeffs))
+    for vec in _lines(F, deep):
         if not skip.contains(vec):
             yield vec
 
@@ -327,62 +386,77 @@ def _layer_basis(model, r):
 
 def quotient_model(model, line):
     """Model induced on (line-perp)/line, or V_NOT_PERP when the model vector
-    pairs nontrivially with the line (empty fiber, bipartition theory)."""
+    pairs nontrivially with the line (empty fiber, bipartition theory).
+
+    With f = <-, w>, jstar the first index where f is nonzero and istar the
+    first index other than jstar where w is, the quotient has the basis
+    e_a - alpha_a e_jstar (a != istar, jstar; alpha = f / f_jstar), taken
+    modulo w to representatives with istar coordinate 0.  The matrices are
+    built row by row; the corrections touch only the nonzero entries.
+    """
     F = model.field
     d = model.dim
-    w = list(line)
-    f = mat_vec(F, model.gram, w)  # f[i] = <e_i, w>
+    w = line
+    G, N = model.gram, model.N
+    f = mat_vec(F, G, w)  # f[i] = <e_i, w>
     if vec_dot(F, model.v, f) != 0:
         return V_NOT_PERP
     jstar = next(i for i, x in enumerate(f) if x)
     istar = next(i for i, x in enumerate(w) if x and i != jstar)
-    keep = [i for i in range(d) if i != jstar and i != istar]
+    lo, hi = sorted((istar, jstar))
+
+    def drop(seq):
+        # seq without its istar and jstar entries
+        return seq[:lo] + seq[lo + 1 : hi] + seq[hi + 1 :]
+
+    sub, mul = F.sub_table, F.mul_table
     finv = F.inv(f[jstar])
-    alpha = [F.mul(x, finv) for x in f]
+    alpha = [(k, mul[x][finv]) for k, x in enumerate(drop(f)) if x]
+
+    def restricted(rows):
+        # the rows on the basis e_a - alpha_a e_jstar; drop(r) inlined, as
+        # this runs on every row of every quotient
+        out = [r[:lo] + r[lo + 1 : hi] + r[hi + 1 :] for r in rows]
+        for row, r in zip(out, rows):
+            t = r[jstar]
+            if t:
+                mt = mul[t]
+                for k, al in alpha:
+                    row[k] = sub[row[k]][mt[al]]
+        return out
+
+    def subtract(rows, coeffs, vec):
+        # rows[k] -= c * vec for every (k, c) in coeffs
+        vec = [(k, y) for k, y in enumerate(vec) if y]
+        for k, c in coeffs:
+            row, mc = rows[k], mul[c]
+            for kk, y in vec:
+                row[kk] = sub[row[kk]][mc[y]]
+
+    # the form: <e_a - alpha_a e_j, e_b - alpha_b e_j>
+    gram2 = restricted(drop(G))
+    subtract(gram2, alpha, restricted([G[jstar]])[0])
+    if any(gram2[k][k] for k in range(d - 2)):
+        raise InvariantViolation("quotient form not alternating")
+    # N: each column's multiple of w comes from the istar row
+    n2 = restricted(drop(N))
     winv = F.inv(w[istar])
-    sub, mul, add = F.sub_table, F.mul_table, F.add_table
+    lift = [mul[x][winv] for x in restricted([N[istar]])[0]]
+    subtract(n2, [(k, x) for k, x in enumerate(drop(w)) if x], lift)
+    v = model.v
+    if any(v):
+        cv = mul[v[istar]][winv]
+        v2 = [sub[x][mul[cv][y]] for x, y in zip(drop(v), drop(w))]
+    else:
+        v2 = zero_vector(d - 2)
+    return FieldModel(F, d - 2, gram2, n2, v2, None)
 
-    def project(x):
-        # x in line-perp; canonical representative with istar coordinate 0
-        c = mul[x[istar]][winv]
-        if c:
-            mc = mul[c]
-            return [sub[x[i]][mc[w[i]]] if w[i] else x[i] for i in keep]
-        return [x[i] for i in keep]
 
-    G = model.gram
-    gjj = G[jstar][jstar]
-    gram2 = []
-    for a in keep:
-        row = []
-        ga = G[a]
-        aa = alpha[a]
-        for bcol in keep:
-            val = ga[bcol]
-            if alpha[bcol]:
-                val = sub[val][mul[alpha[bcol]][ga[jstar]]]
-            if aa:
-                val = sub[val][mul[aa][G[jstar][bcol]]]
-                if alpha[bcol] and gjj:
-                    val = add[val][mul[mul[aa][alpha[bcol]]][gjj]]
-            row.append(val)
-        gram2.append(row)
-    ncols_keep = {i: [model.N[rr][i] for rr in range(d)] for i in keep}
-    ncol_j = [model.N[rr][jstar] for rr in range(d)]
-    new_cols = []
-    for a in keep:
-        aa = alpha[a]
-        if aa:
-            mc = mul[aa]
-            y = [sub[u][mc[vj]] if vj else u for u, vj in zip(ncols_keep[a], ncol_j)]
-        else:
-            y = ncols_keep[a]
-        new_cols.append(project(y))
-    n2 = [list(row) for row in zip(*new_cols)] if new_cols else []
-    v2 = project(model.v) if any(model.v) else zero_vector(d - 2)
-    out = FieldModel(F, d - 2, gram2, n2, v2, None)
-    assert all(gram2[i][i] == 0 for i in range(d - 2)), "quotient form not alternating"
-    return out
+def _check_oracle_input(param, jobs):
+    if jobs < 1:
+        raise InvalidParam(f"jobs must be >= 1, got {jobs}")
+    if param.rank < 1:
+        raise InvalidParam("oracle needs rank >= 1")
 
 
 def brute_force_restriction(param, fieldctx, jobs=1):
@@ -393,19 +467,21 @@ def brute_force_restriction(param, fieldctx, jobs=1):
     ``jobs`` must be at least 1; at most one process per CPU (and per
     line) is started.
     """
-    if jobs < 1:
-        raise InvalidParam(f"jobs must be >= 1, got {jobs}")
-    if param.rank < 1:
-        raise InvalidParam("oracle needs rank >= 1")
+    _check_oracle_input(param, jobs)
     model = _standard_model(param, fieldctx)
-    d = len(_kernel_basis(model))
-    total = line_count(fieldctx.q, d)
+    return _tally(model, _kernel_basis(model), jobs)
+
+
+def _tally(model, basis, jobs):
+    """brute_force_restriction for a built model and its kernel basis; the
+    lines are split into contiguous ranges, one per process."""
+    total = line_count(model.field.q, len(basis))
     jobs = min(jobs, total, os.cpu_count() or 1)
     if jobs <= 1:
-        return _tally_range(param, fieldctx.q, 0, total)
+        return _tally_range(model, basis, 0, total)
     bounds = [(total * i) // jobs for i in range(jobs + 1)]
     chunks = [
-        (param, fieldctx.q, bounds[i], bounds[i + 1])
+        (model, basis, bounds[i], bounds[i + 1])
         for i in range(jobs)
         if bounds[i] < bounds[i + 1]
     ]
@@ -426,21 +502,26 @@ def _oracle_worker(args):
     return _tally_range(*args)
 
 
-def _tally_range(param, q, lo, hi):
-    fieldctx = field(q)
-    model = _standard_model(param, fieldctx)
-    basis = _kernel_basis(model)
-    symplectic = isinstance(param, OmegaParam)
+def _tally_range(model, basis, lo, hi):
+    """Tally the lines lo .. hi-1 of ker N, one invariant per distinct
+    quotient (see the module docstring)."""
+    F = model.field
+    invariant = chi_invariant if F.p == 2 else exotic_invariant
+    chain = itertools.chain.from_iterable
+    seen = {}
     tally = {}
     empty = 0
-    it = itertools.islice(_projective_tuples(q, len(basis)), lo, hi)
-    for coeffs in it:
-        w = normalize_vector(fieldctx, _combine(fieldctx, basis, coeffs))
+    for w in _lines(F, basis, lo, hi):
         qm = quotient_model(model, w)
         if qm is V_NOT_PERP:
             empty += 1
             continue
-        sub = chi_invariant(qm) if symplectic else exotic_invariant(qm)
+        # field codes are below 64 and every quotient here has dimension
+        # dim - 2, so these bytes determine (N, gram, v)
+        key = bytes(chain((chain(qm.N), chain(qm.gram), qm.v)))
+        sub = seen.get(key)
+        if sub is None:
+            sub = seen[key] = invariant(qm)
         tally[sub] = tally.get(sub, 0) + 1
     return tally, empty
 
@@ -467,9 +548,11 @@ def verify_against_formula(param, fieldctx, jobs=1):
             formula_cs.terms.items(), key=lambda kv: param_sort_key(kv[0])
         )
     }
-    tally, empty = brute_force_restriction(param, fieldctx, jobs=jobs)
+    _check_oracle_input(param, jobs)
     model = _standard_model(param, fieldctx)
-    total = line_count(q, len(_kernel_basis(model)))
+    basis = _kernel_basis(model)
+    tally, empty = _tally(model, basis, jobs)
+    total = line_count(q, len(basis))
     formula_total = sum(formula.values())
     totals_match = formula_total + empty == total
     if symplectic:

@@ -207,31 +207,34 @@ def identity_matrix(n):
 def mat_vec(F, mat, vec):
     add = F.add_table
     mul = F.mul_table
+    terms = [(j, mul[x]) for j, x in enumerate(vec) if x]  # vec is often sparse
     out = []
     for row in mat:
         acc = 0
-        for a, x in zip(row, vec):
-            if a and x:
-                acc = add[acc][mul[a][x]]
+        for j, mx in terms:
+            a = row[j]
+            if a:
+                acc = add[acc][mx[a]]
         out.append(acc)
     return out
 
 
-def mat_mul(F, A, B):
+def vec_mat(F, vec, mat):
+    """The row vector vec times mat: a combination of the rows of mat."""
     add = F.add_table
     mul = F.mul_table
-    cols = list(zip(*B))
-    out = []
-    for row in A:
-        orow = []
-        for col in cols:
-            acc = 0
-            for a, b in zip(row, col):
-                if a and b:
-                    acc = add[acc][mul[a][b]]
-            orow.append(acc)
-        out.append(orow)
+    out = [0] * len(mat[0])
+    for c, row in zip(vec, mat):
+        if c == 1:
+            out = [add[a][b] if b else a for a, b in zip(out, row)]
+        elif c:
+            mc = mul[c]
+            out = [add[a][mc[b]] if b else a for a, b in zip(out, row)]
     return out
+
+
+def mat_mul(F, A, B):
+    return [vec_mat(F, row, B) for row in A]
 
 
 def vec_dot(F, x, y):

@@ -2,7 +2,13 @@ import multiprocessing
 
 import pytest
 
-from springerbc.errors import BadCharacteristic, HalvingFailed, InvalidParam, NotNilpotent
+from springerbc.errors import (
+    BadCharacteristic,
+    HalvingFailed,
+    InvalidParam,
+    InvariantViolation,
+    NotNilpotent,
+)
 from springerbc.fforacle import (
     FieldModel,
     V_NOT_PERP,
@@ -106,7 +112,7 @@ def test_model_check_rejects_bad_adjointness():
     model = standard_model_exotic(bp("mu=[1] nu=[]"), GF3)
     broken = FieldModel(GF3, model.dim, model.gram, mat_mul(GF3, model.N, model.N), model.v)
     broken.N[0][0] = 1  # no longer self-adjoint (nor nilpotent-compatible)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation):
         broken.check()
 
 

@@ -1,0 +1,295 @@
+"""Differential tests for the oracle's fast paths.
+
+Each fast path in ``fforacle`` is compared with a plain reference kept here:
+Jordan types from the ranks of explicit matrix powers, the chi search over
+rebuilt powers and ``pair``, quotient matrices built column by column, a
+tally with no invariant memo, and the line order of the plain pivot-then-
+product enumeration.
+"""
+
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from springerbc.errors import InvariantViolation, NotNilpotent
+from springerbc.fforacle import (
+    V_NOT_PERP,
+    FieldModel,
+    _projective_tuples,
+    _unrank_projective,
+    brute_force_restriction,
+    chi_invariant,
+    enumerate_lines,
+    exotic_invariant,
+    jordan_type,
+    line_count,
+    quotient_model,
+    standard_model_exotic,
+    standard_model_symplectic,
+)
+from springerbc.gf import field, mat_mul, mat_vec, nullspace, pair, rank, vec_dot
+from springerbc.params import (
+    OmegaParam,
+    enumerate_bipartitions,
+    enumerate_omega,
+    underlying_set,
+)
+from springerbc.partitions import Partition
+
+GF2, GF3, GF4, GF5 = field(2), field(3), field(4), field(5)
+
+
+# --- references ------------------------------------------------------------------
+
+
+def ref_jordan_type(F, mat, dim):
+    """Jordan type from rank(N^k), with every power built by mat_mul."""
+    if dim == 0:
+        return Partition()
+    ranks = [dim]
+    power = mat
+    while ranks[-1] > 0:
+        r = rank(F, power)
+        if r == ranks[-1]:
+            raise NotNilpotent(f"rank stabilized at {r} > 0")
+        ranks.append(r)
+        power = mat_mul(F, power, mat)
+    at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
+    parts = []
+    for i, cnt in enumerate(at_least, start=1):
+        nxt = at_least[i] if i < len(at_least) else 0
+        parts.extend([i] * (cnt - nxt))
+    return Partition(parts)
+
+
+def ref_chi_invariant(model):
+    """The chi search over rebuilt powers N^1 .. N^(l+1) and ``pair``."""
+    F = model.field
+    lam = ref_jordan_type(F, model.N, model.dim)
+    if not lam:
+        return OmegaParam.make(lam, {})
+    powers = [model.N]
+    for _ in range(lam.part_at(1)):
+        powers.append(mat_mul(F, powers[-1], model.N))
+    chi = {}
+    for r in underlying_set(lam):
+        kernel = nullspace(F, powers[r - 1])
+        for i in range(0, r // 2 + 1):
+            odd = powers[2 * i]
+            if all(pair(F, model.gram, mat_vec(F, odd, b), b) == 0 for b in kernel):
+                chi[r] = i
+                break
+        else:
+            raise AssertionError(f"chi search exceeded r/2 at r={r}")
+    return OmegaParam.make(lam, chi)
+
+
+def ref_quotient_model(model, line):
+    """(line-perp)/line built column by column: each kept basis vector
+    e_a - alpha_a e_jstar is mapped by N, then reduced modulo the line."""
+    F = model.field
+    d = model.dim
+    w = list(line)
+    f = mat_vec(F, model.gram, w)
+    if vec_dot(F, model.v, f) != 0:
+        return V_NOT_PERP
+    jstar = next(i for i, x in enumerate(f) if x)
+    istar = next(i for i, x in enumerate(w) if x and i != jstar)
+    keep = [i for i in range(d) if i != jstar and i != istar]
+    alpha = [F.mul(x, F.inv(f[jstar])) for x in f]
+
+    def basis_vector(a):
+        e = [0] * d
+        e[a] = 1
+        e[jstar] = F.sub(e[jstar], alpha[a])
+        return e
+
+    def project(x):
+        c = F.mul(x[istar], F.inv(w[istar]))
+        return [F.sub(x[i], F.mul(c, w[i])) for i in keep]
+
+    basis = [basis_vector(a) for a in keep]
+    gram2 = [[pair(F, model.gram, x, y) for y in basis] for x in basis]
+    cols = [project(mat_vec(F, model.N, x)) for x in basis]
+    n2 = [list(row) for row in zip(*cols)] if cols else []
+    return FieldModel(F, d - 2, gram2, n2, project(model.v), None)
+
+
+def ref_tally(model):
+    """brute_force_restriction without the per-call invariant memo."""
+    invariant = chi_invariant if model.field.p == 2 else exotic_invariant
+    tally, empty = {}, 0
+    for line in enumerate_lines(model):
+        qm = quotient_model(model, line)
+        if qm is V_NOT_PERP:
+            empty += 1
+            continue
+        sub = invariant(qm)
+        tally[sub] = tally.get(sub, 0) + 1
+    return tally, empty
+
+
+def ref_projective_tuples(q, d):
+    for pivot in range(d):
+        for rest in itertools.product(range(q), repeat=d - pivot - 1):
+            yield (0,) * pivot + (1,) + rest
+
+
+def _models(max_n, sp2_fields, exotic_fields):
+    for n in range(1, max_n + 1):
+        for F in sp2_fields:
+            for p in enumerate_omega(n):
+                yield p, standard_model_symplectic(p, F)
+        for F in exotic_fields:
+            for b in enumerate_bipartitions(n):
+                yield b, standard_model_exotic(b, F)
+
+
+# --- jordan types ------------------------------------------------------------------
+
+
+@st.composite
+def lower_triangular(draw):
+    """A strictly lower-triangular matrix (nilpotent), conjugated by a
+    permutation so that it need not stay triangular."""
+    F = draw(st.sampled_from([GF2, GF3, GF4, GF5]))
+    dim = draw(st.integers(0, 8))
+    mat = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i):
+            mat[i][j] = draw(st.integers(0, F.q - 1))
+    perm = draw(st.permutations(range(dim)))
+    mat = [[mat[perm[i]][perm[j]] for j in range(dim)] for i in range(dim)]
+    return F, mat, dim, perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(lower_triangular())
+def test_jordan_type_matches_power_ranks(case):
+    F, mat, dim, _ = case
+    jt = jordan_type(F, mat, dim)
+    assert jt == ref_jordan_type(F, mat, dim)
+    assert jt.size == dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(lower_triangular(), st.data())
+def test_jordan_type_rejects_non_nilpotent_input(case, data):
+    F, mat, dim, perm = case
+    if dim == 0:
+        return
+    # a nonzero diagonal entry gives a nonzero eigenvalue
+    k = data.draw(st.integers(0, dim - 1))
+    mat[k][k] = data.draw(st.integers(1, F.q - 1))
+    with pytest.raises(NotNilpotent):
+        ref_jordan_type(F, mat, dim)
+    with pytest.raises(NotNilpotent):
+        jordan_type(F, mat, dim)
+
+
+# --- invariants and quotients --------------------------------------------------------
+
+
+def test_chi_invariant_matches_reference_on_every_quotient():
+    checked = 0
+    for _, model in _models(3, (GF2, GF4), ()):
+        for line in enumerate_lines(model):
+            qm = quotient_model(model, line)
+            assert chi_invariant(qm) == ref_chi_invariant(qm), line
+            checked += 1
+        assert chi_invariant(model) == ref_chi_invariant(model)
+    assert checked > 0
+
+
+def test_quotient_model_matches_columnwise_reference():
+    checked = 0
+    for param, model in _models(3, (GF2, GF4), (GF3, GF5)):
+        for line in enumerate_lines(model):
+            got = quotient_model(model, line)
+            want = ref_quotient_model(model, line)
+            if want is V_NOT_PERP:
+                assert got is V_NOT_PERP, (param, line)
+                continue
+            assert (got.dim, got.gram, got.N, got.v) == (
+                want.dim,
+                want.gram,
+                want.N,
+                want.v,
+            ), (param, line)
+            checked += 1
+    assert checked > 0
+
+
+def test_memoized_tally_matches_unmemoized():
+    for param, model in _models(3, (GF2, GF4), (GF3, GF5)):
+        assert brute_force_restriction(param, model.field) == ref_tally(model), param
+    for p in enumerate_omega(4):
+        model = standard_model_symplectic(p, GF2)
+        assert brute_force_restriction(p, GF2) == ref_tally(model), p
+
+
+# --- line enumeration ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_unranked_tuple_is_kth_tuple(q, d):
+    full = list(ref_projective_tuples(q, d))
+    assert len(full) == line_count(q, d)
+    assert list(_projective_tuples(q, d)) == full
+    for k, expected in enumerate(full):
+        assert _unrank_projective(q, d, k) == expected
+        assert list(_projective_tuples(q, d, k)) == full[k:]
+    with pytest.raises(IndexError):
+        _unrank_projective(q, d, len(full))
+
+
+# --- checks under python -O --------------------------------------------------------------
+
+
+def test_model_check_raises_under_python_O():
+    code = textwrap.dedent(
+        """
+        from springerbc.errors import InvariantViolation
+        from springerbc.fforacle import FieldModel, standard_model_exotic
+        from springerbc.gf import field
+        from springerbc.params import bipartition_from_text
+
+        assert False, "asserts must be stripped"
+        F = field(3)
+        model = standard_model_exotic(bipartition_from_text("mu=[1] nu=[]"), F)
+        N = [row[:] for row in model.N]
+        N[0][0] = 1  # no longer self-adjoint for the form
+        try:
+            FieldModel(F, model.dim, model.gram, N, model.v).check()
+        except InvariantViolation:
+            print("raised")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised"]
+
+
+def test_model_check_rejects_odd_form():
+    model = standard_model_exotic(
+        next(b for b in enumerate_bipartitions(1) if b.mu), GF3
+    )
+    gram = [row[:] for row in model.gram]
+    gram[0][0] = 1
+    with pytest.raises(InvariantViolation):
+        FieldModel(GF3, model.dim, gram, model.N, model.v).check()

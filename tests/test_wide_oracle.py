@@ -1,0 +1,25 @@
+"""The finite-field oracle on every parameter of rank 4 and 5 sweeps.
+
+The acceptance suite checks ranks n <= 3; these sweeps reach the formula
+branches that need more parts: sp2 at n = 4 and n = 5 over GF(2), and the
+exotic theory at n = 4 over GF(3).
+"""
+
+import pytest
+
+from springerbc.fforacle import verify_against_formula
+from springerbc.gf import field
+from springerbc.params import enumerate_bipartitions, enumerate_omega
+
+SWEEPS = [("sp2", 4, 2), ("sp2", 5, 2), ("exotic", 4, 3)]
+
+
+@pytest.mark.parametrize("theory, n, q", SWEEPS)
+def test_every_parameter_passes(theory, n, q):
+    enum = enumerate_omega if theory == "sp2" else enumerate_bipartitions
+    failures = []
+    for param in enum(n):
+        rep = verify_against_formula(param, field(q))
+        if not rep["pass"]:
+            failures.append(rep)
+    assert not failures, failures
