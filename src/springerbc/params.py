@@ -19,12 +19,12 @@ from .errors import (
     DomainMismatch,
     Inconsistent,
     InvalidParam,
+    InvariantViolation,
     NotAPart,
     NotInUndV,
     RankTooSmall,
 )
 from .partitions import (
-    EMPTY,
     Partition,
     multiplicity,
     partition_from_text,
@@ -55,12 +55,6 @@ class OmegaParam:
     def chi_map(self):
         return dict(zip(underlying_set(self.lam), self.chi))
 
-    def chi_of(self, r):
-        und = underlying_set(self.lam)
-        if r not in und:
-            raise NotAPart(f"{r} is not a part of {self.lam}")
-        return self.chi[und.index(r)]
-
     @classmethod
     def make(cls, lam, chi_mapping):
         """Construct after validating all defining conditions."""
@@ -87,6 +81,8 @@ def validate_omega(lam, chi):
         raise DomainMismatch(
             f"chi domain {sorted(chi)} != distinct parts {sorted(und)}"
         )
+    if _omega_ok(lam, und, [chi[r] for r in und]):
+        return []
     bad = []
     for r in und:
         c = chi[r]
@@ -108,6 +104,25 @@ def validate_omega(lam, chi):
                     f"condition 3 at r'={rp}, r={r}: slack({rp}) > slack({r})"
                 )
     return bad
+
+
+def _omega_ok(lam, und, vec):
+    """Whether ``validate_omega`` finds no violation, in one pass over the
+    distinct parts ``und`` of lam (decreasing) and their chi values ``vec``.
+    Condition 3 is transitive, so comparing adjacent parts suffices."""
+    if not und:
+        return True
+    prev_c, prev_slack = vec[0], und[0] - vec[0]
+    for r, c in zip(und, vec):
+        if c < 0 or 2 * c > r:
+            return False
+        # an odd multiplicity needs r even and chi = r/2 (conditions 1, 2)
+        if 2 * c != r and lam.count(r) % 2 == 1:
+            return False
+        if c > prev_c or r - c > prev_slack:
+            return False
+        prev_c, prev_slack = c, r - c
+    return True
 
 
 _OMEGA_TOKEN = re.compile(r"^(\d+)\^(\d+)_(\d+)$")
@@ -148,34 +163,53 @@ def x_crit(p):
     """The corner points (r, chi(r)) where chi strictly exceeds every value at
     smaller parts and the slack r - chi(r) is strictly below every slack at
     larger parts.  This is the minimum data recovering chi via ``psi``."""
-    und = underlying_set(p.lam)
-    chi = p.chi_map()
-    pts = set()
-    for r in und:
-        c = chi[r]
-        if c == 0:
-            continue
-        if any(chi[rp] >= c for rp in und if rp < r):
-            continue
-        if any(rp - chi[rp] <= r - c for rp in und if rp > r):
-            continue
-        pts.add((r, c))
-    return frozenset(pts)
+    return frozenset(_corners(underlying_set(p.lam), p.chi))
+
+
+def _corners(und, vec):
+    """``x_crit`` as a list in decreasing order of r, for the distinct parts
+    ``und`` (decreasing) and their chi values ``vec``, in O(k): one pass up
+    from the smallest part keeps the max chi below, one pass down from the
+    largest keeps the min slack above."""
+    k = len(und)
+    if not k:
+        return []
+    exceeds = [False] * k  # chi above every chi at a smaller part
+    best = vec[k - 1] - 1
+    for i in range(k - 1, -1, -1):
+        if vec[i] > best:
+            exceeds[i] = True
+            best = vec[i]
+    out = []
+    low = und[0] - vec[0] + 1  # the min slack at a larger part
+    for i, r in enumerate(und):
+        c = vec[i]
+        if r - c < low:
+            if exceeds[i] and c != 0:
+                out.append((r, c))
+            low = r - c
+    return out
 
 
 def psi(lam, points):
     """Recover a chi-like function on the distinct parts of lam from a point
     set: each value is the max of r - (a - b) over points with a >= r, of b
     over points with a < r, and of 0."""
-    out = {}
-    for r in underlying_set(lam):
+    und = underlying_set(lam)
+    return dict(zip(und, _psi_vec(und, points)))
+
+
+def _psi_vec(und, points):
+    """``psi`` as a tuple aligned with the distinct parts ``und``."""
+    out = []
+    for r in und:
         best = 0
         for a, b in points:
             cand = r - (a - b) if a >= r else b
             if cand > best:
                 best = cand
-        out[r] = best
-    return out
+        out.append(best)
+    return tuple(out)
 
 
 def phi(p):
@@ -311,16 +345,18 @@ def iota(p, s=None):
             i += 1
         else:
             # paired block; the defining conditions force equal adjacent parts
-            assert i + 1 <= total and lam.part_at(i + 1) == li, (p, i)
+            if i + 1 > total or lam.part_at(i + 1) != li:
+                raise InvalidParam(f"{p}: part {i} has no equal partner")
             c[i] = ci
             c[i + 1] = li - ci
             i += 2
     odds = c[1::2]
     evens = c[2::2]
-    assert odds == sorted(odds, reverse=True), (p, odds)
-    assert evens == sorted(evens, reverse=True), (p, evens)
+    if odds != sorted(odds, reverse=True) or evens != sorted(evens, reverse=True):
+        raise InvariantViolation(f"iota({p}): block values {odds}, {evens} unsorted")
     b = Bipartition(Partition(odds), Partition(evens))
-    assert b.rank == p.rank
+    if b.rank != p.rank:
+        raise InvariantViolation(f"iota({p}) = {b} has rank {b.rank}")
     return b
 
 
@@ -330,7 +366,7 @@ def iota_inv(b):
     The k-th slot value is built from the case rules below; the k-th block
     entry is mu_i at odd slots 2i-1 and nu_i at even slots 2i, and chi at a
     slot value v with entry c is min(c, v - c).  Slots carrying the same
-    value always agree on chi (asserted; paired slots see c and v - c).
+    value always agree on chi (checked; paired slots see c and v - c).
     """
     mu, nu = b.mu, b.nu
 
@@ -342,10 +378,10 @@ def iota_inv(b):
             return
         parts.append(val)
         c = min(c, val - c)
-        if val in chi_at:
-            assert chi_at[val] == c, (b, val, chi_at[val], c)
-        else:
-            chi_at[val] = c
+        if chi_at.setdefault(val, c) != c:
+            raise InvariantViolation(
+                f"iota_inv({b}): slots of value {val} carry chi {chi_at[val]} and {c}"
+            )
 
     mu1, nu1 = mu.part_at(1), nu.part_at(1)
     put(mu1 + nu1 if mu1 < nu1 else 2 * mu1, mu1)
@@ -370,9 +406,11 @@ def iota_inv(b):
         if v_even == 0 and v_odd == 0:
             break
         i += 1
-    assert parts == sorted(parts, reverse=True), (b, parts)
+    if parts != sorted(parts, reverse=True):
+        raise InvariantViolation(f"iota_inv({b}): slot values {parts} unsorted")
     p = OmegaParam.make(Partition(parts), chi_at)
-    assert p.rank == b.rank
+    if p.rank != b.rank:
+        raise InvariantViolation(f"iota_inv({b}) = {p} has rank {p.rank}")
     return p
 
 
@@ -424,8 +462,9 @@ def to_limit_symbol(b, r, s, m):
     eta = _eta(r, s, m)
     top = tuple(z + b.mu.part_at(i + 1) for i, z in enumerate(zeta))
     bottom = tuple(e + b.nu.part_at(i + 1) for i, e in enumerate(eta))
-    assert all(x > y for x, y in zip(top, top[1:]))
-    assert all(x > y for x, y in zip(bottom, bottom[1:]))
+    for row in (top, bottom):
+        if any(x <= y for x, y in zip(row, row[1:])):
+            raise InvariantViolation(f"symbol row {row} of {b} not strictly decreasing")
     return LimitSymbol(top, bottom, r, s, m)
 
 
@@ -490,14 +529,18 @@ def und_v(b):
     """Marked parts: values r of mu + nu whose mu-component strictly exceeds
     the mu-component of every smaller part, including the sentinel 0 (so the
     mu-component must be at least 1).  Decreasing order."""
+    return tuple(reversed(_marked(_components(b))))
+
+
+def _marked(comps):
+    """The marked parts of a ``_components`` table, in increasing order."""
     out = []
     best = 0
-    for r, (nab, _) in reversed(_components(b).items()):
+    for r, (nab, _) in reversed(comps.items()):
         if nab > best:
             out.append(r)
             best = nab
-    out.reverse()
-    return tuple(out)
+    return out
 
 
 def next_step(b, r):
@@ -540,7 +583,3 @@ def paving_predicates(p):
     lemma_hypothesis = cond1 and cond2
     theorem_applies = lam.part_at(3) <= 1 or all(c == 0 for c in p.chi)
     return lemma_hypothesis, theorem_applies
-
-
-EMPTY_OMEGA = OmegaParam(EMPTY, ())
-EMPTY_BIPARTITION = Bipartition(EMPTY, EMPTY)

@@ -7,7 +7,7 @@ tuple is the unique partition of 0.  Indexing beyond the length reads as 0
 
 from operator import add
 
-from .errors import NegativePart, OldsNotPresent
+from .errors import InvariantViolation, NegativePart, OldsNotPresent
 
 
 class Partition(tuple):
@@ -170,6 +170,66 @@ def shift(p, direction, a, b):
         if parts[i] < 0:
             raise NegativePart(f"down-shift made part {i + 1} negative in {p}")
     return _sorted(parts)
+
+
+# Slice-based part moves.  Each returns exactly what ``substitute`` or
+# ``shift`` returns for the same move, but keeps the sorted prefix and
+# suffix of p as they are instead of sorting again; the restriction
+# formulas only ask for moves whose result needs no re-sorting.
+
+
+def _run_end(p, x, copies=1):
+    """Index one past the last copy of x in p; OldsNotPresent unless x
+    occurs at least ``copies`` times."""
+    m = p.count(x)
+    if m < copies:
+        raise OldsNotPresent(f"{[x] * copies} not contained in {p}")
+    return p.index(x) + m
+
+
+def _lower(p, x, copies=1):
+    """The last ``copies`` copies of the part x become x - 1 (dropped at 0):
+    ``substitute(p, (x,) * copies, (x - 1,) * copies)``.  Every later part
+    is below x, so the result stays sorted."""
+    i = _run_end(p, x, copies)
+    mid = (x - 1,) * copies if x > 1 else ()
+    return _canonical(p[: i - copies] + mid + p[i:])
+
+
+def _drop(p, x):
+    """The last copy of the part x becomes x - 2, placed after the run of
+    x - 1 (dropped at 0): ``substitute(p, (x,), (x - 2,))``."""
+    if x < 2:
+        raise NegativePart(f"substitute target below zero: {[x - 2]}")
+    i = _run_end(p, x)
+    e = i + p.count(x - 1)  # the run of x - 1, if any, starts at i
+    mid = (x - 2,) if x > 2 else ()
+    return _canonical(p[: i - 1] + p[i:e] + mid + p[e:])
+
+
+def _shift(p, a, b, step):
+    """``shift(p, "up" if step > 0 else "down", a + 1, b)``: step +1 or -1
+    on the parts at 0-based indices a..b-1, by slicing.  The caller
+    guarantees the order: before an up-shift the part at a - 1 exceeds the
+    part at a, after a down-shift the part at b - 1 exceeds the part at b
+    (beyond the length a part is 0).  A move that would break the order
+    raises InvariantViolation instead of being sorted."""
+    if b <= a:
+        return p
+    n = len(p)
+    if step > 0:
+        if a and (a > n or p[a - 1] == (p[a] if a < n else 0)):
+            raise InvariantViolation(f"up-shift [{a + 1},{b}] unsorts {p}")
+        mid = tuple([x + 1 for x in p[a:b]]) + (1,) * (b - max(a, n))
+        return _canonical(p[:a] + mid + p[b:])
+    if b > n:
+        raise NegativePart(f"down-shift [{a + 1},{b}] exceeds length {n} of {p}")
+    if b < n and p[b - 1] == p[b]:
+        raise InvariantViolation(f"down-shift [{a + 1},{b}] unsorts {p}")
+    mid = tuple([x - 1 for x in p[a:b]])
+    if b == n:  # parts that were 1 are now trailing zeros
+        mid = mid[: len(mid) - mid.count(0)]
+    return _canonical(p[:a] + mid + p[b:])
 
 
 def partitions_of(n, max_part=None):

@@ -126,6 +126,13 @@ def geometric_sum(a, b):
     return _canonical((0,) * b + (1,) * (a - b)) if a > b else ZERO
 
 
+def _step(a, b):
+    """q^a - q^b for a >= b >= 0, built canonical: ``monomial(a) - monomial(b)``."""
+    if a < b:
+        raise BadRange(f"_step needs a >= b, got a={a}, b={b}")
+    return _canonical((0,) * b + (-1,) + (0,) * (a - b - 1) + (1,)) if a > b else ZERO
+
+
 def _term_text(c, e):
     if e == 0:
         return str(abs(c))

@@ -7,25 +7,33 @@ coefficient is the zero polynomial are skipped before their target
 parameter is even constructed, and like terms are collected.
 """
 
-from collections import Counter
-
 from .errors import InvalidParam, InvariantViolation
 from .params import (
     Bipartition,
     OmegaParam,
     _components,
+    _corners,
+    _marked,
+    _omega_ok,
+    _psi_vec,
     param_sort_key,
     psi,
     und_v,
+    validate_omega,
     x_crit,
 )
 from .partitions import (
+    _drop,
+    _lower,
+    _run_end,
+    _shift,
     multiplicity,
     shift,
     substitute,
     sum_partitions,
+    underlying_set,
 )
-from .qpoly import QPoly, ZERO, geometric_sum, monomial
+from .qpoly import QPoly, ZERO, _step, geometric_sum, monomial
 
 __all__ = [
     "CharSum",
@@ -56,12 +64,17 @@ class CharSum:
     def add(self, param, coeff):
         if not isinstance(coeff, QPoly):
             coeff = QPoly(coeff)
-        old = self.terms.get(param)
-        total = coeff if old is None else old + coeff
-        if total:
-            self.terms[param] = total
-        else:
-            self.terms.pop(param, None)
+        if not coeff:
+            return
+        terms = self.terms
+        size = len(terms)
+        old = terms.setdefault(param, coeff)  # one hash when param is new
+        if len(terms) == size:  # param was there already: collect
+            total = old + coeff
+            if total:
+                terms[param] = total
+            else:
+                del terms[param]
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: param_sort_key(kv[0]))
@@ -78,9 +91,6 @@ class CharSum:
             out.add(param, QPoly((coeff(1),)))
         return out
 
-    def evaluate(self, q):
-        return {param: coeff(q) for param, coeff in self.terms.items()}
-
     def __eq__(self, other):
         return isinstance(other, CharSum) and self.terms == other.terms
 
@@ -95,118 +105,122 @@ class CharSum:
         return f"CharSum[{body}]"
 
 
-def _counts(lam):
-    """(m(> r), m(>= r)) for each distinct part r of lam, in decreasing
-    order of r: the multiplicities every case below reads."""
+def _runs(lam):
+    """(m(> r), m(>= r)) for each distinct part r of the sorted lam, in
+    decreasing order of r, from one pass: the run of r occupies the indices
+    m(> r) .. m(>= r) - 1."""
     out = {}
-    gt = 0
-    for r, m in Counter(lam).items():
-        out[r] = (gt, gt + m)
-        gt += m
+    prev, start = None, 0
+    for i, x in enumerate(lam):
+        if x != prev:
+            if i:
+                out[prev] = (start, i)
+            prev, start = x, i
+    if lam:
+        out[prev] = (start, len(lam))
     return out
 
 
-def _check_rank(sub, n, param):
-    if sub.rank != n - 1:
-        raise InvariantViolation(
-            f"restriction of {param} (rank {n}) emitted {sub} of rank {sub.rank}"
-        )
-
-
-def _largest_j_sp(und, chi, r):
-    """Largest part value with the same chi as r whose slack is not repeated
-    at any larger part.  Exists whenever r is a corner."""
-    c = chi[r]
-    for i, j in enumerate(und):  # decreasing
-        if chi[j] != c:
-            continue
-        if all(rp - chi[rp] != j - c for rp in und[:i]):
+def _largest_j_sp(und, vec, r, c):
+    """Largest part value with chi equal to c = chi(r) whose slack is not
+    repeated at any larger part.  Exists whenever r is a corner."""
+    larger = set()  # slacks of the parts above j
+    for j, cj in zip(und, vec):  # decreasing
+        if cj == c and j - cj not in larger:
             if j < r:
-                raise InvariantViolation(f"j={j} below r={r}, chi={chi}")
+                raise InvariantViolation(f"j={j} below r={r}, chi={vec} on {und}")
             return j
-    raise InvariantViolation(f"no valid j for r={r}, chi={chi}")
+        larger.add(j - cj)
+    raise InvariantViolation(f"no valid j for r={r}, chi={vec} on {und}")
 
 
 def restrict_symplectic(p):
-    """Graded restriction for a (lam, chi) parameter of rank n >= 1."""
+    """Graded restriction for a (lam, chi) parameter of rank n >= 1.
+
+    One scan of lam gives its runs; each target partition is lam with a
+    part moved by slicing, each target's chi is ``psi`` of its point set,
+    and each target is validated in one pass over its distinct parts."""
     n = p.rank
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
-    lam = p.lam
-    counts = _counts(lam)
-    und = tuple(counts)
-    chi = p.chi_map()
-    crit_pts = x_crit(p)
-    crit = {r for r, _ in crit_pts}
+    lam, vec = p.lam, p.chi
+    runs = _runs(lam)
+    und = tuple(runs)
+    crit_pts = _corners(und, vec)
+    crit = dict(crit_pts)
     out = CharSum()
 
-    def emit(coeff, lam_new, points):
+    def target(lam_new):
+        if sum(lam_new) != 2 * n - 2:
+            raise InvariantViolation(
+                f"restriction of {p} (rank {n}) emitted {lam_new} of size {sum(lam_new)}"
+            )
+        return lam_new, underlying_set(lam_new)
+
+    def emit(coeff, tgt, points):
         # zero-coefficient skip happens before the target is built
         if not coeff:
             return
-        sub = OmegaParam.make(lam_new, psi(lam_new, points))
-        _check_rank(sub, n, p)
-        out.add(sub, coeff)
+        lam_new, und_new = tgt
+        chi_new = _psi_vec(und_new, points)
+        if not _omega_ok(lam_new, und_new, chi_new):
+            bad = validate_omega(lam_new, dict(zip(und_new, chi_new)))
+            raise InvalidParam("; ".join(bad))
+        out.add(OmegaParam(lam_new, chi_new), coeff)
 
     def step(k):  # q^m(>=k) - q^m(>k)
-        m_gt_k, m_ge_k = counts[k]
-        return monomial(m_ge_k) - monomial(m_gt_k)
+        m_gt_k, m_ge_k = runs[k]
+        return _step(m_ge_k, m_gt_k)
 
-    for r in und:
-        m_gt, m_ge = counts[r]
-        c = chi[r]
+    for i, r in enumerate(und):
+        m_gt, m_ge = runs[r]
+        c = vec[i]
         if r not in crit:
-            pair = substitute(lam, (r, r), (r - 1, r - 1))
-            if c == 0 or any(chi[rp] == c for rp in und if rp < r):
+            pair = target(_lower(lam, r, 2))
+            if c == 0 or c in vec[i + 1 :]:
                 # the two would-be targets coincide; merged coefficient
                 emit(geometric_sum(m_ge, m_gt), pair, crit_pts)
             else:
                 # slack is repeated at some larger part, so m(>r) >= 1
                 emit(geometric_sum(m_ge - 1, m_gt - 1), pair, crit_pts)
-                emit(
-                    monomial(m_ge - 1) - monomial(m_gt - 1),
-                    pair,
-                    crit_pts | {(r - 1, c)},
-                )
+                emit(_step(m_ge - 1, m_gt - 1), pair, crit_pts + [(r - 1, c)])
             continue
 
-        j = _largest_j_sp(und, chi, r)
-        m_gt_j = counts[j][0]
-        ks = [k for k in und if r < k <= j]
+        j = _largest_j_sp(und, vec, r, c)
+        m_gt_j = runs[j][0]
+        ks = und[und.index(j) : i]  # the parts k with r < k <= j
+        others = [pt for pt in crit_pts if pt[0] != r]
         if 2 * c != r:
             # corner with chi below the ceiling; multiplicity is even >= 2
-            pair = substitute(lam, (r, r), (r - 1, r - 1))
-            star = (crit_pts | {(r - 1, c - 1)}) - {(r, c)}
-            emit(monomial(m_ge - 1), pair, crit_pts | {(r - 1, c)})
+            pair = target(_lower(lam, r, 2))
+            star = others + [(r - 1, c - 1)]
+            emit(monomial(m_ge - 1), pair, crit_pts + [(r - 1, c)])
             emit(geometric_sum(m_ge - 1, m_gt + 1), pair, crit_pts)
             emit(monomial(m_gt_j), pair, star)
             for k in ks:
-                emit(step(k), pair, star | {(k, c)})
+                emit(step(k), pair, star + [(k, c)])
         elif (m_ge - m_gt) % 2 == 1:
             # corner at the ceiling, odd multiplicity (r even)
-            dstar = (crit_pts | {(r - 2, (r - 2) // 2)}) - {(r, c)}
+            low = (r - 2, (r - 2) // 2)
+            dstar = others + [low]
             coeff = geometric_sum(m_ge - 1, m_gt)
             if coeff:  # zero exactly when the part occurs once
-                emit(coeff, substitute(lam, (r, r), (r - 1, r - 1)), crit_pts)
-            drop = substitute(lam, (r,), (r - 2,))
-            emit(
-                monomial(m_ge - 1) - monomial(m_gt),
-                drop,
-                crit_pts | {(r - 2, (r - 2) // 2)},
-            )
+                emit(coeff, target(_lower(lam, r, 2)), crit_pts)
+            drop = target(_drop(lam, r))
+            emit(_step(m_ge - 1, m_gt), drop, crit_pts + [low])
             emit(monomial(m_gt_j), drop, dstar)
             for k in ks:
-                emit(step(k), drop, dstar | {(k, c)})
+                emit(step(k), drop, dstar + [(k, c)])
         else:
             # corner at the ceiling, even multiplicity (r even)
-            tstar = (crit_pts | {(r - 1, (r - 2) // 2)}) - {(r, c)}
-            drop = substitute(lam, (r,), (r - 2,))
-            pair = substitute(lam, (r, r), (r - 1, r - 1))
-            emit(monomial(m_ge - 1), drop, crit_pts | {(r - 2, (r - 2) // 2)})
+            tstar = others + [(r - 1, (r - 2) // 2)]
+            drop = target(_drop(lam, r))
+            pair = target(_lower(lam, r, 2))
+            emit(monomial(m_ge - 1), drop, crit_pts + [(r - 2, (r - 2) // 2)])
             emit(geometric_sum(m_ge - 1, m_gt + 1), pair, crit_pts)
             emit(monomial(m_gt_j), pair, tstar)
             for k in ks:
-                emit(step(k), pair, tstar | {(k, c)})
+                emit(step(k), pair, tstar + [(k, c)])
     return out
 
 
@@ -227,7 +241,8 @@ def restrict_symplectic_q1(p):
         sub = OmegaParam.make(lam_new, psi(lam_new, points))
         out.add(sub, QPoly((const,)))
 
-    for r, m_r in Counter(lam).items():
+    for r, (m_gt, m_ge) in _runs(lam).items():
+        m_r = m_ge - m_gt
         c = chi[r]
         if r not in crit:
             pair = substitute(lam, (r, r), (r - 1, r - 1))
@@ -270,82 +285,77 @@ def _largest_j_exo(comps, r):
 
 
 def restrict_exotic(b):
-    """Graded restriction for a bipartition of rank n >= 1."""
+    """Graded restriction for a bipartition of rank n >= 1.
+
+    Each target moves parts of mu and nu by slicing; every such move keeps
+    the order by the case that emits it (see ``_shift``)."""
     n = b.rank
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
     mu, nu = b.mu, b.nu
     comps = _components(b)
-    counts = _counts(sum_partitions(mu, nu))
-    marked = set(und_v(b))
+    runs = _runs(sum_partitions(mu, nu))
+    marked = set(_marked(comps))
     out = CharSum()
 
     def emit(coeff, mu2, nu2):
         if not coeff:
             return
-        sub = Bipartition(mu2, nu2)
-        _check_rank(sub, n, b)
-        out.add(sub, coeff)
+        if sum(mu2) + sum(nu2) != n - 1:
+            raise InvariantViolation(
+                f"restriction of {b} (rank {n}) emitted mu={mu2} nu={nu2}"
+            )
+        out.add(Bipartition(mu2, nu2), coeff)
 
-    above = []  # (mu-component, nu-component) of the parts above r
+    mus_above, nus_above = set(), set()  # the components of the parts above r
     for r, (nab, delt) in comps.items():
-        m_gt, m_ge = counts[r]
-        case3 = any(d == delt for _, d in above)
-        case4 = any(m == nab for m, _ in above)
-        above.append((nab, delt))
+        m_gt, m_ge = runs[r]
+        case3 = delt in nus_above
+        case4 = nab in mus_above
+        mus_above.add(nab)
+        nus_above.add(delt)
         if r not in marked:
             # unmarked parts have a positive nu-component
-            emit(
-                geometric_sum(2 * m_ge, 2 * m_gt),
-                mu,
-                substitute(nu, (delt,), (delt - 1,)),
-            )
+            emit(geometric_sum(2 * m_ge, 2 * m_gt), mu, _lower(nu, delt))
             continue
         if case3 and case4:
             raise InvariantViolation(f"cases 3 and 4 both hold at r={r} in {b}")
         if delt > 0:
             # growth term; dropped when the nu-component is 0 (empty fiber)
-            m_nu = multiplicity(nu, delt, "geq")
-            grown = (shift(mu, "up", m_ge + 1, m_nu), shift(nu, "down", m_ge, m_nu))
+            m_nu = _run_end(nu, delt)
+            grown = (_shift(mu, m_ge, m_nu, 1), _shift(nu, m_ge - 1, m_nu, -1))
             if case3:
-                emit(monomial(2 * m_ge - 1) - monomial(2 * m_gt - 1), *grown)
+                emit(_step(2 * m_ge - 1, 2 * m_gt - 1), *grown)
             else:
                 emit(monomial(2 * m_ge - 1), *grown)
+        lowered = _lower(mu, nab)
         if case3:
-            emit(
-                geometric_sum(2 * m_ge - 1, 2 * m_gt - 1),
-                substitute(mu, (nab,), (nab - 1,)),
-                nu,
-            )
+            emit(geometric_sum(2 * m_ge - 1, 2 * m_gt - 1), lowered, nu)
             continue
-        emit(
-            geometric_sum(2 * m_ge - 1, 2 * m_gt + 1),
-            substitute(mu, (nab,), (nab - 1,)),
-            nu,
-        )
-        m_mu = multiplicity(mu, nab, "geq")
+        emit(geometric_sum(2 * m_ge - 1, 2 * m_gt + 1), lowered, nu)
+        m_mu = _run_end(mu, nab)
         if case4:
             j = _largest_j_exo(comps, r)
-            m_gt_j = counts[j][0]
+            m_gt_j = runs[j][0]
             emit(
                 monomial(2 * m_gt_j),
-                shift(mu, "down", m_gt_j + 1, m_mu),
-                shift(nu, "up", m_gt_j + 1, m_mu - 1),
+                _shift(mu, m_gt_j, m_mu, -1),
+                _shift(nu, m_gt_j, m_mu - 1, 1),
             )
             for k in comps:
                 if not (r < k <= j):
                     continue
-                m_gt_k, m_ge_k = counts[k]
+                m_gt_k, m_ge_k = runs[k]
                 emit(
-                    monomial(2 * m_ge_k) - monomial(2 * m_gt_k),
-                    shift(mu, "down", m_ge_k + 1, m_mu),
-                    shift(nu, "up", m_ge_k + 1, m_mu - 1),
+                    _step(2 * m_ge_k, 2 * m_gt_k),
+                    _shift(mu, m_ge_k, m_mu, -1),
+                    _shift(nu, m_ge_k, m_mu - 1, 1),
                 )
         else:
             emit(
                 monomial(2 * m_gt),
-                shift(mu, "down", m_gt + 1, m_mu),
-                shift(nu, "up", m_gt + 1, m_mu - 1),
+                _shift(mu, m_gt, m_mu, -1),
+                _shift(nu, m_gt, m_mu - 1, 1),
             )
     return out
 
@@ -357,7 +367,7 @@ def restrict_exotic_q1(b):
         raise InvalidParam("restriction needs rank >= 1")
     mu, nu = b.mu, b.nu
     comps = _components(b)
-    counts = _counts(sum_partitions(mu, nu))
+    counts = _runs(sum_partitions(mu, nu))
     marked = set(und_v(b))
     out = CharSum()
 

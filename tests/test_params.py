@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +12,7 @@ from springerbc.errors import (
     DomainMismatch,
     Inconsistent,
     InvalidParam,
+    InvariantViolation,
     NotAPart,
     NotInUndV,
     RankTooSmall,
@@ -34,7 +41,7 @@ from springerbc.params import (
     validate_omega,
     x_crit,
 )
-from springerbc.partitions import Partition, sum_partitions
+from springerbc.partitions import EMPTY, Partition, sum_partitions
 
 # the running example: a rank-28 parameter with four corner points
 EX1_LAM = Partition([10, 10, 8, 8, 6, 5, 5, 4, 4, 2, 2, 1, 1])
@@ -193,6 +200,47 @@ def test_iota_inv_examples():
     big = iota_inv(bp("mu=[5,3,1] nu=[4,2]"))
     assert big.lam.size == 30
     assert iota(big) == bp("mu=[5,3,1] nu=[4,2]")
+
+
+def _unsorted(parts):
+    # a Partition that skips the constructor's sort: only internal code
+    # could build one, so the checks it trips guard results
+    return tuple.__new__(Partition, parts)
+
+
+def test_bijection_checks_raise():
+    with pytest.raises(InvariantViolation, match="unsorted"):
+        iota_inv(Bipartition(EMPTY, _unsorted((1, 2))))
+    with pytest.raises(InvariantViolation, match="carry chi"):
+        iota_inv(Bipartition(_unsorted((1, 2)), EMPTY))
+    with pytest.raises(InvalidParam, match="no equal partner"):
+        iota(OmegaParam(Partition([3]), (1,)))
+
+
+def test_bijection_checks_raise_under_python_O():
+    code = textwrap.dedent(
+        """
+        from springerbc.errors import InvariantViolation
+        from springerbc.params import Bipartition, iota_inv
+        from springerbc.partitions import EMPTY, Partition
+
+        assert False, "asserts must be stripped"
+        try:
+            iota_inv(Bipartition(EMPTY, tuple.__new__(Partition, (1, 2))))
+        except InvariantViolation:
+            print("raised")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised"]
 
 
 def test_iota_independent_of_s():

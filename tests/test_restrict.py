@@ -15,6 +15,7 @@ from golden_data import (
 )
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
+    Bipartition,
     bipartition_from_text,
     bipartition_to_text,
     enumerate_bipartitions,
@@ -25,6 +26,7 @@ from springerbc.params import (
     omega_to_text,
     validate_omega,
 )
+from springerbc.partitions import Partition
 from springerbc.qpoly import QPoly, ZERO
 from springerbc.restrict import (
     CharSum,
@@ -177,13 +179,31 @@ def test_charsum_term_order_is_enumeration_order():
     assert got == ["mu=[1,1] nu=[]", "mu=[1] nu=[1]", "mu=[] nu=[2]"]
 
 
-def _keep_partition(p, olds, news):
-    # a broken substitute: the target keeps the rank of the source
+def _unsorted(parts):
+    # skips the constructor's sort: only broken code could pass such a value
+    return tuple.__new__(Partition, parts)
+
+
+def test_case_analysis_guards_raise():
+    with pytest.raises(InvariantViolation, match="cases 3 and 4"):
+        restrict_exotic(Bipartition(_unsorted((1, 2, 1)), Partition([2])))
+    with pytest.raises(InvariantViolation, match="below"):
+        restrict_exotic(Bipartition(_unsorted((1, 1)), _unsorted((1, 2))))
+    # parts (4, 2) with chi (2, 1): the part with chi 1 lies below r = 4
+    with pytest.raises(InvariantViolation, match="below"):
+        restrict_module._largest_j_sp((4, 2), (2, 1), 4, 1)
+    with pytest.raises(InvariantViolation, match="no valid j"):
+        restrict_module._largest_j_sp((4, 2), (2, 1), 2, 0)
+
+
+def _keep_partition(p, x, copies=1):
+    # a broken part move: the target keeps the rank of the source
     return p
 
 
 def test_wrong_rank_target_raises(monkeypatch):
-    monkeypatch.setattr(restrict_module, "substitute", _keep_partition)
+    # both rank-1 parameters below restrict by lowering parts
+    monkeypatch.setattr(restrict_module, "_lower", _keep_partition)
     with pytest.raises(InvariantViolation):
         restrict_exotic(bipartition_from_text("mu=[] nu=[1]"))
     with pytest.raises(InvariantViolation):
@@ -195,18 +215,22 @@ def test_wrong_rank_target_raises_under_python_O():
         """
         import springerbc.restrict as r
         from springerbc.errors import InvariantViolation
-        from springerbc.params import bipartition_from_text, omega_from_text
+        from springerbc.params import Bipartition, bipartition_from_text, omega_from_text
+        from springerbc.partitions import Partition
 
-        assert False, "asserts must be stripped"
-        r.substitute = lambda p, olds, news: p
-        for restrict, param in (
-            (r.restrict_exotic, bipartition_from_text("mu=[] nu=[1]")),
-            (r.restrict_symplectic, omega_from_text("1^2_0")),
-        ):
+        def attempt(fn, *args):
             try:
-                restrict(param)
+                fn(*args)
             except InvariantViolation:
                 print("raised")
+
+        assert False, "asserts must be stripped"
+        unsorted = tuple.__new__(Partition, (1, 2, 1))
+        attempt(r.restrict_exotic, Bipartition(unsorted, Partition([2])))  # cases 3, 4
+        attempt(r._largest_j_sp, (4, 2), (2, 1), 4, 1)
+        r._lower = lambda p, x, copies=1: p
+        attempt(r.restrict_exotic, bipartition_from_text("mu=[] nu=[1]"))
+        attempt(r.restrict_symplectic, omega_from_text("1^2_0"))
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -218,4 +242,4 @@ def test_wrong_rank_target_raises_under_python_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised", "raised"]
+    assert done.stdout.split() == ["raised"] * 4

@@ -10,7 +10,7 @@ from springerbc.evaluator import GROUP_ELEMENTS, value
 from springerbc.params import enumerate_omega, iota
 from springerbc.restrict import check_equivalence
 
-RANKS = range(1, 11)
+RANKS = range(1, 13)
 
 
 @pytest.mark.parametrize("n", RANKS)
