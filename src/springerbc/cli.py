@@ -12,7 +12,7 @@ import sys
 
 from .errors import SpringerError
 from .evaluator import value, value_table
-from .fforacle import verify_against_formula
+from .fforacle import _param_text, verify_against_formula
 from .gf import field
 from .params import (
     Bipartition,
@@ -36,12 +36,6 @@ from .restrict import (
     restrict_symplectic,
     restrict_symplectic_q1,
 )
-
-
-def _param_text(param):
-    if isinstance(param, OmegaParam):
-        return omega_to_text(param)
-    return bipartition_to_text(param)
 
 
 def _coeff_text(poly, descending):

@@ -7,22 +7,33 @@ of the values of its rank n-1 restriction terms.  The recursion bottoms
 out at rank 1, where the values are fixed base data; rank 0 carries the
 trivial character.
 
-The weighted sum is accumulated in one list of ints: restriction
-coefficients are sparse (q^a, q^a - q^b, geometric sums), so each nonzero
-coefficient c at degree e adds c times the sub-value into the slice
-starting at e.  Only the finished sum becomes a QPoly.
+Inside the recursion a polynomial is packed into one int: its value at
+q = 2^slot, each coefficient a signed slot of ``slot`` bits (Kronecker
+substitution).  Packing is a ring map, so the weighted sum costs one
+big-int multiply-add per restriction term and is exact as an int whatever
+its coefficients; only a value handed to an outside caller is unpacked to
+a QPoly, and unpacking is exact while every coefficient is below
+2^(slot - 1) in absolute value.  Each memo entry therefore carries a bound
+on its coefficients, the sum over its terms of the coefficient's l1 norm
+times the sub-value's bound, so that overflow is ruled out, not guessed.
+When the bound of a value about to be unpacked does not fit, the slot
+doubles, the memo is cleared and the value is computed again from the
+outermost call.  The slot starts at 64 bits; at rank 18 the bounds seen
+reach 54 bits.
 
-The memo table is the only cache: a plain dict keyed by (parameter, w),
-shared across calls.  Reads and inserts are atomic under the GIL and
-recomputation is idempotent, so concurrent use from threads is safe.
+The packed restriction coefficients are kept in a table per slot width,
+cleared with the memo.  The memo is a plain dict keyed by (parameter, w),
+shared across calls; each entry records its slot width, and an entry of
+another width counts as missing, so no sum ever mixes widths.  Reads and
+inserts are atomic under the GIL and recomputation is idempotent, so
+concurrent use from threads is safe, also while one of them widens.
 SPRINGERBC_MEMO_CAP caps the number of cached entries (unbounded by
 default; a negative cap is an InvalidParam); past the cap results are
 still correct, just recomputed.
 """
 
 import os
-from itertools import repeat
-from operator import add, mul, sub
+import threading
 
 from . import restrict
 from .errors import InvalidParam
@@ -33,7 +44,7 @@ from .params import (
     enumerate_omega,
 )
 from .partitions import Partition
-from .qpoly import ONE, QPoly, _canonical
+from .qpoly import ONE, QPoly, _pack, _unpack
 
 GROUP_ELEMENTS = ("id", "s1")
 
@@ -58,7 +69,10 @@ def _base_table():
 
 
 _BASE = _base_table()
-_memo = {}
+_memo = {}  # (param, w) -> (packed value, coefficient bound, slot width)
+_packs = {}  # slot width -> {QPoly: (packed, l1 norm)}
+_slot = 64  # bits per packed coefficient; only ever widened
+_widening = threading.Lock()
 
 
 def _memo_cap():
@@ -73,52 +87,75 @@ def _memo_cap():
 
 def clear_cache():
     _memo.clear()
+    _packs.clear()
 
 
-def value(param, w):
-    """Character value of the given parameter at w in {"id", "s1"}."""
+def value(param, w, *, _at=0):
+    """Character value of the given parameter at w in {"id", "s1"}.
+
+    Internal: the recursion passes its slot width as ``_at`` and gets back
+    (packed value, coefficient bound, slot) instead of a QPoly."""
+    global _slot
     if w not in GROUP_ELEMENTS:
         raise InvalidParam(f"group element must be one of {GROUP_ELEMENTS}, got {w!r}")
     key = (param, w)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
+    slot = _at or _slot
+    while True:
+        entry = _memo.get(key)
+        if entry is None or entry[2] != slot:
+            entry = _miss(param, w, key, slot)
+        if _at:
+            return entry
+        bound = entry[1]
+        if bound < 1 << (slot - 1):
+            return _unpack(entry[0], slot)
+        # a coefficient might not fit its slot: start over, wider
+        while bound >= 1 << (slot - 1):
+            slot *= 2
+        with _widening:
+            if slot > _slot:
+                _slot = slot
+                clear_cache()
+
+
+def _miss(param, w, key, slot):
+    """(packed value, coefficient bound, slot) of ``key``, memoized from
+    rank 2 on."""
+    packs = _packs.get(slot)
+    if packs is None:
+        packs = _packs[slot] = {}
     n = param.rank
-    if n == 0:
-        return ONE
-    if n == 1:
+    if n <= 1:
+        if n == 0:
+            return (1, 1, slot)
         try:
-            return _BASE[key]
+            base = _BASE[key]
         except KeyError:
             raise InvalidParam(f"not a valid rank-1 parameter: {param}") from None
+        packed, l1 = packs.get(base) or _new_pack(packs, base, slot)
+        return (packed, l1, slot)
     # read off the module on every miss, so that a wrapped or patched
     # restriction is the one called
     if isinstance(param, OmegaParam):
         terms = restrict.restrict_symplectic(param)
     else:
         terms = restrict.restrict_exotic(param)
-    acc = []
+    total = bound = 0
     for target, coeff in terms.terms.items():
-        v = value(target, w)
-        for e, c in enumerate(coeff):
-            if not c:
-                continue
-            end = e + len(v)
-            if len(acc) < end:
-                acc += [0] * (end - len(acc))
-            if c == 1:
-                acc[e:end] = map(add, acc[e:end], v)
-            elif c == -1:
-                acc[e:end] = map(sub, acc[e:end], v)
-            else:
-                acc[e:end] = map(add, acc[e:end], map(mul, v, repeat(c)))
-    while acc and acc[-1] == 0:
-        acc.pop()
-    total = _canonical(acc)
+        sub = value(target, w, _at=slot)
+        c = packs.get(coeff) or _new_pack(packs, coeff, slot)
+        total += c[0] * sub[0]
+        bound += c[1] * sub[1]
+    entry = (total, bound, slot)
     cap = _memo_cap()
     if cap is None or len(_memo) < cap:
-        _memo[key] = total
-    return total
+        _memo[key] = entry
+    return entry
+
+
+def _new_pack(packs, p, slot):
+    entry = packs[p] = (_pack(p, slot), sum(map(abs, p)))
+    return entry
 
 
 def value_table(n, theory):

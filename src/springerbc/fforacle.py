@@ -96,7 +96,7 @@ class FieldModel:
         return self
 
 
-def _model_skeleton(lam, widths, fieldctx):
+def _model_skeleton(lam, widths):
     """Index the basis vectors (r, s, t) with r a distinct part, s a string
     index in [1, widths(r)], t a position in [1, r]."""
     index = {}
@@ -117,7 +117,7 @@ def standard_model_symplectic(p, fieldctx):
     lam = p.lam
     chi = p.chi_map()
     crit = {r for r, _ in x_crit(p)}
-    index, dim, gram, nilp = _model_skeleton(lam, lambda r: multiplicity(lam, r), fieldctx)
+    index, dim, gram, nilp = _model_skeleton(lam, lambda r: multiplicity(lam, r))
 
     def set_pair(a, b):
         gram[index[a]][index[b]] = 1
@@ -150,9 +150,7 @@ def standard_model_exotic(b, fieldctx):
     if fieldctx.p == 2:
         raise BadCharacteristic("need odd characteristic")
     lam = sum_partitions(b.mu, b.nu)
-    index, dim, gram, nilp = _model_skeleton(
-        lam, lambda r: 2 * multiplicity(lam, r), fieldctx
-    )
+    index, dim, gram, nilp = _model_skeleton(lam, lambda r: 2 * multiplicity(lam, r))
     for r in underlying_set(lam):
         for k in range(1, multiplicity(lam, r) + 1):
             for t in range(1, r + 1):

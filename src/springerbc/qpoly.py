@@ -6,6 +6,7 @@ arithmetic; in particular every division by (q - 1) that the restriction
 formulas need is realized up front as a geometric sum.
 """
 
+import sys
 from operator import add, neg
 
 from .errors import BadRange
@@ -95,6 +96,37 @@ def _canonical(coeffs):
     return tuple.__new__(QPoly, coeffs)
 
 
+def _pack(p, slot):
+    """p evaluated at q = 2^slot: each coefficient in a signed slot of
+    ``slot`` bits, which ``_unpack`` reads back while it is below
+    2^(slot - 1) in absolute value."""
+    return sum(c << (slot * e) for e, c in enumerate(p) if c)
+
+
+def _unpack(packed, slot):
+    """The QPoly whose packing is ``packed``; the caller guarantees that
+    every coefficient is below 2^(slot - 1) in absolute value.
+
+    Adding 2^(slot - 1) to every slot makes each one nonnegative with no
+    carry between them; flipping each slot's top bit back leaves the slots
+    in two's complement, which are read off the bytes (64-bit slots by one
+    memoryview cast)."""
+    width = slot // 8  # slots are whole bytes
+    n = packed.bit_length() // slot + 1  # at least the number of coefficients
+    bias = int.from_bytes((1 << (slot - 1)).to_bytes(width, "little") * n, "little")
+    raw = ((packed + bias) ^ bias).to_bytes(width * n, "little")
+    if width == 8 and sys.byteorder == "little":
+        coeffs = memoryview(raw).cast("q").tolist()
+    else:
+        coeffs = [
+            int.from_bytes(raw[i : i + width], "little", signed=True)
+            for i in range(0, len(raw), width)
+        ]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return _canonical(coeffs)
+
+
 def _coerce(other):
     if isinstance(other, QPoly):
         return other
@@ -111,6 +143,8 @@ ONE = QPoly((1,))
 
 def monomial(e, c=1):
     """The polynomial c * q^e."""
+    if e < 0:
+        raise BadRange(f"monomial needs e >= 0, got e={e}")
     c = int(c)
     return _canonical((0,) * e + (c,)) if c else ZERO
 

@@ -1,6 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
+
 import pytest
 
 from golden_data import IOTA_PAIRS, VALUES_1, VALUES_2, VALUES_3
+from test_fast_paths import reference_value
 import springerbc.evaluator as evaluator
 import springerbc.restrict as restrict_module
 from springerbc.errors import InvalidParam
@@ -173,3 +182,167 @@ def test_cold_table_restricts_once_per_memo_entry(monkeypatch, theory):
     assert len(calls) == len(memo) > 0
     evaluator.clear_cache()
     assert evaluator._memo is memo and not memo
+
+
+def _all_values(max_rank):
+    return {
+        (param, w): value(param, w)
+        for n in range(max_rank + 1)
+        for param in enumerate_omega(n) + enumerate_bipartitions(n)
+        for w in ("id", "s1")
+    }
+
+
+def test_narrow_slots_widen_to_exact_values(monkeypatch):
+    # 8-bit slots overflow from rank 4 on: each overflowing value widens
+    # the slots and is computed again, and every value stays exact
+    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
+    monkeypatch.setattr(evaluator, "_slot", 8)
+    evaluator.clear_cache()
+    try:
+        got = _all_values(7)
+        assert evaluator._slot > 8
+        assert all(entry[2] == evaluator._slot for entry in evaluator._memo.values())
+    finally:
+        evaluator.clear_cache()
+    memo = {}
+    for (param, w), v in got.items():
+        assert type(v) is QPoly
+        assert v == reference_value(param, w, memo), (param, w)
+
+
+def test_entries_of_another_width_count_as_missing(monkeypatch):
+    # as when another thread widened the slots after these entries were made
+    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
+    evaluator.clear_cache()
+    try:
+        value_table(5, "exotic")
+        monkeypatch.setattr(evaluator, "_slot", 2 * evaluator._slot)
+        memo = {}
+        for b in enumerate_bipartitions(6):
+            for w in ("id", "s1"):
+                assert value(b, w) == reference_value(b, w, memo), (b, w)
+    finally:
+        evaluator.clear_cache()
+
+
+def test_threads_widening_together_get_exact_values(monkeypatch):
+    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
+    monkeypatch.setattr(evaluator, "_slot", 8)
+    params = enumerate_omega(6) + enumerate_bipartitions(6)
+    memo = {}
+    want = [reference_value(p, w, memo) for p in params for w in ("id", "s1")]
+    results, errors = {}, []
+
+    def work(i):
+        try:
+            order = params[i:] + params[:i]  # each thread in its own order
+            got = {(p, w): value(p, w) for p in order for w in ("id", "s1")}
+            results[i] = [got[(p, w)] for p in params for w in ("id", "s1")]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    evaluator.clear_cache()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        evaluator.clear_cache()
+    assert not errors
+    assert evaluator._slot > 8
+    assert sorted(results) == [0, 7, 14, 21]
+    for got in results.values():
+        assert got == want
+
+
+def test_narrow_slots_widen_under_python_O():
+    # the overflow guard is a branch, not an assert
+    code = textwrap.dedent(
+        """
+        import json
+        import springerbc.evaluator as ev
+        from springerbc.params import enumerate_bipartitions, enumerate_omega
+
+        assert False, "asserts must be stripped"
+        ev._slot = 8
+        params = enumerate_omega(6) + enumerate_bipartitions(6)
+        values = [list(ev.value(p, w)) for p in params for w in ("id", "s1")]
+        print(ev._slot, json.dumps(values))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SPRINGERBC_MEMO_CAP"}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    slot, values = done.stdout.split(" ", 1)
+    assert int(slot) > 8
+    params = enumerate_omega(6) + enumerate_bipartitions(6)
+    assert json.loads(values) == [list(value(p, w)) for p in params for w in ("id", "s1")]
+
+
+def test_tiny_memo_cap_keeps_every_value(monkeypatch):
+    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
+    evaluator.clear_cache()
+    uncapped = _all_values(6)
+    evaluator.clear_cache()
+    monkeypatch.setenv("SPRINGERBC_MEMO_CAP", "3")
+    try:
+        assert _all_values(6) == uncapped
+        assert len(evaluator._memo) == 3
+    finally:
+        evaluator.clear_cache()
+
+
+@pytest.mark.parametrize("theory", ["sp2", "exotic"])
+def test_traced_counter_identities(monkeypatch, theory):
+    # every sub-value lookup, hit or miss, goes through the module
+    # attribute ``value``, which the benchmark's tracer wraps
+    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
+    memo = evaluator._memo
+    counts = {"calls": 0, "top": 0, "misses": 0, "restricts": 0, "miss_terms": 0}
+    depth = [0]
+    original_value = evaluator.value
+
+    def wrapped_value(param, w, **kwargs):
+        counts["calls"] += 1
+        counts["top"] += depth[0] == 0
+        miss = param.rank >= 2 and (param, w) not in memo
+        counts["misses"] += miss
+        depth[0] += 1
+        try:
+            return original_value(param, w, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for name in ("restrict_symplectic", "restrict_exotic"):
+        original = getattr(restrict_module, name)
+
+        def counted(param, original=original):
+            terms = original(param)
+            counts["restricts"] += 1
+            counts["miss_terms"] += len(terms)
+            return terms
+
+        monkeypatch.setattr(restrict_module, name, counted)
+    monkeypatch.setattr(evaluator, "value", wrapped_value)
+    evaluator.clear_cache()
+    try:
+        rows = evaluator.value_table(6, theory)
+        assert counts["top"] == 2 * len(rows)
+        assert counts["misses"] == counts["restricts"] == len(memo) > 0
+        assert counts["calls"] == counts["top"] + counts["miss_terms"]
+    finally:
+        evaluator.clear_cache()

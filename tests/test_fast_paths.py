@@ -3,8 +3,8 @@
 The partition helpers and QPoly operators build their results without
 re-normalizing; each must return exactly what the public constructor
 returns on the same data, of exactly the same type.  The evaluator
-accumulates its weighted sums in a list of ints; it must agree with a
-plain recursion through public QPoly arithmetic.  The restriction kernels
+accumulates its weighted sums as big ints, packed at q = 2^slot; it must
+agree with a plain recursion through public QPoly arithmetic.  The restriction kernels
 move parts by slicing and validate their targets in one pass; they must
 agree with the plain formulas kept below, and their helpers with the
 public partition operations and the pairwise definitions.

@@ -3,7 +3,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from springerbc.errors import BadRange
-from springerbc.qpoly import ONE, QPoly, ZERO, geometric_sum, monomial, poly_to_text
+from springerbc.qpoly import (
+    ONE,
+    QPoly,
+    ZERO,
+    _pack,
+    _unpack,
+    geometric_sum,
+    monomial,
+    poly_to_text,
+)
 
 poly_st = st.lists(st.integers(-9, 9), max_size=6).map(QPoly)
 
@@ -35,6 +44,14 @@ def test_arithmetic():
     assert QPoly((1, 2, 1))(3) == 16
 
 
+def test_monomial_rejects_negative_exponent():
+    assert monomial(0, 3) == (3,)
+    with pytest.raises(BadRange):
+        monomial(-1)
+    with pytest.raises(BadRange):
+        monomial(-2, 5)
+
+
 @given(poly_st, poly_st, st.integers(-4, 4))
 def test_mul_evaluation_homomorphism(a, b, x):
     assert (a * b)(x) == a(x) * b(x)
@@ -57,3 +74,24 @@ def test_poly_text():
     assert poly_to_text(ZERO) == "0"
     assert poly_to_text(QPoly((0, 1))) == "q"
     assert poly_to_text(QPoly((1, 2, 1)), descending=False) == "1 + 2q + q^2"
+
+
+@st.composite
+def packable(draw):
+    slot = draw(st.sampled_from((8, 16, 24, 64, 128)))
+    top = (1 << (slot - 1)) - 1
+    coeffs = draw(st.lists(st.integers(-top, top), max_size=12))
+    return QPoly(coeffs), slot
+
+
+@given(packable(), poly_st)
+def test_pack_is_evaluation_at_two_to_the_slot(drawn, r):
+    p, slot = drawn
+    packed = _pack(p, slot)
+    assert packed == p(1 << slot)
+    unpacked = _unpack(packed, slot)
+    assert type(unpacked) is QPoly and unpacked == p
+    # a product unpacks exactly while its coefficients fit their slots
+    product = p * r
+    if all(abs(c) < 1 << (slot - 1) for c in product):
+        assert _unpack(packed * _pack(r, slot), slot) == product
