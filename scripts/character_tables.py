@@ -9,9 +9,8 @@ import argparse
 
 from springerbc.cli import charsum_text
 from springerbc.evaluator import value_table
-from springerbc.params import enumerate_bipartitions, enumerate_omega
 from springerbc.qpoly import poly_to_text
-from springerbc.restrict import restrict_exotic, restrict_symplectic
+from springerbc.theory import THEORIES
 
 
 def main():
@@ -20,16 +19,10 @@ def main():
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args()
 
-    if args.theory == "sp2":
-        params = enumerate_omega(args.n)
-        restrict = restrict_symplectic
-    else:
-        params = enumerate_bipartitions(args.n)
-        restrict = restrict_exotic
-
+    theory = THEORIES[args.theory]
     print(f"# restriction identities, rank {args.n}")
-    for p in params:
-        print(f"Res({p}) = {charsum_text(restrict(p))}")
+    for p in theory.enumerate(args.n):
+        print(f"Res({p}) = {charsum_text(theory.restrict(p))}")
 
     print(f"\n# character values, rank {args.n}")
     for p, vid, vs1 in value_table(args.n, args.theory):

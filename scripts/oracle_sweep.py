@@ -15,7 +15,7 @@ import time
 
 from springerbc.fforacle import verify_against_formula
 from springerbc.gf import field
-from springerbc.params import enumerate_bipartitions, enumerate_omega
+from springerbc.theory import EXOTIC, SP2
 
 
 def main():
@@ -29,16 +29,12 @@ def main():
     t0 = time.perf_counter()
     failed = 0
     for n in range(1, args.max_n + 1):
-        for q in args.sp2_fields:
-            for p in enumerate_omega(n):
-                rep = verify_against_formula(p, field(q), jobs=args.jobs)
-                failed += not rep["pass"]
-                print(json.dumps(rep))
-        for q in args.exotic_fields:
-            for b in enumerate_bipartitions(n):
-                rep = verify_against_formula(b, field(q), jobs=args.jobs)
-                failed += not rep["pass"]
-                print(json.dumps(rep))
+        for theory, fields in ((SP2, args.sp2_fields), (EXOTIC, args.exotic_fields)):
+            for q in fields:
+                for p in theory.enumerate(n):
+                    rep = verify_against_formula(p, field(q), jobs=args.jobs)
+                    failed += not rep["pass"]
+                    print(json.dumps(rep))
     print(
         f"# {failed} failures, {time.perf_counter() - t0:.1f}s", file=sys.stderr
     )

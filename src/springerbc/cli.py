@@ -12,30 +12,12 @@ import sys
 
 from .errors import SpringerError
 from .evaluator import value, value_table
-from .fforacle import _param_text, verify_against_formula
+from .fforacle import verify_against_formula
 from .gf import field
-from .params import (
-    Bipartition,
-    OmegaParam,
-    bipartition_to_text,
-    enumerate_bipartitions,
-    enumerate_omega,
-    iota,
-    iota_inv,
-    omega_from_text,
-    omega_to_text,
-    paving_predicates,
-    partition_from_text,
-    to_limit_symbol,
-)
+from .params import iota, iota_inv, paving_predicates, to_limit_symbol
 from .qpoly import ONE, poly_to_text
-from .restrict import (
-    check_equivalence,
-    restrict_exotic,
-    restrict_exotic_q1,
-    restrict_symplectic,
-    restrict_symplectic_q1,
-)
+from .restrict import check_equivalence
+from .theory import EXOTIC, SP2, THEORIES
 
 
 def _coeff_text(poly, descending):
@@ -47,7 +29,7 @@ def _coeff_text(poly, descending):
 def charsum_text(cs, descending=True):
     parts = []
     for param, coeff in cs.items():
-        target = f"({_param_text(param)})"
+        target = f"({param})"
         if coeff == ONE:
             parts.append(target)
         else:
@@ -59,7 +41,7 @@ def charsum_json(cs, rank):
     return {
         "rank": rank,
         "terms": [
-            {"param": _param_text(param), "coeff": list(coeff)}
+            {"param": str(param), "coeff": list(coeff)}
             for param, coeff in cs.items()
         ],
     }
@@ -69,32 +51,10 @@ def _emit_json(obj):
     print(json.dumps(obj))
 
 
-def _parse_sp2_param(text):
-    return omega_from_text(text)
-
-
-def _parse_exotic_param(args):
-    return Bipartition(
-        partition_from_text(args.mu), partition_from_text(args.nu)
-    )
-
-
-def _get_param(args):
-    if args.theory == "sp2":
-        if args.param is None:
-            raise ValueError("--theory sp2 needs --param")
-        return _parse_sp2_param(args.param)
-    if args.mu is None or args.nu is None:
-        raise ValueError("--theory exotic needs --mu and --nu")
-    return _parse_exotic_param(args)
-
-
 def cmd_restrict(args):
-    param = _get_param(args)
-    if args.theory == "sp2":
-        cs = restrict_symplectic_q1(param) if args.q1 else restrict_symplectic(param)
-    else:
-        cs = restrict_exotic_q1(param) if args.q1 else restrict_exotic(param)
+    th = THEORIES[args.theory]
+    param = th.parse(args)
+    cs = th.restrict_q1(param) if args.q1 else th.restrict(param)
     if args.format == "json":
         _emit_json(charsum_json(cs, param.rank - 1))
     else:
@@ -103,12 +63,12 @@ def cmd_restrict(args):
 
 
 def cmd_value(args):
-    param = _get_param(args)
+    param = THEORIES[args.theory].parse(args)
     poly = value(param, args.at)
     if args.format == "json":
         _emit_json(
             {
-                "param": _param_text(param),
+                "param": str(param),
                 "at": args.at,
                 "coeff": list(poly),
                 "poly": poly_to_text(poly, descending=not args.ascending),
@@ -126,7 +86,7 @@ def cmd_table(args):
         _emit_json(
             [
                 {
-                    "param": _param_text(p),
+                    "param": str(p),
                     "id": list(vid),
                     "s1": list(vs1),
                     "id_poly": poly_to_text(vid, descending=desc),
@@ -138,7 +98,7 @@ def cmd_table(args):
     else:
         for p, vid, vs1 in rows:
             print(
-                f"{_param_text(p)}\t{poly_to_text(vid, descending=desc)}"
+                f"{p}\t{poly_to_text(vid, descending=desc)}"
                 f"\t{poly_to_text(vs1, descending=desc)}"
             )
     return 0
@@ -146,14 +106,9 @@ def cmd_table(args):
 
 def cmd_iota(args):
     if args.inverse:
-        if args.mu is None or args.nu is None:
-            raise ValueError("iota --inverse needs --mu and --nu")
-        param = iota_inv(_parse_exotic_param(args))
-        out = omega_to_text(param)
+        out = str(iota_inv(EXOTIC.parse(args)))
     else:
-        if args.param is None:
-            raise ValueError("iota needs --param")
-        out = bipartition_to_text(iota(_parse_sp2_param(args.param)))
+        out = str(iota(SP2.parse(args)))
     if args.format == "json":
         _emit_json({"param": out})
     else:
@@ -162,7 +117,7 @@ def cmd_iota(args):
 
 
 def cmd_symbol(args):
-    b = _parse_exotic_param(args)
+    b = EXOTIC.parse(args)
     sym = to_limit_symbol(b, args.r, args.s, args.m)
     if args.format == "json":
         _emit_json(
@@ -181,7 +136,7 @@ def cmd_symbol(args):
 
 
 def cmd_oracle(args):
-    param = _get_param(args)
+    param = THEORIES[args.theory].parse(args)
     report = verify_against_formula(param, field(args.q), jobs=args.jobs)
     if args.format == "json":
         _emit_json(report)
@@ -204,7 +159,7 @@ def cmd_equivalence(args):
         for param, ok, detail in report.rows:
             state = "ok" if ok else f"MISMATCH {detail}"
             if args.format != "json":
-                print(f"n={n} {omega_to_text(param)}: {state}")
+                print(f"n={n} {param}: {state}")
             all_ok = all_ok and ok
         if args.format == "json":
             _emit_json(
@@ -212,7 +167,7 @@ def cmd_equivalence(args):
                     "n": n,
                     "pass": report.passed,
                     "params": [
-                        {"param": omega_to_text(p), "pass": ok, "detail": detail}
+                        {"param": str(p), "pass": ok, "detail": detail}
                         for p, ok, detail in report.rows
                     ],
                 }
@@ -221,10 +176,7 @@ def cmd_equivalence(args):
 
 
 def cmd_enumerate(args):
-    if args.theory == "sp2":
-        texts = [omega_to_text(p) for p in enumerate_omega(args.n)]
-    else:
-        texts = [bipartition_to_text(b) for b in enumerate_bipartitions(args.n)]
+    texts = [str(p) for p in THEORIES[args.theory].enumerate(args.n)]
     if args.format == "json":
         _emit_json(texts)
     else:
@@ -234,7 +186,7 @@ def cmd_enumerate(args):
 
 
 def cmd_paving(args):
-    param = _parse_sp2_param(args.param)
+    param = SP2.parse(args)
     lemma, theorem = paving_predicates(param)
     if args.format == "json":
         _emit_json({"lemma_hypothesis": lemma, "theorem_applies": theorem})

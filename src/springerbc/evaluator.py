@@ -35,37 +35,20 @@ still correct, just recomputed.
 import os
 import threading
 
-from . import restrict
 from .errors import InvalidParam
-from .params import (
-    Bipartition,
-    OmegaParam,
-    enumerate_bipartitions,
-    enumerate_omega,
-)
-from .partitions import Partition
 from .qpoly import ONE, QPoly, _pack, _unpack
+from .theory import THEORIES, of
 
 GROUP_ELEMENTS = ("id", "s1")
 
 
 def _base_table():
-    sp_top = OmegaParam.make(Partition([2]), {2: 1})
-    sp_reg = OmegaParam.make(Partition([1, 1]), {1: 0})
-    ex_top = Bipartition(Partition([1]), Partition())
-    ex_reg = Bipartition(Partition(), Partition([1]))
-    qp1 = QPoly((1, 1))
-    one_minus_q = QPoly((1, -1))
-    return {
-        (sp_top, "id"): ONE,
-        (sp_top, "s1"): ONE,
-        (sp_reg, "id"): qp1,
-        (sp_reg, "s1"): one_minus_q,
-        (ex_top, "id"): ONE,
-        (ex_top, "s1"): ONE,
-        (ex_reg, "id"): qp1,
-        (ex_reg, "s1"): one_minus_q,
-    }
+    table = {}
+    for th in THEORIES.values():
+        one, reg = th.rank1
+        table[one, "id"] = table[one, "s1"] = ONE
+        table[reg, "id"], table[reg, "s1"] = QPoly((1, 1)), QPoly((1, -1))
+    return table
 
 
 _BASE = _base_table()
@@ -134,12 +117,9 @@ def _miss(param, w, key, slot):
             raise InvalidParam(f"not a valid rank-1 parameter: {param}") from None
         packed, l1 = packs.get(base) or _new_pack(packs, base, slot)
         return (packed, l1, slot)
-    # read off the module on every miss, so that a wrapped or patched
-    # restriction is the one called
-    if isinstance(param, OmegaParam):
-        terms = restrict.restrict_symplectic(param)
-    else:
-        terms = restrict.restrict_exotic(param)
+    # the record reads the restriction off its module on every miss, so
+    # that a wrapped or patched restriction is the one called
+    terms = of(param).restrict(param)
     total = bound = 0
     for target, coeff in terms.terms.items():
         sub = value(target, w, _at=slot)
@@ -161,10 +141,7 @@ def _new_pack(packs, p, slot):
 def value_table(n, theory):
     """Rows (parameter, value at id, value at s1) for every rank-n parameter,
     in enumeration order.  ``theory`` is "sp2" or "exotic"."""
-    if theory == "sp2":
-        params = enumerate_omega(n)
-    elif theory == "exotic":
-        params = enumerate_bipartitions(n)
-    else:
+    if theory not in THEORIES:
         raise InvalidParam(f"theory must be 'sp2' or 'exotic', got {theory!r}")
+    params = THEORIES[theory].enumerate(n)
     return [(p, value(p, "id"), value(p, "s1")) for p in params]

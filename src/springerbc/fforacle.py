@@ -21,6 +21,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
+from . import theory  # which imports this module, so not ``from .theory``
 from .errors import (
     BadCharacteristic,
     HalvingFailed,
@@ -42,9 +43,6 @@ from .gf import (
 )
 from .params import (
     OmegaParam,
-    bipartition_to_text,
-    omega_to_text,
-    param_sort_key,
     nabla_delta,
     recover_bipartition,
     und_v,
@@ -52,7 +50,6 @@ from .params import (
     x_crit,
 )
 from .partitions import Partition, multiplicity, sum_partitions
-from .restrict import restrict_exotic, restrict_symplectic
 
 
 class VNotPerp:
@@ -266,12 +263,6 @@ def exotic_invariant(model):
     return recover_bipartition(lam, hat, n)
 
 
-def _standard_model(param, fieldctx):
-    if isinstance(param, OmegaParam):
-        return standard_model_symplectic(param, fieldctx)
-    return standard_model_exotic(param, fieldctx)
-
-
 def _kernel_basis(model):
     return nullspace(model.field, model.N)
 
@@ -466,7 +457,7 @@ def brute_force_restriction(param, fieldctx, jobs=1):
     line) is started.
     """
     _check_oracle_input(param, jobs)
-    model = _standard_model(param, fieldctx)
+    model = theory.of(param).standard_model(param, fieldctx)
     return _tally(model, _kernel_basis(model), jobs)
 
 
@@ -524,12 +515,6 @@ def _tally_range(model, basis, lo, hi):
     return tally, empty
 
 
-def _param_text(param):
-    if isinstance(param, OmegaParam):
-        return omega_to_text(param)
-    return bipartition_to_text(param)
-
-
 def verify_against_formula(param, fieldctx, jobs=1):
     """Compare the brute-force tally against the restriction formula at q.
 
@@ -538,31 +523,20 @@ def verify_against_formula(param, fieldctx, jobs=1):
     transcription bug rather than a wrong line count.
     """
     q = fieldctx.q
-    symplectic = isinstance(param, OmegaParam)
-    formula_cs = restrict_symplectic(param) if symplectic else restrict_exotic(param)
-    formula = {
-        sub: coeff(q)
-        for sub, coeff in sorted(
-            formula_cs.terms.items(), key=lambda kv: param_sort_key(kv[0])
-        )
-    }
+    th = theory.of(param)
+    formula = {sub: coeff(q) for sub, coeff in th.restrict(param).items()}
     _check_oracle_input(param, jobs)
-    model = _standard_model(param, fieldctx)
+    model = th.standard_model(param, fieldctx)
     basis = _kernel_basis(model)
     tally, empty = _tally(model, basis, jobs)
-    total = line_count(q, len(basis))
-    formula_total = sum(formula.values())
-    totals_match = formula_total + empty == total
-    if symplectic:
-        ok = tally == formula and empty == 0 and totals_match
-    else:
-        ok = tally == formula and empty == total - formula_total
-    ordered = sorted(set(tally) | set(formula), key=param_sort_key)
+    totals_match = sum(formula.values()) + empty == line_count(q, len(basis))
+    ok = tally == formula and totals_match and (th.empty_fibres or empty == 0)
+    ordered = sorted(set(tally) | set(formula), key=lambda k: k.sort_key())
     return {
-        "param": _param_text(param),
+        "param": str(param),
         "q": q,
-        "tally": {_param_text(k): tally.get(k, 0) for k in ordered},
-        "formula": {_param_text(k): formula.get(k, 0) for k in ordered},
+        "tally": {str(k): tally.get(k, 0) for k in ordered},
+        "formula": {str(k): formula.get(k, 0) for k in ordered},
         "empty_fiber": empty,
         "totals_match": totals_match,
         "pass": ok,

@@ -171,10 +171,6 @@ class FieldCtx:
             e >>= 1
         return out
 
-    def frobenius(self, a):
-        """The q-power map; the identity on this field's own points."""
-        return self.pow(a, self.q)
-
     def __reduce__(self):
         return (FieldCtx, (self.q,))
 
@@ -198,10 +194,6 @@ def field(q):
 
 def zero_vector(n):
     return [0] * n
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_vec(F, mat, vec):
@@ -322,50 +314,31 @@ def rank(F, mat):
     return ech.size
 
 
-def rref(F, mat):
-    """Reduced row-echelon form (copy) and the pivot column list."""
-    M = [list(row) for row in mat]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots = []
-    rpos = 0
-    for c in range(cols):
-        sel = next((r for r in range(rpos, rows) if M[r][c]), None)
-        if sel is None:
-            continue
-        M[rpos], M[sel] = M[sel], M[rpos]
-        if M[rpos][c] != 1:
-            M[rpos] = scale_vec(F, F.inv(M[rpos][c]), M[rpos])
-        piv_row = M[rpos]
-        sub = F.sub_table
-        mul = F.mul_table
-        for r in range(rows):
-            if r != rpos and M[r][c]:
-                mc = mul[M[r][c]]
-                M[r] = [sub[a][mc[b]] if b else a for a, b in zip(M[r], piv_row)]
-        pivots.append(c)
-        rpos += 1
-        if rpos == rows:
-            break
-    return M, pivots
-
-
 def nullspace(F, mat):
-    """Deterministic basis of the right kernel of mat."""
+    """Deterministic basis of the right kernel of mat: for each free column
+    c in increasing order, the kernel vector with 1 at c and 0 at every
+    other free column."""
     if not mat:
         return []
-    cols = len(mat[0])
-    R, pivots = rref(F, mat)
-    free = [c for c in range(cols) if c not in pivots]
+    ech = Echelon(F, len(mat[0]))
+    for row in mat:
+        if any(row):  # most rows of a nilpotent's powers are zero
+            ech.add(row)
+    # to reduced row-echelon form, last row first: a row is zero at the
+    # pivots of the rows stored before it, so clearing it at those of the
+    # rows after it leaves it zero at every pivot but its own
+    reduced = Echelon(F, ech.dim)
+    for row, piv in zip(ech.rows[::-1], ech.pivots[::-1]):
+        reduced.rows.append(reduced.reduce(row))
+        reduced.pivots.append(piv)
+    neg = F.neg_table
+    pivots = set(ech.pivots)
     basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for ridx, pc in enumerate(pivots):
-            v[pc] = F.neg(R[ridx][fc])
-        basis.append(v)
+    for c in range(ech.dim):
+        if c not in pivots:
+            v = [0] * ech.dim
+            v[c] = 1
+            for row, piv in zip(reduced.rows, reduced.pivots):
+                v[piv] = neg[row[c]]
+            basis.append(v)
     return basis
-
-
-def is_invertible(F, mat):
-    return bool(mat) and rank(F, mat) == len(mat)

@@ -66,6 +66,10 @@ class OmegaParam:
         vec = tuple(chi_mapping[r] for r in underlying_set(lam))
         return cls(lam, vec)
 
+    def sort_key(self):
+        """Key of ``enumerate_omega``'s order."""
+        return (tuple(-x for x in self.lam), tuple(-c for c in self.chi))
+
     def __str__(self):
         return omega_to_text(self)
 
@@ -233,6 +237,10 @@ class Bipartition:
     def rank(self):
         return self.mu.size + self.nu.size
 
+    def sort_key(self):
+        """Key of ``enumerate_bipartitions``' order."""
+        return (-self.mu.size, tuple(-x for x in self.mu), tuple(-x for x in self.nu))
+
     def __str__(self):
         return bipartition_to_text(self)
 
@@ -299,21 +307,6 @@ def enumerate_bipartitions(n):
             for nu in partitions_of(n - k):
                 out.append(Bipartition(Partition(mu), Partition(nu)))
     return out
-
-
-def omega_sort_key(p):
-    return (tuple(-x for x in p.lam), tuple(-c for c in p.chi))
-
-
-def bipartition_sort_key(b):
-    return (-b.mu.size, tuple(-x for x in b.mu), tuple(-x for x in b.nu))
-
-
-def param_sort_key(param):
-    """Enumeration-order key; works for either parameter kind."""
-    if isinstance(param, OmegaParam):
-        return omega_sort_key(param)
-    return bipartition_sort_key(param)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +459,6 @@ def to_limit_symbol(b, r, s, m):
         if any(x <= y for x, y in zip(row, row[1:])):
             raise InvariantViolation(f"symbol row {row} of {b} not strictly decreasing")
     return LimitSymbol(top, bottom, r, s, m)
-
-
-def symbols_equivalent(x, y):
-    """Whether two symbols (possibly of different m) encode the same pair."""
-    if (x.r, x.s) != (y.r, y.s):
-        return False
-    return x.recover() == y.recover()
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,6 @@ class Partition(tuple):
     def size(self):
         return sum(self)
 
-    @property
-    def length(self):
-        return len(self)
-
     def part_at(self, i):
         """1-indexed part, 0 beyond the length."""
         return self[i - 1] if 1 <= i <= len(self) else 0

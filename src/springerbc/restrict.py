@@ -16,7 +16,6 @@ from .params import (
     _marked,
     _omega_ok,
     _psi_vec,
-    param_sort_key,
     psi,
     und_v,
     validate_omega,
@@ -77,7 +76,7 @@ class CharSum:
                 del terms[param]
 
     def items(self):
-        return sorted(self.terms.items(), key=lambda kv: param_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def map_params(self, fn):
         out = CharSum()
@@ -96,9 +95,6 @@ class CharSum:
 
     def __len__(self):
         return len(self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         body = " + ".join(f"({coeff})*({param})" for param, coeff in self.items())
@@ -441,7 +437,7 @@ def check_equivalence(n):
         detail = ""
         if not ok:
             keys = sorted(
-                set(transported.terms) | set(direct.terms), key=param_sort_key
+                set(transported.terms) | set(direct.terms), key=lambda k: k.sort_key()
             )
             for key in keys:
                 lhs = transported.terms.get(key, ZERO)

@@ -1,0 +1,81 @@
+"""The two Springer theories of W(BC_n), one ``Theory`` record each.
+
+sp2 (the symplectic Lie algebra in characteristic 2) has the (lam, chi)
+parameters and exotic (the exotic nilpotent cone) the bipartitions.  Code
+serving both looks a record up, by name in ``THEORIES`` or by parameter
+with ``of``, instead of branching on the theory.  Fields that restrict or
+build a model read the function off its module at call time, so that a
+function rebound there (by a tracer or a test) is the one called.
+"""
+
+from types import SimpleNamespace
+
+from . import fforacle, restrict
+from .params import (
+    Bipartition,
+    OmegaParam,
+    enumerate_bipartitions,
+    enumerate_omega,
+    omega_from_text,
+)
+from .partitions import EMPTY, Partition, partition_from_text
+
+
+class Theory(SimpleNamespace):
+    """What code serving both theories needs of one of them.
+
+    ``name`` is the theory's command-line name and ``param_type`` the class
+    of its parameters.  ``enumerate(n)`` lists the rank-n parameters in
+    order, ``parse(args)`` reads one from the command-line options,
+    ``restrict`` and ``restrict_q1`` are the graded and ungraded
+    restrictions, and ``standard_model(param, field)`` is the oracle's
+    matrix model.
+    ``rank1`` holds the rank-1 parameter whose values are 1 at id and s1,
+    then the one whose values are 1 + q at id and 1 - q at s1.
+    ``empty_fibres`` says whether a kernel line may have an empty fibre.
+    """
+
+
+def _parse_sp2(args):
+    if args.param is None:
+        raise ValueError("an sp2 parameter needs --param")
+    return omega_from_text(args.param)
+
+
+def _parse_exotic(args):
+    if args.mu is None or args.nu is None:
+        raise ValueError("an exotic parameter needs --mu and --nu")
+    return Bipartition(partition_from_text(args.mu), partition_from_text(args.nu))
+
+
+SP2 = Theory(
+    name="sp2",
+    param_type=OmegaParam,
+    enumerate=enumerate_omega,
+    parse=_parse_sp2,
+    restrict=lambda p: restrict.restrict_symplectic(p),
+    restrict_q1=lambda p: restrict.restrict_symplectic_q1(p),
+    standard_model=lambda p, field: fforacle.standard_model_symplectic(p, field),
+    rank1=(omega_from_text("2^1_1"), omega_from_text("1^2_0")),
+    empty_fibres=False,  # the model vector is zero
+)
+
+EXOTIC = Theory(
+    name="exotic",
+    param_type=Bipartition,
+    enumerate=enumerate_bipartitions,
+    parse=_parse_exotic,
+    restrict=lambda b: restrict.restrict_exotic(b),
+    restrict_q1=lambda b: restrict.restrict_exotic_q1(b),
+    standard_model=lambda b, field: fforacle.standard_model_exotic(b, field),
+    rank1=(Bipartition(Partition([1]), EMPTY), Bipartition(EMPTY, Partition([1]))),
+    empty_fibres=True,
+)
+
+THEORIES = {"sp2": SP2, "exotic": EXOTIC}
+_BY_TYPE = {th.param_type: th for th in THEORIES.values()}
+
+
+def of(param):
+    """The theory whose parameter ``param`` is."""
+    return _BY_TYPE[type(param)]

@@ -216,3 +216,7 @@ def test_usage_errors(capsys):
     out_of(capsys)
     assert run(["frobnicate"]) == 2
     out_of(capsys)
+    assert run(["symbol", "--r", "4", "--s", "2", "--m", "1"]) == 2  # no --mu/--nu
+    out_of(capsys)
+    assert run(["paving"]) == 2  # no --param
+    out_of(capsys)

@@ -12,6 +12,7 @@ from golden_data import IOTA_PAIRS, VALUES_1, VALUES_2, VALUES_3
 from test_fast_paths import reference_value
 import springerbc.evaluator as evaluator
 import springerbc.restrict as restrict_module
+import springerbc.theory as theory
 from springerbc.errors import InvalidParam
 from springerbc.evaluator import value, value_table
 from springerbc.params import (
@@ -26,12 +27,7 @@ from springerbc.params import (
 )
 from springerbc.partitions import Partition
 from springerbc.qpoly import QPoly
-from springerbc.restrict import (
-    restrict_exotic,
-    restrict_exotic_q1,
-    restrict_symplectic,
-    restrict_symplectic_q1,
-)
+from springerbc.restrict import restrict_exotic
 
 
 def test_base_table():
@@ -115,10 +111,7 @@ def _value_q1(param):
         return 1
     if n == 1:
         return value(param, "id")(1)
-    if hasattr(param, "lam"):
-        terms = restrict_symplectic_q1(param)
-    else:
-        terms = restrict_exotic_q1(param)
+    terms = theory.of(param).restrict_q1(param)
     return sum(coeff(1) * _value_q1(sub) for sub, coeff in terms.terms.items())
 
 

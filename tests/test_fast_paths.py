@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import springerbc.evaluator as evaluator
 import springerbc.restrict as restrict_module
+import springerbc.theory as theory
 from springerbc.errors import (
     DomainMismatch,
     InvariantViolation,
@@ -152,11 +153,8 @@ def reference_value(param, w, memo):
         return value(param, w)  # fixed base data
     key = (param, w)
     if key not in memo:
-        restrict = (
-            restrict_symplectic if isinstance(param, OmegaParam) else restrict_exotic
-        )
         total = QPoly()
-        for sub, coeff in restrict(param).terms.items():
+        for sub, coeff in theory.of(param).restrict(param).terms.items():
             total = total + coeff * reference_value(sub, w, memo)
         memo[key] = total
     return memo[key]

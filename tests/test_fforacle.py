@@ -2,6 +2,7 @@ import multiprocessing
 
 import pytest
 
+import springerbc.theory as theory
 from springerbc.errors import (
     BadCharacteristic,
     HalvingFailed,
@@ -186,16 +187,8 @@ def test_enumerate_lines_strata_partition_kernel():
         (om("2^2_1 1^2_0"), GF2),
         (bp("mu=[1,1] nu=[1]"), GF3),
     ]:
-        model = (
-            standard_model_symplectic(param, F)
-            if hasattr(param, "lam")
-            else standard_model_exotic(param, F)
-        )
-        lam = (
-            param.lam
-            if hasattr(param, "lam")
-            else sum_partitions(param.mu, param.nu)
-        )
+        model = theory.of(param).standard_model(param, F)
+        lam = jordan_type(F, model.N, model.dim)
         total = list(enumerate_lines(model))
         by_stratum = []
         for r in underlying_set(lam):
@@ -218,12 +211,7 @@ def test_quotient_classes_spec_example():
 
 def test_quotient_structural_invariants():
     for param, F in [(om("2^2_1 1^2_0"), GF2), (bp("mu=[1,1] nu=[1]"), GF3)]:
-        symplectic = hasattr(param, "lam")
-        model = (
-            standard_model_symplectic(param, F)
-            if symplectic
-            else standard_model_exotic(param, F)
-        )
+        model = theory.of(param).standard_model(param, F)
         for line in enumerate_lines(model):
             qm = quotient_model(model, line)
             if qm is V_NOT_PERP:

@@ -1,19 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from springerbc.gf import (
     Echelon,
     FieldCtx,
     field,
-    identity_matrix,
-    is_invertible,
     mat_mul,
     mat_vec,
     normalize_vector,
     nullspace,
     rank,
-    rref,
     vec_dot,
 )
 
@@ -41,7 +40,7 @@ def test_field_axioms(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 49, 64])
 def test_frobenius_fixes_every_point(q):
     F = field(q)
-    assert all(F.frobenius(a) == a for a in range(q))
+    assert all(F.pow(a, q) == a for a in range(q))
 
 
 def test_field_size_limits():
@@ -67,20 +66,16 @@ def test_matrix_basics():
     assert mat_mul(F, A, B) == [[2, 1], [4, 3]]
     assert mat_vec(F, A, [1, 1]) == [3, 2]
     assert vec_dot(F, [1, 2], [3, 4]) == 1  # 11 mod 5
-    assert mat_mul(F, A, identity_matrix(2)) == A
+    assert mat_mul(F, A, [[1, 0], [0, 1]]) == A
 
 
 def test_rank_rref_nullspace():
     F = field(3)
     M = [[1, 2, 0], [2, 2, 0], [0, 0, 0]]
     assert rank(F, M) == 2
-    R, pivots = rref(F, M)
-    assert pivots == [0, 1]
     ns = nullspace(F, M)
     assert len(ns) == 1
     assert mat_vec(F, M, ns[0]) == [0, 0, 0]
-    assert is_invertible(F, [[1, 1], [0, 1]])
-    assert not is_invertible(F, [[1, 1], [2, 2]])
 
 
 def test_nullspace_dimension_theorem():
@@ -89,6 +84,62 @@ def test_nullspace_dimension_theorem():
     assert rank(F, M) + len(nullspace(F, M)) == 4
     for v in nullspace(F, M):
         assert mat_vec(F, M, v) == [0, 0]
+
+
+def reference_kernel(F, mat):
+    """The right kernel read off a reduced row-echelon form computed by
+    plain Gauss-Jordan elimination: one vector per free column."""
+    M = [list(row) for row in mat]
+    cols = len(M[0])
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if sel is None:
+            continue
+        M[r], M[sel] = M[sel], M[r]
+        inv = F.inv(M[r][c])
+        M[r] = [F.mul(inv, x) for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(M[i][fc])
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def matrices(draw):
+    F = field(draw(st.sampled_from([2, 3, 4, 5, 8, 9])))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["random", "zero", "full rank"]))
+    if shape == "zero":
+        return F, [[0] * cols for _ in range(rows)]
+    entry = st.integers(0, F.q - 1)
+    mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    if shape == "full rank":
+        # unit lower triangle at the left of a random matrix
+        for i in range(min(rows, cols)):
+            mat[i][:i + 1] = [*mat[i][:i], 1]
+            for k in range(i + 1, min(rows, cols)):
+                mat[i][k] = 0
+    return F, mat
+
+
+@given(matrices())
+def test_nullspace_equals_reference_kernel(case):
+    F, mat = case
+    kernel = nullspace(F, mat)
+    assert kernel == reference_kernel(F, mat)
+    assert rank(F, mat) + len(kernel) == len(mat[0])
 
 
 def test_echelon_membership_and_reduce():

@@ -35,7 +35,6 @@ from springerbc.params import (
     phi,
     psi,
     recover_bipartition,
-    symbols_equivalent,
     to_limit_symbol,
     und_v,
     validate_omega,
@@ -167,13 +166,9 @@ def test_enumeration_counts_agree():
 
 
 def test_sort_keys_match_enumeration_order():
-    from springerbc.params import bipartition_sort_key, omega_sort_key
-
     for n in range(6):
-        om_list = enumerate_omega(n)
-        assert sorted(om_list, key=omega_sort_key) == om_list
-        bp_list = enumerate_bipartitions(n)
-        assert sorted(bp_list, key=bipartition_sort_key) == bp_list
+        for params in (enumerate_omega(n), enumerate_bipartitions(n)):
+            assert sorted(params, key=lambda p: p.sort_key()) == params
 
 
 def test_enumerated_omegas_are_valid_and_distinct():
@@ -271,9 +266,9 @@ def test_limit_symbol_equivalence_across_m():
     b = bp("mu=[1] nu=[1]")
     s1 = to_limit_symbol(b, 8, 4, 1)
     s2 = to_limit_symbol(b, 8, 4, 3)
-    assert symbols_equivalent(s1, s2)
+    assert s1.recover() == s2.recover() == b
     other = to_limit_symbol(bp("mu=[2] nu=[]"), 8, 4, 2)
-    assert not symbols_equivalent(s1, other)
+    assert other.recover() != s1.recover()
 
 
 def test_limit_symbol_bounds():

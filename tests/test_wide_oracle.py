@@ -9,16 +9,15 @@ import pytest
 
 from springerbc.fforacle import verify_against_formula
 from springerbc.gf import field
-from springerbc.params import enumerate_bipartitions, enumerate_omega
+from springerbc.theory import THEORIES
 
 SWEEPS = [("sp2", 4, 2), ("sp2", 5, 2), ("exotic", 4, 3)]
 
 
 @pytest.mark.parametrize("theory, n, q", SWEEPS)
 def test_every_parameter_passes(theory, n, q):
-    enum = enumerate_omega if theory == "sp2" else enumerate_bipartitions
     failures = []
-    for param in enum(n):
+    for param in THEORIES[theory].enumerate(n):
         rep = verify_against_formula(param, field(q))
         if not rep["pass"]:
             failures.append(rep)
