@@ -21,7 +21,6 @@ from .params import (
     iota,
     iota_inv,
     nabla_delta,
-    next_step,
     paving_predicates,
     phi,
     psi,

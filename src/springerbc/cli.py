@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import SpringerError
+from .errors import InvalidParam, SpringerError
 from .evaluator import value, value_table
 from .fforacle import verify_against_formula
 from .gf import field
@@ -153,6 +153,8 @@ def cmd_oracle(args):
 
 
 def cmd_equivalence(args):
+    if args.n < 1:
+        raise InvalidParam(f"--n must be >= 1, got {args.n}")
     all_ok = True
     for n in range(1, args.n + 1):
         report = check_equivalence(n)

@@ -25,10 +25,6 @@ class NotAPart(SpringerError):
     """Queried value is not a part of the relevant partition."""
 
 
-class NotInUndV(SpringerError):
-    """Queried value is not a marked part."""
-
-
 class Inconsistent(SpringerError):
     """Pair-recovery input does not come from any bipartition."""
 

@@ -27,12 +27,8 @@ shared across calls; each entry records its slot width, and an entry of
 another width counts as missing, so no sum ever mixes widths.  Reads and
 inserts are atomic under the GIL and recomputation is idempotent, so
 concurrent use from threads is safe, also while one of them widens.
-SPRINGERBC_MEMO_CAP caps the number of cached entries (unbounded by
-default; a negative cap is an InvalidParam); past the cap results are
-still correct, just recomputed.
 """
 
-import os
 import threading
 
 from .errors import InvalidParam
@@ -56,16 +52,6 @@ _memo = {}  # (param, w) -> (packed value, coefficient bound, slot width)
 _packs = {}  # slot width -> {QPoly: (packed, l1 norm)}
 _slot = 64  # bits per packed coefficient; only ever widened
 _widening = threading.Lock()
-
-
-def _memo_cap():
-    raw = os.environ.get("SPRINGERBC_MEMO_CAP")
-    if not raw:
-        return None
-    cap = int(raw)
-    if cap < 0:
-        raise InvalidParam(f"SPRINGERBC_MEMO_CAP must be >= 0, got {cap}")
-    return cap
 
 
 def clear_cache():
@@ -126,10 +112,7 @@ def _miss(param, w, key, slot):
         c = packs.get(coeff) or _new_pack(packs, coeff, slot)
         total += c[0] * sub[0]
         bound += c[1] * sub[1]
-    entry = (total, bound, slot)
-    cap = _memo_cap()
-    if cap is None or len(_memo) < cap:
-        _memo[key] = entry
+    entry = _memo[key] = (total, bound, slot)
     return entry
 
 

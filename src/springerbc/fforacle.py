@@ -214,12 +214,16 @@ def chi_invariant(model):
     lam = jordan_type(F, N, model.dim)
     if not lam:
         return OmegaParam.make(lam, {})
-    powers = [N]  # powers[j] = N^(j+1), up to the largest part
-    while len(powers) < lam.part_at(1):
+    top = lam.part_at(1)
+    powers = [N]  # powers[j] = N^(j+1), below the largest part
+    while len(powers) < top - 1:
         powers.append(mat_mul(F, powers[-1], N))
     chi = {}
     for r in underlying_set(lam):
-        kernel = nullspace(F, powers[r - 1])
+        if r < top:
+            kernel = nullspace(F, powers[r - 1])
+        else:  # N^top = 0, so its kernel is the whole space
+            kernel = [[int(i == j) for j in range(model.dim)] for i in range(model.dim)]
         g_b = [mat_vec(F, G, b) for b in kernel]
         odd = [mat_vec(F, N, b) for b in kernel]  # N^(2i+1) b
         for i in range(0, r // 2 + 1):
@@ -263,58 +267,13 @@ def exotic_invariant(model):
     return recover_bipartition(lam, hat, n)
 
 
-def _kernel_basis(model):
-    return nullspace(model.field, model.N)
-
-
-def _projective_tuples(q, d, start=0):
-    """One coefficient tuple per line of GF(q)^d, first nonzero entry 1,
-    from the ``start``-th one on (see ``_unrank_projective``)."""
-    if start >= line_count(q, d):
-        return
-    first = _unrank_projective(q, d, start)
-    pivot = first.index(1)
-    for pv in range(pivot, d):
-        head = (0,) * pv + (1,)
-        rest = first[pv + 1 :] if pv == pivot else (0,) * (d - pv - 1)
-        for tail in _tuples_from(q, rest):
-            yield head + tail
-
-
-def _tuples_from(q, rest):
-    """Digit tuples of length len(rest) in lexicographic order, from rest on."""
-    yield rest
-    for j in range(len(rest) - 1, -1, -1):
-        for x in range(rest[j] + 1, q):
-            head = rest[:j] + (x,)
-            for tail in itertools.product(range(q), repeat=len(rest) - j - 1):
-                yield head + tail
-
-
-def _unrank_projective(q, d, k):
-    """The k-th tuple of ``_projective_tuples(q, d)``: tuples are ordered by
-    pivot, then by the digits after the pivot read as a base-q number."""
+def _projective_tuples(q, d):
+    """One coefficient tuple per line of GF(q)^d, first nonzero entry 1:
+    ordered by pivot, then by the digits after the pivot."""
     for pivot in range(d):
-        block = q ** (d - pivot - 1)
-        if k < block:
-            rest = []
-            for _ in range(d - pivot - 1):
-                k, digit = divmod(k, q)
-                rest.append(digit)
-            return (0,) * pivot + (1,) + tuple(reversed(rest))
-        k -= block
-    raise IndexError("line index out of range")
-
-
-def _combine(F, basis, coeffs):
-    add = F.add_table
-    mul = F.mul_table
-    out = [0] * len(basis[0])
-    for c, bvec in zip(coeffs, basis):
-        if c:
-            mc = mul[c]
-            out = [add[a][mc[x]] if x else a for a, x in zip(out, bvec)]
-    return out
+        head = (0,) * pivot + (1,)
+        for tail in itertools.product(range(q), repeat=d - pivot - 1):
+            yield head + tail
 
 
 def line_count(q, d):
@@ -323,11 +282,8 @@ def line_count(q, d):
 
 def _lines(F, basis, lo=0, hi=None):
     """Normalized vectors of the lines lo .. hi-1 of the span of basis."""
-    tuples = _projective_tuples(F.q, len(basis), lo)
-    if hi is not None:
-        tuples = itertools.islice(tuples, hi - lo)
-    for coeffs in tuples:
-        yield normalize_vector(F, _combine(F, basis, coeffs))
+    for coeffs in itertools.islice(_projective_tuples(F.q, len(basis)), lo, hi):
+        yield normalize_vector(F, vec_mat(F, coeffs, basis))
 
 
 def enumerate_lines(model, within="full", r=None):
@@ -339,7 +295,7 @@ def enumerate_lines(model, within="full", r=None):
     """
     F = model.field
     if within == "full":
-        yield from _lines(F, _kernel_basis(model))
+        yield from _lines(F, nullspace(F, model.N))
         return
     if within != "stratum":
         raise ValueError(f"within must be 'full' or 'stratum', got {within!r}")
@@ -358,7 +314,7 @@ def _layer_basis(model, r):
     (r-1)-fold image of ker N^r."""
     F = model.field
     if r <= 1:
-        return _kernel_basis(model)
+        return nullspace(F, model.N)
     power = model.N
     for _ in range(r - 2):
         power = mat_mul(F, power, model.N)
@@ -458,7 +414,7 @@ def brute_force_restriction(param, fieldctx, jobs=1):
     """
     _check_oracle_input(param, jobs)
     model = theory.of(param).standard_model(param, fieldctx)
-    return _tally(model, _kernel_basis(model), jobs)
+    return _tally(model, nullspace(fieldctx, model.N), jobs)
 
 
 def _tally(model, basis, jobs):
@@ -527,7 +483,7 @@ def verify_against_formula(param, fieldctx, jobs=1):
     formula = {sub: coeff(q) for sub, coeff in th.restrict(param).items()}
     _check_oracle_input(param, jobs)
     model = th.standard_model(param, fieldctx)
-    basis = _kernel_basis(model)
+    basis = nullspace(fieldctx, model.N)
     tally, empty = _tally(model, basis, jobs)
     totals_match = sum(formula.values()) + empty == line_count(q, len(basis))
     ok = tally == formula and totals_match and (th.empty_fibres or empty == 0)

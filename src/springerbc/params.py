@@ -21,7 +21,6 @@ from .errors import (
     InvalidParam,
     InvariantViolation,
     NotAPart,
-    NotInUndV,
     RankTooSmall,
 )
 from .partitions import (
@@ -263,6 +262,7 @@ def bipartition_from_text(text):
 def enumerate_omega(n):
     """All valid (lam, chi) with |lam| = 2n, in a fixed deterministic order:
     lam descending lexicographic, then chi vectors descending."""
+    _check_rank(n)
     out = []
     for parts in partitions_of(2 * n):
         lam = Partition(parts)
@@ -272,6 +272,11 @@ def enumerate_omega(n):
         for vec in _chi_choices(lam, und):
             out.append(OmegaParam(lam, vec))
     return out
+
+
+def _check_rank(n):
+    if n < 0:
+        raise InvalidParam(f"rank must be >= 0, got {n}")
 
 
 def _chi_choices(lam, und):
@@ -301,6 +306,7 @@ def _chi_choices(lam, und):
 def enumerate_bipartitions(n):
     """All (mu, nu) with |mu| + |nu| = n; |mu| descending, each side in
     descending lexicographic order."""
+    _check_rank(n)
     out = []
     for k in range(n, -1, -1):
         for mu in partitions_of(k):
@@ -527,15 +533,6 @@ def _marked(comps):
             out.append(r)
             best = nab
     return out
-
-
-def next_step(b, r):
-    """The largest marked part below r (0 if none)."""
-    uv = und_v(b)
-    if r not in uv:
-        raise NotInUndV(f"{r} is not a marked part of {b}")
-    smaller = [x for x in uv if x < r]
-    return max(smaller) if smaller else 0
 
 
 # ---------------------------------------------------------------------------

@@ -78,30 +78,14 @@ def partition_from_text(text):
 
 
 def multiplicity(p, r, mode="eq"):
-    """Number of parts of the partition p equal to r, or in the given
-    relation to r.
-
-    ``mode`` is one of "eq", "geq", "gt", "leq", "lt".  The parts are
-    sorted, so the parts above r form a prefix.
-    """
+    """Number of parts of the partition p equal to r, or with ``mode="geq"``
+    at least r.  The parts are sorted, so the parts >= r form a prefix."""
     if r < 1:
         raise ValueError(f"part value must be >= 1, got {r}")
     if mode == "eq":
         return p.count(r)
-    gt = len(p)
-    for i, x in enumerate(p):
-        if x <= r:
-            gt = i
-            break
-    if mode == "gt":
-        return gt
-    if mode == "leq":
-        return len(p) - gt
-    ge = gt + p.count(r)
     if mode == "geq":
-        return ge
-    if mode == "lt":
-        return len(p) - ge
+        return next((i for i, x in enumerate(p) if x < r), len(p))
     raise ValueError(f"unknown multiplicity mode {mode!r}")
 
 

@@ -19,8 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import tracer  # noqa: E402
 
 
-def test_traced_cold_tables_and_oracle_keep_the_counter_identities(monkeypatch):
-    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
+def test_traced_cold_tables_and_oracle_keep_the_counter_identities():
     tr = tracer.Tracer()
     tr.install(springerbc)
     try:

@@ -1,8 +1,5 @@
 import json
 
-import pytest
-
-import springerbc.evaluator as evaluator
 from springerbc.cli import run
 
 
@@ -195,16 +192,11 @@ def test_oracle_failure_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
-def test_bad_knobs_exit_2(capsys, monkeypatch):
+def test_bad_knobs_exit_2(capsys):
     oracle = ["oracle", "--theory", "exotic", "--mu", "[1]", "--nu", "[1]", "--q", "3"]
     assert run(oracle + ["--jobs", "0"]) == 2
     _, err = out_of(capsys)
     assert "jobs" in err
-    monkeypatch.setenv("SPRINGERBC_MEMO_CAP", "-5")
-    evaluator.clear_cache()
-    assert run(["value", "--theory", "exotic", "--mu", "[1]", "--nu", "[1]", "--at", "id"]) == 2
-    _, err = out_of(capsys)
-    assert "SPRINGERBC_MEMO_CAP" in err
 
 
 def test_usage_errors(capsys):
@@ -220,3 +212,11 @@ def test_usage_errors(capsys):
     out_of(capsys)
     assert run(["paving"]) == 2  # no --param
     out_of(capsys)
+    for argv in (
+        ["table", "--theory", "sp2", "--n", "-1"],
+        ["enumerate", "--theory", "exotic", "--n", "-3"],
+        ["equivalence", "--n", "0"],
+    ):
+        assert run(argv) == 2, argv
+        out, err = out_of(capsys)
+        assert not out and err.startswith("error:"), argv

@@ -16,13 +16,11 @@ import springerbc.theory as theory
 from springerbc.errors import InvalidParam
 from springerbc.evaluator import value, value_table
 from springerbc.params import (
-    Bipartition,
     OmegaParam,
     bipartition_from_text,
     enumerate_bipartitions,
     enumerate_omega,
     iota,
-    iota_inv,
     omega_from_text,
 )
 from springerbc.partitions import Partition
@@ -123,20 +121,6 @@ def test_value_at_q1_matches_ungraded_recursion():
             assert value(b, "id")(1) == _value_q1(b), b
 
 
-def test_memo_cap_env(monkeypatch):
-    import springerbc.evaluator as evaluator
-
-    evaluator.clear_cache()
-    monkeypatch.setenv("SPRINGERBC_MEMO_CAP", "3")
-    for b in enumerate_bipartitions(4):
-        assert value(b, "id")[0] == 1
-    assert len(evaluator._memo) <= 3
-    evaluator.clear_cache()
-    monkeypatch.delenv("SPRINGERBC_MEMO_CAP")
-    # values stay correct with the tiny cache
-    assert value(bipartition_from_text("mu=[1] nu=[1]"), "id") == (1, 2)
-
-
 def test_value_consistent_with_own_restriction():
     # decomposing once and summing must reproduce the value
     for n in range(2, 6):
@@ -148,17 +132,9 @@ def test_value_consistent_with_own_restriction():
                 assert total == value(b, w), (b, w)
 
 
-def test_negative_memo_cap_rejected(monkeypatch):
-    evaluator.clear_cache()
-    monkeypatch.setenv("SPRINGERBC_MEMO_CAP", "-1")
-    with pytest.raises(InvalidParam):
-        value(bipartition_from_text("mu=[1] nu=[1]"), "id")
-
-
 @pytest.mark.parametrize("theory", ["sp2", "exotic"])
 def test_cold_table_restricts_once_per_memo_entry(monkeypatch, theory):
     # the identities the benchmark's traced runs check on their counters
-    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
     calls = []
     for name in ("restrict_symplectic", "restrict_exotic"):
         original = getattr(restrict_module, name)
@@ -189,7 +165,6 @@ def _all_values(max_rank):
 def test_narrow_slots_widen_to_exact_values(monkeypatch):
     # 8-bit slots overflow from rank 4 on: each overflowing value widens
     # the slots and is computed again, and every value stays exact
-    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
     monkeypatch.setattr(evaluator, "_slot", 8)
     evaluator.clear_cache()
     try:
@@ -206,7 +181,6 @@ def test_narrow_slots_widen_to_exact_values(monkeypatch):
 
 def test_entries_of_another_width_count_as_missing(monkeypatch):
     # as when another thread widened the slots after these entries were made
-    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
     evaluator.clear_cache()
     try:
         value_table(5, "exotic")
@@ -220,7 +194,6 @@ def test_entries_of_another_width_count_as_missing(monkeypatch):
 
 
 def test_threads_widening_together_get_exact_values(monkeypatch):
-    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
     monkeypatch.setattr(evaluator, "_slot", 8)
     params = enumerate_omega(6) + enumerate_bipartitions(6)
     memo = {}
@@ -271,12 +244,11 @@ def test_narrow_slots_widen_under_python_O():
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items() if k != "SPRINGERBC_MEMO_CAP"}
     done = subprocess.run(
         [sys.executable, "-O", "-c", code],
         capture_output=True,
         text=True,
-        env={**env, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -286,24 +258,10 @@ def test_narrow_slots_widen_under_python_O():
     assert json.loads(values) == [list(value(p, w)) for p in params for w in ("id", "s1")]
 
 
-def test_tiny_memo_cap_keeps_every_value(monkeypatch):
-    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
-    evaluator.clear_cache()
-    uncapped = _all_values(6)
-    evaluator.clear_cache()
-    monkeypatch.setenv("SPRINGERBC_MEMO_CAP", "3")
-    try:
-        assert _all_values(6) == uncapped
-        assert len(evaluator._memo) == 3
-    finally:
-        evaluator.clear_cache()
-
-
 @pytest.mark.parametrize("theory", ["sp2", "exotic"])
 def test_traced_counter_identities(monkeypatch, theory):
     # every sub-value lookup, hit or miss, goes through the module
     # attribute ``value``, which the benchmark's tracer wraps
-    monkeypatch.delenv("SPRINGERBC_MEMO_CAP", raising=False)
     memo = evaluator._memo
     counts = {"calls": 0, "top": 0, "misses": 0, "restricts": 0, "miss_terms": 0}
     depth = [0]

@@ -24,7 +24,7 @@ from springerbc.fforacle import (
     standard_model_symplectic,
     verify_against_formula,
 )
-from springerbc.gf import field, mat_mul, mat_vec, rank
+from springerbc.gf import field, mat_mul, mat_vec
 from springerbc.params import (
     Bipartition,
     bipartition_from_text,

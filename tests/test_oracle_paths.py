@@ -2,9 +2,10 @@
 
 Each fast path in ``fforacle`` is compared with a plain reference kept here:
 Jordan types from the ranks of explicit matrix powers, the chi search over
-rebuilt powers and ``pair``, quotient matrices built column by column, a
-tally with no invariant memo, and the line order of the plain pivot-then-
-product enumeration.
+rebuilt powers and ``pair``, quotient matrices built column by column, and a
+tally with no invariant memo.  The line order is pinned against the plain
+pivot-then-product enumeration, and the line ranges that ``--jobs`` splits
+the lines into must tile it.
 """
 
 import itertools
@@ -22,8 +23,8 @@ from springerbc.errors import InvariantViolation, NotNilpotent
 from springerbc.fforacle import (
     V_NOT_PERP,
     FieldModel,
+    _lines,
     _projective_tuples,
-    _unrank_projective,
     brute_force_restriction,
     chi_invariant,
     enumerate_lines,
@@ -241,14 +242,18 @@ def test_memoized_tally_matches_unmemoized():
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
 def test_unranked_tuple_is_kth_tuple(q, d):
+    # the lines from rank k on start at the k-th tuple, and the ranges
+    # lo .. hi-1 that ``--jobs`` splits the lines into tile them
     full = list(ref_projective_tuples(q, d))
     assert len(full) == line_count(q, d)
     assert list(_projective_tuples(q, d)) == full
-    for k, expected in enumerate(full):
-        assert _unrank_projective(q, d, k) == expected
-        assert list(_projective_tuples(q, d, k)) == full[k:]
-    with pytest.raises(IndexError):
-        _unrank_projective(q, d, len(full))
+    F = field(q)
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    lines = list(_lines(F, identity))
+    assert lines == [list(t) for t in full]
+    for k in range(len(full) + 1):
+        head, tail = list(_lines(F, identity, 0, k)), list(_lines(F, identity, k))
+        assert (head, tail) == (lines[:k], lines[k:])
 
 
 # --- checks under python -O --------------------------------------------------------------

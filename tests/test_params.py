@@ -5,8 +5,6 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from springerbc.errors import (
     DomainMismatch,
@@ -14,7 +12,6 @@ from springerbc.errors import (
     InvalidParam,
     InvariantViolation,
     NotAPart,
-    NotInUndV,
     RankTooSmall,
 )
 from springerbc.params import (
@@ -28,7 +25,6 @@ from springerbc.params import (
     iota,
     iota_inv,
     nabla_delta,
-    next_step,
     omega_from_text,
     omega_to_text,
     paving_predicates,
@@ -145,6 +141,8 @@ def test_enumerate_omega_small():
     assert len(enumerate_omega(2)) == 5
     assert len(enumerate_omega(3)) == 10
     assert enumerate_omega(0) == [OmegaParam(Partition(), ())]
+    with pytest.raises(InvalidParam):
+        enumerate_omega(-1)
 
 
 def test_enumerate_bipartitions_small():
@@ -158,6 +156,8 @@ def test_enumerate_bipartitions_small():
     ]
     assert len(enumerate_bipartitions(3)) == 10
     assert enumerate_bipartitions(0) == [Bipartition(Partition(), Partition())]
+    with pytest.raises(InvalidParam):
+        enumerate_bipartitions(-1)
 
 
 def test_enumeration_counts_agree():
@@ -334,14 +334,6 @@ def test_und_v_examples():
     assert und_v(EXO1) == (7, 6, 3, 1)
     assert und_v(bp("mu=[] nu=[1]")) == ()
     assert und_v(bp("mu=[1] nu=[1]")) == (2,)
-
-
-def test_next_step_examples():
-    assert next_step(EXO1, 7) == 6
-    assert next_step(EXO1, 6) == 3
-    assert next_step(EXO1, 1) == 0
-    with pytest.raises(NotInUndV):
-        next_step(EXO1, 4)
 
 
 def test_marked_case_classification_exclusive():

@@ -23,7 +23,6 @@ from springerbc.params import (
     iota,
     iota_inv,
     omega_from_text,
-    omega_to_text,
     validate_omega,
 )
 from springerbc.partitions import Partition
