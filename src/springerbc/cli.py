@@ -1,9 +1,11 @@
 """Command-line front end.
 
 One subcommand per library operation, with stable text and JSON output so
-the tool can back golden tests and scripted sweeps.  Exit codes: 0 on
-success, 2 on parse or validity errors, 3 when a verification command
-(oracle, equivalence) finds a mismatch.
+the tool can back golden tests and scripted sweeps.  Each ``cmd_*``
+returns its JSON documents (one per output line), its text and, for the
+verification commands (oracle, equivalence), an exit code; ``run`` alone
+prints.  Exit codes: 0 on success, 2 on parse or validity errors, 3 when a
+verification command finds a mismatch.
 """
 
 import argparse
@@ -47,61 +49,30 @@ def charsum_json(cs, rank):
     }
 
 
-def _emit_json(obj):
-    print(json.dumps(obj))
-
-
 def cmd_restrict(args):
     th = THEORIES[args.theory]
     param = th.parse(args)
     cs = th.restrict_q1(param) if args.q1 else th.restrict(param)
-    if args.format == "json":
-        _emit_json(charsum_json(cs, param.rank - 1))
-    else:
-        print(charsum_text(cs, descending=not args.ascending))
-    return 0
+    return [charsum_json(cs, param.rank - 1)], charsum_text(cs, not args.ascending)
 
 
 def cmd_value(args):
     param = THEORIES[args.theory].parse(args)
     poly = value(param, args.at)
-    if args.format == "json":
-        _emit_json(
-            {
-                "param": str(param),
-                "at": args.at,
-                "coeff": list(poly),
-                "poly": poly_to_text(poly, descending=not args.ascending),
-            }
-        )
-    else:
-        print(poly_to_text(poly, descending=not args.ascending))
-    return 0
+    text = poly_to_text(poly, descending=not args.ascending)
+    doc = {"param": str(param), "at": args.at, "coeff": list(poly), "poly": text}
+    return [doc], text
 
 
 def cmd_table(args):
-    rows = value_table(args.n, args.theory)
     desc = not args.ascending
-    if args.format == "json":
-        _emit_json(
-            [
-                {
-                    "param": str(p),
-                    "id": list(vid),
-                    "s1": list(vs1),
-                    "id_poly": poly_to_text(vid, descending=desc),
-                    "s1_poly": poly_to_text(vs1, descending=desc),
-                }
-                for p, vid, vs1 in rows
-            ]
-        )
-    else:
-        for p, vid, vs1 in rows:
-            print(
-                f"{p}\t{poly_to_text(vid, descending=desc)}"
-                f"\t{poly_to_text(vs1, descending=desc)}"
-            )
-    return 0
+    doc, lines = [], []
+    for p, vid, vs1 in value_table(args.n, args.theory):
+        t_id, t_s1 = (poly_to_text(v, descending=desc) for v in (vid, vs1))
+        doc.append(dict(param=str(p), id=list(vid), s1=list(vs1),
+                        id_poly=t_id, s1_poly=t_s1))
+        lines.append(f"{p}\t{t_id}\t{t_s1}")
+    return [doc], "\n".join(lines)
 
 
 def cmd_iota(args):
@@ -109,106 +80,61 @@ def cmd_iota(args):
         out = str(iota_inv(EXOTIC.parse(args)))
     else:
         out = str(iota(SP2.parse(args)))
-    if args.format == "json":
-        _emit_json({"param": out})
-    else:
-        print(out)
-    return 0
+    return [{"param": out}], out
 
 
 def cmd_symbol(args):
-    b = EXOTIC.parse(args)
-    sym = to_limit_symbol(b, args.r, args.s, args.m)
-    if args.format == "json":
-        _emit_json(
-            {
-                "top": list(sym.top),
-                "bottom": list(sym.bottom),
-                "r": sym.r,
-                "s": sym.s,
-                "m": sym.m,
-            }
-        )
-    else:
-        print(f"top=[{','.join(str(x) for x in sym.top)}]")
-        print(f"bottom=[{','.join(str(x) for x in sym.bottom)}]")
-    return 0
+    sym = to_limit_symbol(EXOTIC.parse(args), args.r, args.s, args.m)
+    doc = dict(top=list(sym.top), bottom=list(sym.bottom), r=sym.r, s=sym.s, m=sym.m)
+    top, bottom = (",".join(map(str, row)) for row in (sym.top, sym.bottom))
+    return [doc], f"top=[{top}]\nbottom=[{bottom}]"
 
 
 def cmd_oracle(args):
     param = THEORIES[args.theory].parse(args)
     report = verify_against_formula(param, field(args.q), jobs=args.jobs)
-    if args.format == "json":
-        _emit_json(report)
-    else:
-        state = "PASS" if report["pass"] else "FAIL"
-        print(f"param {report['param']} q={report['q']}: {state}")
-        for key in report["formula"]:
-            print(
-                f"  {key}: tally={report['tally'].get(key, 0)}"
-                f" formula={report['formula'][key]}"
-            )
-        print(f"  empty_fiber={report['empty_fiber']}")
-    return 0 if report["pass"] else 3
+    state = "PASS" if report["pass"] else "FAIL"
+    lines = [f"param {report['param']} q={report['q']}: {state}"]
+    for key, count in report["formula"].items():
+        lines.append(f"  {key}: tally={report['tally'].get(key, 0)} formula={count}")
+    lines.append(f"  empty_fiber={report['empty_fiber']}")
+    return [report], "\n".join(lines), 0 if report["pass"] else 3
 
 
 def cmd_equivalence(args):
     if args.n < 1:
         raise InvalidParam(f"--n must be >= 1, got {args.n}")
-    all_ok = True
+    docs, lines = [], []
     for n in range(1, args.n + 1):
         report = check_equivalence(n)
+        params = []
         for param, ok, detail in report.rows:
-            state = "ok" if ok else f"MISMATCH {detail}"
-            if args.format != "json":
-                print(f"n={n} {param}: {state}")
-            all_ok = all_ok and ok
-        if args.format == "json":
-            _emit_json(
-                {
-                    "n": n,
-                    "pass": report.passed,
-                    "params": [
-                        {"param": str(p), "pass": ok, "detail": detail}
-                        for p, ok, detail in report.rows
-                    ],
-                }
-            )
-    return 0 if all_ok else 3
+            lines.append(f"n={n} {param}: " + ("ok" if ok else f"MISMATCH {detail}"))
+            params.append({"param": str(param), "pass": ok, "detail": detail})
+        docs.append({"n": n, "pass": report.passed, "params": params})
+    return docs, "\n".join(lines), 0 if all(d["pass"] for d in docs) else 3
 
 
 def cmd_enumerate(args):
     texts = [str(p) for p in THEORIES[args.theory].enumerate(args.n)]
-    if args.format == "json":
-        _emit_json(texts)
-    else:
-        for text in texts:
-            print(text)
-    return 0
+    return [texts], "\n".join(texts)
 
 
 def cmd_paving(args):
-    param = SP2.parse(args)
-    lemma, theorem = paving_predicates(param)
-    if args.format == "json":
-        _emit_json({"lemma_hypothesis": lemma, "theorem_applies": theorem})
-    else:
-        print(
-            f"lemma_hypothesis={'true' if lemma else 'false'} "
-            f"theorem_applies={'true' if theorem else 'false'}"
-        )
-    return 0
+    lemma, theorem = paving_predicates(SP2.parse(args))
+    doc = {"lemma_hypothesis": lemma, "theorem_applies": theorem}
+    return [doc], " ".join(f"{key}={json.dumps(v)}" for key, v in doc.items())
 
 
-def _add_common(sp, theory=True, param=True, fmt=True):
+def _add_common(sp, theory=True, param=True, polys=False):
     if theory:
         sp.add_argument("--theory", choices=("sp2", "exotic"), required=True)
     if param:
         sp.add_argument("--param", help="sp2 parameter text, e.g. \"2^2_1\"")
         sp.add_argument("--mu", help="partition text, e.g. [5,3,1] or []")
         sp.add_argument("--nu", help="partition text, e.g. [4,2] or []")
-    if fmt:
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    if polys:
         sp.add_argument(
             "--ascending",
             action="store_true",
@@ -225,17 +151,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("restrict", help="restriction of one parameter")
-    _add_common(sp)
+    _add_common(sp, polys=True)
     sp.add_argument("--q1", action="store_true", help="ungraded (q=1) formula")
     sp.set_defaults(func=cmd_restrict)
 
     sp = sub.add_parser("value", help="character value at id or s1")
-    _add_common(sp)
+    _add_common(sp, polys=True)
     sp.add_argument("--at", choices=("id", "s1"), required=True)
     sp.set_defaults(func=cmd_value)
 
     sp = sub.add_parser("table", help="value table for a whole rank")
-    _add_common(sp, param=False)
+    _add_common(sp, param=False, polys=True)
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(func=cmd_table)
 
@@ -281,10 +207,16 @@ def run(argv):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        docs, text, *code = args.func(args)
     except (SpringerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        for doc in docs:
+            print(json.dumps(doc))
+    else:
+        print(text)
+    return code[0] if code else 0
 
 
 def main():

@@ -39,7 +39,6 @@ from .gf import (
     rank,
     vec_dot,
     vec_mat,
-    zero_vector,
 )
 from .params import (
     OmegaParam,
@@ -138,7 +137,7 @@ def standard_model_symplectic(p, fieldctx):
         if r in crit and m_r % 2 == 0:
             # correction on the first string at height chi(r)
             nilp[index[(r, 2, r + 1 - chi[r])]][index[(r, 1, chi[r])]] = 1
-    model = FieldModel(fieldctx, dim, gram, nilp, zero_vector(dim), index)
+    model = FieldModel(fieldctx, dim, gram, nilp, [0] * dim, index)
     return model.check()
 
 
@@ -158,7 +157,7 @@ def standard_model_exotic(b, fieldctx):
         for s in range(1, 2 * multiplicity(lam, r) + 1):
             for t in range(1, r):
                 nilp[index[(r, s, t + 1)]][index[(r, s, t)]] = 1
-    vec = zero_vector(dim)
+    vec = [0] * dim
     for r in und_v(b):
         vec[index[(r, 1, nabla_delta(b, r)[1] + 1)]] = 1
     model = FieldModel(fieldctx, dim, gram, nilp, vec, index)
@@ -393,7 +392,7 @@ def quotient_model(model, line):
         cv = mul[v[istar]][winv]
         v2 = [sub[x][mul[cv][y]] for x, y in zip(drop(v), drop(w))]
     else:
-        v2 = zero_vector(d - 2)
+        v2 = [0] * (d - 2)
     return FieldModel(F, d - 2, gram2, n2, v2, None)
 
 

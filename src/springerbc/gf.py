@@ -2,8 +2,8 @@
 
 Field elements are integers in [0, q) encoding base-p digit vectors, i.e.
 coefficients of the residue polynomial modulo a fixed irreducible.  All
-field operations are dense table lookups; the tables are built once per
-field from a log/antilog pair over a multiplicative generator.  Matrices
+field operations are dense table lookups, built once per field; the
+inverse of a is read off a's row of the multiplication table.  Matrices
 are lists of row lists of element codes.  Gaussian elimination pivots on
 the first nonzero entry, so every computation is reproducible.
 """
@@ -105,7 +105,7 @@ class FieldCtx:
         self.sub_table = [
             [self.add_table[a][self.neg_table[b]] for b in range(q)] for a in range(q)
         ]
-        self._build_logs()
+        self.inv_table = [0] + [row.index(1) for row in self.mul_table[1:]]
 
     def _digits(self, a):
         out = []
@@ -119,30 +119,6 @@ class FieldCtx:
         for d in reversed(digits):
             a = a * self.p + d
         return a
-
-    def _build_logs(self):
-        q = self.q
-        gen = None
-        for g in range(2, q):
-            x, order = g, 1
-            while x != 1:
-                x = self.mul_table[x][g]
-                order += 1
-            if order == q - 1:
-                gen = g
-                break
-        if gen is None:
-            gen = 1  # GF(2): the unit group is trivial
-        self.generator = gen
-        self.exp_table = [1] * (q - 1)
-        for i in range(1, q - 1):
-            self.exp_table[i] = self.mul_table[self.exp_table[i - 1]][gen]
-        self.log_table = [0] * q
-        for i, v in enumerate(self.exp_table):
-            self.log_table[v] = i
-        self.inv_table = [0] * q
-        for a in range(1, q):
-            self.inv_table[a] = self.exp_table[(q - 1 - self.log_table[a]) % (q - 1)]
 
     def add(self, a, b):
         return self.add_table[a][b]
@@ -190,10 +166,6 @@ def field(q):
 
 # ---------------------------------------------------------------------------
 # Dense exact linear algebra
-
-
-def zero_vector(n):
-    return [0] * n
 
 
 def mat_vec(F, mat, vec):

@@ -21,10 +21,6 @@ class QPoly(tuple):
             coeffs.pop()
         return super().__new__(cls, coeffs)
 
-    @property
-    def degree(self):
-        return len(self) - 1  # -1 for the zero polynomial
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -141,12 +137,11 @@ ZERO = QPoly()
 ONE = QPoly((1,))
 
 
-def monomial(e, c=1):
-    """The polynomial c * q^e."""
+def monomial(e):
+    """The polynomial q^e."""
     if e < 0:
         raise BadRange(f"monomial needs e >= 0, got e={e}")
-    c = int(c)
-    return _canonical((0,) * e + (c,)) if c else ZERO
+    return _canonical((0,) * e + (1,))
 
 
 def geometric_sum(a, b):

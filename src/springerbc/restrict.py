@@ -7,6 +7,8 @@ coefficient is the zero polynomial are skipped before their target
 parameter is even constructed, and like terms are collected.
 """
 
+from operator import sub
+
 from .errors import InvalidParam, InvariantViolation
 from .params import (
     Bipartition,
@@ -117,17 +119,19 @@ def _runs(lam):
     return out
 
 
-def _largest_j_sp(und, vec, r, c):
-    """Largest part value with chi equal to c = chi(r) whose slack is not
-    repeated at any larger part.  Exists whenever r is a corner."""
-    larger = set()  # slacks of the parts above j
-    for j, cj in zip(und, vec):  # decreasing
-        if cj == c and j - cj not in larger:
+def _largest_j(pairs, r, first):
+    """The j rule: the largest part j whose first component is ``first``
+    (r's) and whose second component is not repeated at any larger part.
+    ``pairs`` yields (part, (first, second)) for the parts, decreasing: (chi,
+    slack) for sp2 at a corner, (mu-, nu-component) for exotic in case 4."""
+    larger = set()  # second components of the parts above j
+    for j, (a, b) in pairs:
+        if a == first and b not in larger:
             if j < r:
-                raise InvariantViolation(f"j={j} below r={r}, chi={vec} on {und}")
+                raise InvariantViolation(f"j={j} below r={r}, first={first}")
             return j
-        larger.add(j - cj)
-    raise InvariantViolation(f"no valid j for r={r}, chi={vec} on {und}")
+        larger.add(b)
+    raise InvariantViolation(f"no valid j for r={r}, first={first}")
 
 
 def restrict_symplectic(p):
@@ -182,7 +186,7 @@ def restrict_symplectic(p):
                 emit(_step(m_ge - 1, m_gt - 1), pair, crit_pts + [(r - 1, c)])
             continue
 
-        j = _largest_j_sp(und, vec, r, c)
+        j = _largest_j(zip(und, zip(vec, map(sub, und, vec))), r, c)
         m_gt_j = runs[j][0]
         ks = und[und.index(j) : i]  # the parts k with r < k <= j
         others = [pt for pt in crit_pts if pt[0] != r]
@@ -265,21 +269,6 @@ def restrict_symplectic_q1(p):
     return out
 
 
-def _largest_j_exo(comps, r):
-    """Largest part with the same mu-component as r whose nu-component is not
-    repeated at any larger part.  ``comps`` maps each part, decreasing, to
-    its (mu-component, nu-component)."""
-    nab = comps[r][0]
-    larger = []  # nu-components of the parts above j
-    for j, (nab_j, delt_j) in comps.items():
-        if nab_j == nab and delt_j not in larger:
-            if j < r:
-                raise InvariantViolation(f"j={j} below r={r} in {comps}")
-            return j
-        larger.append(delt_j)
-    raise InvariantViolation(f"no valid j for r={r} in {comps}")
-
-
 def restrict_exotic(b):
     """Graded restriction for a bipartition of rank n >= 1.
 
@@ -329,30 +318,24 @@ def restrict_exotic(b):
             emit(geometric_sum(2 * m_ge - 1, 2 * m_gt - 1), lowered, nu)
             continue
         emit(geometric_sum(2 * m_ge - 1, 2 * m_gt + 1), lowered, nu)
+        # the chain: a term at j, then one for each part k with r < k <= j;
+        # outside case 4 it is the term at j = r alone
+        j = _largest_j(comps.items(), r, nab) if case4 else r
         m_mu = _run_end(mu, nab)
-        if case4:
-            j = _largest_j_exo(comps, r)
-            m_gt_j = runs[j][0]
-            emit(
-                monomial(2 * m_gt_j),
-                _shift(mu, m_gt_j, m_mu, -1),
-                _shift(nu, m_gt_j, m_mu - 1, 1),
-            )
-            for k in comps:
-                if not (r < k <= j):
-                    continue
+        m_gt_j = runs[j][0]
+        emit(
+            monomial(2 * m_gt_j),
+            _shift(mu, m_gt_j, m_mu, -1),
+            _shift(nu, m_gt_j, m_mu - 1, 1),
+        )
+        for k in comps if j > r else ():
+            if r < k <= j:
                 m_gt_k, m_ge_k = runs[k]
                 emit(
                     _step(2 * m_ge_k, 2 * m_gt_k),
                     _shift(mu, m_ge_k, m_mu, -1),
                     _shift(nu, m_ge_k, m_mu - 1, 1),
                 )
-        else:
-            emit(
-                monomial(2 * m_gt),
-                _shift(mu, m_gt, m_mu, -1),
-                _shift(nu, m_gt, m_mu - 1, 1),
-            )
     return out
 
 
@@ -390,20 +373,9 @@ def restrict_exotic_q1(b):
             emit(1, shift(mu, "up", m_ge + 1, m_nu), shift(nu, "down", m_ge, m_nu))
         emit(2 * m_r - 2, substitute(mu, (nab,), (nab - 1,)), nu)
         m_mu = multiplicity(mu, nab, "geq")
-        if case4:
-            j = _largest_j_exo(comps, r)
-            m_gt_j = counts[j][0]
-            emit(
-                1,
-                shift(mu, "down", m_gt_j + 1, m_mu),
-                shift(nu, "up", m_gt_j + 1, m_mu - 1),
-            )
-        else:
-            emit(
-                1,
-                shift(mu, "down", m_gt + 1, m_mu),
-                shift(nu, "up", m_gt + 1, m_mu - 1),
-            )
+        j = _largest_j(comps.items(), r, nab) if case4 else r
+        m_j = counts[j][0] + 1
+        emit(1, shift(mu, "down", m_j, m_mu), shift(nu, "up", m_j, m_mu - 1))
     return out
 
 

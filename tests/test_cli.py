@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from springerbc.cli import run
 
 
@@ -145,6 +147,74 @@ def test_paving(capsys):
     assert json.loads(out) == {"lemma_hypothesis": False, "theorem_applies": False}
 
 
+# Exact stdout and exit code for invocations the golden corpus does not hold:
+# the JSON form of most subcommands, and the edge cases of the text form.
+PINNED = [
+    (
+        "equivalence --n 2",
+        0,
+        "n=1 2^1_1: ok\nn=1 1^2_0: ok\nn=2 4^1_2: ok\nn=2 2^2_1: ok\n"
+        "n=2 2^2_0: ok\nn=2 2^1_1 1^2_0: ok\nn=2 1^4_0: ok\n",
+    ),
+    (
+        "equivalence --n 2 --format json",
+        0,
+        '{"n": 1, "pass": true, "params": [{"param": "2^1_1", "pass": true, '
+        '"detail": ""}, {"param": "1^2_0", "pass": true, "detail": ""}]}\n'
+        '{"n": 2, "pass": true, "params": [{"param": "4^1_2", "pass": true, '
+        '"detail": ""}, {"param": "2^2_1", "pass": true, "detail": ""}, '
+        '{"param": "2^2_0", "pass": true, "detail": ""}, '
+        '{"param": "2^1_1 1^2_0", "pass": true, "detail": ""}, '
+        '{"param": "1^4_0", "pass": true, "detail": ""}]}\n',
+    ),
+    (
+        "table --theory exotic --n 2 --format json",
+        0,
+        '[{"param": "mu=[2] nu=[]", "id": [1], "s1": [1], "id_poly": "1", '
+        '"s1_poly": "1"}, {"param": "mu=[1,1] nu=[]", "id": [1, 2, 1], '
+        '"s1": [1, 0, 1], "id_poly": "q^2 + 2q + 1", "s1_poly": "q^2 + 1"}, '
+        '{"param": "mu=[1] nu=[1]", "id": [1, 2], "s1": [1], '
+        '"id_poly": "2q + 1", "s1_poly": "1"}, {"param": "mu=[] nu=[2]", '
+        '"id": [1, 2, 1], "s1": [1, 0, -1], "id_poly": "q^2 + 2q + 1", '
+        '"s1_poly": "-q^2 + 1"}, {"param": "mu=[] nu=[1,1]", '
+        '"id": [1, 2, 2, 2, 1], "s1": [1, 0, 0, 0, -1], '
+        '"id_poly": "q^4 + 2q^3 + 2q^2 + 2q + 1", "s1_poly": "-q^4 + 1"}]\n',
+    ),
+    ("table --theory sp2 --n 0", 0, "\t1\t1\n"),
+    (
+        "oracle --theory sp2 --param 2^2_1 --q 2",
+        0,
+        "param 2^2_1 q=2: PASS\n  2^1_1: tally=2 formula=2\n"
+        "  1^2_0: tally=1 formula=1\n  empty_fiber=0\n",
+    ),
+    (
+        "symbol --mu [1] --nu [1] --r 4 --s 2 --m 1 --format json",
+        0,
+        '{"top": [5, 0], "bottom": [3], "r": 4, "s": 2, "m": 1}\n',
+    ),
+    (
+        "paving --param 2^2_1 --format json",
+        0,
+        '{"lemma_hypothesis": true, "theorem_applies": true}\n',
+    ),
+    ("enumerate --theory sp2 --n 1 --format json", 0, '["2^1_1", "1^2_0"]\n'),
+    ("enumerate --theory sp2 --n 0", 0, "\n"),
+    ("iota --param 2^2_1 --format json", 0, '{"param": "mu=[1] nu=[1]"}\n'),
+    (
+        "restrict --theory sp2 --param 1^4_0 --q1 --format json",
+        0,
+        '{"rank": 1, "terms": [{"param": "1^2_0", "coeff": [4]}]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("line,code,expected", PINNED, ids=[c for c, _, _ in PINNED])
+def test_pinned_stdout_and_exit_code(capsys, line, code, expected):
+    assert run(line.split()) == code
+    out, err = out_of(capsys)
+    assert out == expected and not err
+
+
 def test_equivalence(capsys):
     code = run(["equivalence", "--n", "2"])
     out, _ = out_of(capsys)
@@ -192,6 +262,25 @@ def test_oracle_failure_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+def test_equivalence_mismatch_exit_code(capsys, monkeypatch):
+    import springerbc.cli as cli
+    from springerbc.restrict import EquivalenceReport
+
+    monkeypatch.setattr(
+        cli, "check_equivalence", lambda n: EquivalenceReport(n, [("x", False, "d")])
+    )
+    assert run(["equivalence", "--n", "2"]) == 3
+    out, _ = out_of(capsys)
+    assert out == "n=1 x: MISMATCH d\nn=2 x: MISMATCH d\n"
+    assert run(["equivalence", "--n", "1", "--format", "json"]) == 3
+    out, _ = out_of(capsys)
+    assert json.loads(out) == {
+        "n": 1,
+        "pass": False,
+        "params": [{"param": "x", "pass": False, "detail": "d"}],
+    }
+
+
 def test_bad_knobs_exit_2(capsys):
     oracle = ["oracle", "--theory", "exotic", "--mu", "[1]", "--nu", "[1]", "--q", "3"]
     assert run(oracle + ["--jobs", "0"]) == 2
@@ -211,6 +300,11 @@ def test_usage_errors(capsys):
     assert run(["symbol", "--r", "4", "--s", "2", "--m", "1"]) == 2  # no --mu/--nu
     out_of(capsys)
     assert run(["paving"]) == 2  # no --param
+    out_of(capsys)
+    # --ascending belongs to the commands that print polynomials
+    assert run(["iota", "--param", "2^2_1", "--ascending"]) == 2
+    out_of(capsys)
+    assert run(["enumerate", "--theory", "sp2", "--n", "1", "--ascending"]) == 2
     out_of(capsys)
     for argv in (
         ["table", "--theory", "sp2", "--n", "-1"],

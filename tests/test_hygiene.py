@@ -1,4 +1,4 @@
-"""Every module-level import in ``src/`` and ``tests/`` is used.
+"""Every module-level import in ``src/``, ``tests/`` and ``scripts/`` is used.
 
 An import counts as used when the name it binds appears anywhere else in
 the module.  Package ``__init__.py`` files re-export what they import, and
@@ -28,7 +28,7 @@ def unused_imports(path):
 def test_no_unused_module_level_imports():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
-        for top in ("src", "tests")
+        for top in ("src", "tests", "scripts")
         for path in sorted((ROOT / top).rglob("*.py"))
         if path.name != "__init__.py"
         for line, name in unused_imports(path)

@@ -188,11 +188,13 @@ def test_case_analysis_guards_raise():
         restrict_exotic(Bipartition(_unsorted((1, 2, 1)), Partition([2])))
     with pytest.raises(InvariantViolation, match="below"):
         restrict_exotic(Bipartition(_unsorted((1, 1)), _unsorted((1, 2))))
-    # parts (4, 2) with chi (2, 1): the part with chi 1 lies below r = 4
+    # parts (4, 2) with chi (2, 1), as (part, (chi, slack)) pairs: the part
+    # with chi 1 lies below r = 4
+    pairs = ((4, (2, 2)), (2, (1, 1)))
     with pytest.raises(InvariantViolation, match="below"):
-        restrict_module._largest_j_sp((4, 2), (2, 1), 4, 1)
+        restrict_module._largest_j(pairs, 4, 1)
     with pytest.raises(InvariantViolation, match="no valid j"):
-        restrict_module._largest_j_sp((4, 2), (2, 1), 2, 0)
+        restrict_module._largest_j(pairs, 2, 0)
 
 
 def _keep_partition(p, x, copies=1):
@@ -226,7 +228,7 @@ def test_wrong_rank_target_raises_under_python_O():
         assert False, "asserts must be stripped"
         unsorted = tuple.__new__(Partition, (1, 2, 1))
         attempt(r.restrict_exotic, Bipartition(unsorted, Partition([2])))  # cases 3, 4
-        attempt(r._largest_j_sp, (4, 2), (2, 1), 4, 1)
+        attempt(r._largest_j, ((4, (2, 2)), (2, (1, 1))), 4, 1)
         r._lower = lambda p, x, copies=1: p
         attempt(r.restrict_exotic, bipartition_from_text("mu=[] nu=[1]"))
         attempt(r.restrict_symplectic, omega_from_text("1^2_0"))
