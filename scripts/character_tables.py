@@ -6,8 +6,9 @@ Example:
 """
 
 import argparse
+import sys
 
-from springerbc.cli import charsum_text
+from springerbc.cli import charsum_text, pipe_safe
 from springerbc.evaluator import value_table
 from springerbc.qpoly import poly_to_text
 from springerbc.theory import THEORIES
@@ -30,4 +31,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(pipe_safe(main))

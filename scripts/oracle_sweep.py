@@ -13,6 +13,7 @@ import json
 import sys
 import time
 
+from springerbc.cli import pipe_safe
 from springerbc.fforacle import verify_against_formula
 from springerbc.gf import field
 from springerbc.theory import EXOTIC, SP2
@@ -23,7 +24,6 @@ def main():
     ap.add_argument("--max-n", type=int, default=3)
     ap.add_argument("--sp2-fields", type=int, nargs="*", default=[2, 4])
     ap.add_argument("--exotic-fields", type=int, nargs="*", default=[3, 5])
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     t0 = time.perf_counter()
@@ -32,14 +32,14 @@ def main():
         for theory, fields in ((SP2, args.sp2_fields), (EXOTIC, args.exotic_fields)):
             for q in fields:
                 for p in theory.enumerate(n):
-                    rep = verify_against_formula(p, field(q), jobs=args.jobs)
+                    rep = verify_against_formula(p, field(q))
                     failed += not rep["pass"]
                     print(json.dumps(rep))
     print(
         f"# {failed} failures, {time.perf_counter() - t0:.1f}s", file=sys.stderr
     )
-    sys.exit(3 if failed else 0)
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(pipe_safe(main))

@@ -5,11 +5,13 @@ the tool can back golden tests and scripted sweeps.  Each ``cmd_*``
 returns its JSON documents (one per output line), its text and, for the
 verification commands (oracle, equivalence), an exit code; ``run`` alone
 prints.  Exit codes: 0 on success, 2 on parse or validity errors, 3 when a
-verification command finds a mismatch.
+verification command finds a mismatch, 1 when the reader of stdout goes
+away before the output is written (as ``| head`` does).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InvalidParam, SpringerError
@@ -92,7 +94,7 @@ def cmd_symbol(args):
 
 def cmd_oracle(args):
     param = THEORIES[args.theory].parse(args)
-    report = verify_against_formula(param, field(args.q), jobs=args.jobs)
+    report = verify_against_formula(param, field(args.q))
     state = "PASS" if report["pass"] else "FAIL"
     lines = [f"param {report['param']} q={report['q']}: {state}"]
     for key, count in report["formula"].items():
@@ -180,7 +182,6 @@ def build_parser():
     sp = sub.add_parser("oracle", help="finite-field brute-force verification")
     _add_common(sp)
     sp.add_argument("--q", type=int, required=True, help="field size")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("equivalence", help="cross-check the two formulas")
@@ -198,6 +199,22 @@ def build_parser():
     sp.set_defaults(func=cmd_paving)
 
     return parser
+
+
+def pipe_safe(program, *args):
+    """Return program(*args), an exit status, after flushing stdout.
+
+    When the reader of stdout has gone (``| head``), print no traceback and
+    return 1, with stdout pointed at os.devnull so that the flush at exit
+    does not raise again.
+    """
+    try:
+        code = program(*args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 def run(argv):
@@ -220,7 +237,7 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    sys.exit(pipe_safe(run, sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ only, and takes no formula input.
 """
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from . import theory  # which imports this module, so not ``from .theory``
@@ -279,9 +278,9 @@ def line_count(q, d):
     return (q**d - 1) // (q - 1)
 
 
-def _lines(F, basis, lo=0, hi=None):
-    """Normalized vectors of the lines lo .. hi-1 of the span of basis."""
-    for coeffs in itertools.islice(_projective_tuples(F.q, len(basis)), lo, hi):
+def _lines(F, basis):
+    """Normalized vectors of the lines of the span of basis."""
+    for coeffs in _projective_tuples(F.q, len(basis)):
         yield normalize_vector(F, vec_mat(F, coeffs, basis))
 
 
@@ -396,66 +395,31 @@ def quotient_model(model, line):
     return FieldModel(F, d - 2, gram2, n2, v2, None)
 
 
-def _check_oracle_input(param, jobs):
-    if jobs < 1:
-        raise InvalidParam(f"jobs must be >= 1, got {jobs}")
-    if param.rank < 1:
-        raise InvalidParam("oracle needs rank >= 1")
-
-
-def brute_force_restriction(param, fieldctx, jobs=1):
+def brute_force_restriction(param, fieldctx):
     """Tally of quotient invariants over every rational kernel line.
 
     Returns (tally, empty_fiber) where tally maps rank n-1 parameters to
     line counts and empty_fiber counts the lines whose fiber is empty.
-    ``jobs`` must be at least 1; at most one process per CPU (and per
-    line) is started.
+    The lines are walked one after another in this process.
     """
-    _check_oracle_input(param, jobs)
-    model = theory.of(param).standard_model(param, fieldctx)
-    return _tally(model, nullspace(fieldctx, model.N), jobs)
-
-
-def _tally(model, basis, jobs):
-    """brute_force_restriction for a built model and its kernel basis; the
-    lines are split into contiguous ranges, one per process."""
-    total = line_count(model.field.q, len(basis))
-    jobs = min(jobs, total, os.cpu_count() or 1)
-    if jobs <= 1:
-        return _tally_range(model, basis, 0, total)
-    bounds = [(total * i) // jobs for i in range(jobs + 1)]
-    chunks = [
-        (model, basis, bounds[i], bounds[i + 1])
-        for i in range(jobs)
-        if bounds[i] < bounds[i + 1]
-    ]
-    import multiprocessing
-
-    with multiprocessing.Pool(processes=len(chunks)) as pool:
-        results = pool.map(_oracle_worker, chunks)
-    tally = {}
-    empty = 0
-    for part_tally, part_empty in results:
-        empty += part_empty
-        for key, cnt in part_tally.items():
-            tally[key] = tally.get(key, 0) + cnt
+    tally, empty, _ = _tally(param, fieldctx)
     return tally, empty
 
 
-def _oracle_worker(args):
-    return _tally_range(*args)
-
-
-def _tally_range(model, basis, lo, hi):
-    """Tally the lines lo .. hi-1 of ker N, one invariant per distinct
-    quotient (see the module docstring)."""
-    F = model.field
-    invariant = chi_invariant if F.p == 2 else exotic_invariant
+def _tally(param, fieldctx):
+    """brute_force_restriction plus the number of kernel lines: build the
+    model, take the kernel basis of N, and compute one invariant per
+    distinct quotient (see the module docstring)."""
+    if param.rank < 1:
+        raise InvalidParam("oracle needs rank >= 1")
+    model = theory.of(param).standard_model(param, fieldctx)
+    basis = nullspace(fieldctx, model.N)
+    invariant = chi_invariant if fieldctx.p == 2 else exotic_invariant
     chain = itertools.chain.from_iterable
     seen = {}
     tally = {}
     empty = 0
-    for w in _lines(F, basis, lo, hi):
+    for w in _lines(fieldctx, basis):
         qm = quotient_model(model, w)
         if qm is V_NOT_PERP:
             empty += 1
@@ -467,25 +431,23 @@ def _tally_range(model, basis, lo, hi):
         if sub is None:
             sub = seen[key] = invariant(qm)
         tally[sub] = tally.get(sub, 0) + 1
-    return tally, empty
+    return tally, empty, line_count(fieldctx.q, len(basis))
 
 
-def verify_against_formula(param, fieldctx, jobs=1):
+def verify_against_formula(param, fieldctx):
     """Compare the brute-force tally against the restriction formula at q.
 
     The report separates per-parameter mismatches from total-count
     mismatches: matching totals with differing tallies indicate a case
-    transcription bug rather than a wrong line count.
+    transcription bug rather than a wrong line count.  A pass also needs
+    the number of empty fibres to equal the theory's ``empty_lines``.
     """
     q = fieldctx.q
     th = theory.of(param)
     formula = {sub: coeff(q) for sub, coeff in th.restrict(param).items()}
-    _check_oracle_input(param, jobs)
-    model = th.standard_model(param, fieldctx)
-    basis = nullspace(fieldctx, model.N)
-    tally, empty = _tally(model, basis, jobs)
-    totals_match = sum(formula.values()) + empty == line_count(q, len(basis))
-    ok = tally == formula and totals_match and (th.empty_fibres or empty == 0)
+    tally, empty, lines = _tally(param, fieldctx)
+    totals_match = sum(formula.values()) + empty == lines
+    ok = tally == formula and totals_match and empty == th.empty_lines(param, q)
     ordered = sorted(set(tally) | set(formula), key=lambda k: k.sort_key())
     return {
         "param": str(param),

@@ -147,9 +147,6 @@ class FieldCtx:
             e >>= 1
         return out
 
-    def __reduce__(self):
-        return (FieldCtx, (self.q,))
-
     def __repr__(self):
         return f"FieldCtx(GF({self.q}))"
 

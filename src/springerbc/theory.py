@@ -32,8 +32,19 @@ class Theory(SimpleNamespace):
     matrix model.
     ``rank1`` holds the rank-1 parameter whose values are 1 at id and s1,
     then the one whose values are 1 + q at id and 1 - q at s1.
-    ``empty_fibres`` says whether a kernel line may have an empty fibre.
+    ``empty_lines(param, q)`` is the number of kernel lines over GF(q) whose
+    fibre is empty.
     """
+
+
+def _exotic_empty_lines(b, q):
+    # ker N has dimension 2l, l = l(mu+nu).  When len(mu) > len(nu), so that
+    # l = len(mu), the model vector pairs nontrivially with ker N, and the
+    # q^(2l-1) lines off the hyperplane it cuts out have empty fibres;
+    # otherwise no line does.  An observed rule: the tests check it against
+    # the oracle and, formula-side, at every n <= 12.
+    ell = len(b.mu)
+    return q ** (2 * ell - 1) if ell > len(b.nu) else 0
 
 
 def _parse_sp2(args):
@@ -57,7 +68,7 @@ SP2 = Theory(
     restrict_q1=lambda p: restrict.restrict_symplectic_q1(p),
     standard_model=lambda p, field: fforacle.standard_model_symplectic(p, field),
     rank1=(omega_from_text("2^1_1"), omega_from_text("1^2_0")),
-    empty_fibres=False,  # the model vector is zero
+    empty_lines=lambda p, q: 0,  # the model vector is zero
 )
 
 EXOTIC = Theory(
@@ -69,7 +80,7 @@ EXOTIC = Theory(
     restrict_q1=lambda b: restrict.restrict_exotic_q1(b),
     standard_model=lambda b, field: fforacle.standard_model_exotic(b, field),
     rank1=(Bipartition(Partition([1]), EMPTY), Bipartition(EMPTY, Partition([1]))),
-    empty_fibres=True,
+    empty_lines=_exotic_empty_lines,
 )
 
 THEORIES = {"sp2": SP2, "exotic": EXOTIC}

@@ -247,7 +247,7 @@ def test_oracle_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "verify_against_formula",
-        lambda param, fieldctx, jobs=1: {
+        lambda param, fieldctx: {
             "param": "x",
             "q": 2,
             "tally": {},

@@ -1,5 +1,3 @@
-import multiprocessing
-
 import pytest
 
 import springerbc.theory as theory
@@ -305,47 +303,22 @@ def test_verify_examples():
     }
 
 
-def test_parallel_matches_serial():
-    serial = brute_force_restriction(bp("mu=[1] nu=[1,1]"), GF3, jobs=1)
-    parallel = brute_force_restriction(bp("mu=[1] nu=[1,1]"), GF3, jobs=2)
-    assert serial == parallel
+def test_empty_fibres_must_match_the_closed_form(monkeypatch):
+    # mu=[1,1] nu=[1] has 27 empty lines over GF(3); a rule expecting none fails it
+    b = bp("mu=[1,1] nu=[1]")
+    assert theory.EXOTIC.empty_lines(b, 3) == 27
+    assert verify_against_formula(b, GF3)["pass"]
+    monkeypatch.setattr(theory.EXOTIC, "empty_lines", lambda param, q: 0)
+    rep = verify_against_formula(b, GF3)
+    assert rep["totals_match"] and not rep["pass"]
 
 
-class _SerialPool:
-    """Stands in for multiprocessing.Pool: records the process count and
-    maps in this process."""
-
-    sizes = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, chunks):
-        return [fn(chunk) for chunk in chunks]
-
-
-def test_jobs_below_one_rejected():
-    with pytest.raises(InvalidParam):
-        brute_force_restriction(bp("mu=[1] nu=[1]"), GF3, jobs=0)
-    with pytest.raises(InvalidParam):
-        verify_against_formula(bp("mu=[1] nu=[1]"), GF3, jobs=-2)
-
-
-@pytest.mark.parametrize("cpus, expected", [(2, [2]), (1, []), (None, [])])
-def test_jobs_capped_at_cpu_count(monkeypatch, cpus, expected):
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    param = bp("mu=[1] nu=[1,1]")
-    serial = brute_force_restriction(param, GF3, jobs=1)
-    assert brute_force_restriction(param, GF3, jobs=64) == serial
-    assert _SerialPool.sizes == expected
+def test_rank_below_one_rejected():
+    for param, F in ((om(""), GF2), (bp("mu=[] nu=[]"), GF3)):
+        with pytest.raises(InvalidParam):
+            brute_force_restriction(param, F)
+        with pytest.raises(InvalidParam):
+            verify_against_formula(param, F)
 
 
 def test_verify_higher_rank_branch_coverage():

@@ -4,8 +4,7 @@ Each fast path in ``fforacle`` is compared with a plain reference kept here:
 Jordan types from the ranks of explicit matrix powers, the chi search over
 rebuilt powers and ``pair``, quotient matrices built column by column, and a
 tally with no invariant memo.  The line order is pinned against the plain
-pivot-then-product enumeration, and the line ranges that ``--jobs`` splits
-the lines into must tile it.
+pivot-then-product enumeration.
 """
 
 import itertools
@@ -242,18 +241,12 @@ def test_memoized_tally_matches_unmemoized():
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
 def test_unranked_tuple_is_kth_tuple(q, d):
-    # the lines from rank k on start at the k-th tuple, and the ranges
-    # lo .. hi-1 that ``--jobs`` splits the lines into tile them
+    # the k-th line is the reference's k-th tuple, over the unit basis
     full = list(ref_projective_tuples(q, d))
     assert len(full) == line_count(q, d)
     assert list(_projective_tuples(q, d)) == full
-    F = field(q)
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    lines = list(_lines(F, identity))
-    assert lines == [list(t) for t in full]
-    for k in range(len(full) + 1):
-        head, tail = list(_lines(F, identity, 0, k)), list(_lines(F, identity, k))
-        assert (head, tail) == (lines[:k], lines[k:])
+    assert list(_lines(field(q), identity)) == [list(t) for t in full]
 
 
 # --- checks under python -O --------------------------------------------------------------

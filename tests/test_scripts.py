@@ -1,4 +1,5 @@
-"""Run the scripts under scripts/ end to end, each in its own interpreter."""
+"""Run the scripts under scripts/ end to end, each in its own interpreter,
+and the command line too where the test is about the pipe it writes to."""
 
 import json
 import os
@@ -6,7 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+# stdout block-buffered, as it is on a pipe unless the environment says not
+BUFFERED = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
 
 
 def run_script(name, *argv):
@@ -14,7 +20,7 @@ def run_script(name, *argv):
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env=ENV,
         timeout=120,
     )
 
@@ -34,3 +40,58 @@ def test_oracle_sweep():
     first = json.loads(done.stdout.splitlines()[0])
     assert (first["param"], first["q"], first["pass"]) == ("2^1_1", 2, True)
     assert done.stderr.startswith("# 0 failures")
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        # one print of about 300 kB, more than a pipe holds
+        (["-m", "springerbc.cli", "enumerate", "--theory", "exotic", "--n", "18"],
+         "mu=[18] nu=[]"),
+        # about 180 kB, printed line by line
+        ([str(ROOT / "scripts" / "character_tables.py"), "--theory", "exotic", "--n", "9"],
+         "# restriction identities, rank 9"),
+        # a sweep of some seconds; unbuffered, so its first report reaches
+        # the pipe while the rest still runs
+        (["-u", str(ROOT / "scripts" / "oracle_sweep.py"), "--max-n", "4"],
+         '{"param": "2^1_1"'),
+    ],
+    ids=["cli", "character_tables", "oracle_sweep"],
+)
+def test_closed_pipe_exits_1_quietly(argv, first):
+    # as ``| head -1`` does: read one line, then close the pipe
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=BUFFERED,
+    )
+    try:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert line.startswith(first)
+    assert (proc.returncode, err) == (1, "")
+
+
+def test_reader_gone_before_the_flush():
+    # the output waits in stdout's buffer until the flush, which finds the
+    # pipe closed; the flush at exit must then not raise again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "springerbc.cli", "value", "--theory", "sp2",
+             "--param", "2^2_1", "--at", "id"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=BUFFERED,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
