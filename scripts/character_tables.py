@@ -8,7 +8,7 @@ Example:
 import argparse
 import sys
 
-from springerbc.cli import charsum_text, pipe_safe
+from springerbc.cli import charsum_text, pipe_safe, reported
 from springerbc.evaluator import value_table
 from springerbc.qpoly import poly_to_text
 from springerbc.theory import THEORIES
@@ -21,8 +21,9 @@ def main():
     args = ap.parse_args()
 
     theory = THEORIES[args.theory]
+    params = theory.enumerate(args.n)
     print(f"# restriction identities, rank {args.n}")
-    for p in theory.enumerate(args.n):
+    for p in params:
         print(f"Res({p}) = {charsum_text(theory.restrict(p))}")
 
     print(f"\n# character values, rank {args.n}")
@@ -31,4 +32,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(pipe_safe(main))
+    sys.exit(pipe_safe(reported, main))

@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from springerbc.cli import pipe_safe
+from springerbc.cli import pipe_safe, reported
 from springerbc.fforacle import verify_against_formula
 from springerbc.gf import field
 from springerbc.theory import EXOTIC, SP2
@@ -27,12 +27,16 @@ def main():
     args = ap.parse_args()
 
     t0 = time.perf_counter()
+    sweeps = [
+        (SP2, [field(q) for q in args.sp2_fields]),
+        (EXOTIC, [field(q) for q in args.exotic_fields]),
+    ]
     failed = 0
     for n in range(1, args.max_n + 1):
-        for theory, fields in ((SP2, args.sp2_fields), (EXOTIC, args.exotic_fields)):
-            for q in fields:
+        for theory, fields in sweeps:
+            for F in fields:
                 for p in theory.enumerate(n):
-                    rep = verify_against_formula(p, field(q))
+                    rep = verify_against_formula(p, F)
                     failed += not rep["pass"]
                     print(json.dumps(rep))
     print(
@@ -42,4 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(pipe_safe(main))
+    sys.exit(pipe_safe(reported, main))

@@ -217,17 +217,27 @@ def pipe_safe(program, *args):
     return code
 
 
+def reported(program, *args):
+    """Return program(*args), an exit status; on bad input print
+    ``error: ...`` on stderr instead of a traceback and return 2."""
+    try:
+        return program(*args)
+    except (SpringerError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        docs, text, *code = args.func(args)
-    except (SpringerError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return reported(_print, args)
+
+
+def _print(args):
+    docs, text, *code = args.func(args)
     if args.format == "json":
         for doc in docs:
             print(json.dumps(doc))

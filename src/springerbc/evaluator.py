@@ -72,7 +72,14 @@ def value(param, w, *, _at=0):
     while True:
         entry = _memo.get(key)
         if entry is None or entry[2] != slot:
-            entry = _miss(param, w, key, slot)
+            try:
+                entry = _miss(param, w, key, slot)
+            except RecursionError:
+                if _at:
+                    raise
+                raise InvalidParam(
+                    f"rank {param.rank} is too deep for the value recursion"
+                ) from None
         if _at:
             return entry
         bound = entry[1]

@@ -91,18 +91,34 @@ class FieldModel:
         return self
 
 
-def _model_skeleton(lam, widths):
-    """Index the basis vectors (r, s, t) with r a distinct part, s a string
-    index in [1, widths(r)], t a position in [1, r]."""
+def _paired_strings(fieldctx, pairs):
+    """The model on Jordan strings that the form pairs, with vector 0.
+
+    Each (r, s, s2) in ``pairs`` names strings s and s2 of length r, and
+    s2 = s pairs a string with itself.  The basis vector (r, s, t) is
+    position t in [1, r] of string s, indexed in the order the pairs first
+    name the strings.  N moves every string up by one, (r, s, t) to
+    (r, s, t + 1), and the form pairs position t of string s with position
+    r + 1 - t of string s2: G[a][b] = 1 and G[b][a] = -1.
+    """
     index = {}
-    for r in underlying_set(lam):
-        for s in range(1, widths(r) + 1):
+    for r, s, s2 in pairs:
+        for string in dict.fromkeys((s, s2)):
             for t in range(1, r + 1):
-                index[(r, s, t)] = len(index)
+                index[(r, string, t)] = len(index)
     dim = len(index)
     gram = [[0] * dim for _ in range(dim)]
     nilp = [[0] * dim for _ in range(dim)]
-    return index, dim, gram, nilp
+    minus_one = fieldctx.neg(1)
+    for r, s, s2 in pairs:
+        for t in range(1, r + 1):
+            a, b = index[(r, s, t)], index[(r, s2, r + 1 - t)]
+            gram[a][b] = 1
+            gram[b][a] = minus_one
+    for (r, s, t), a in index.items():
+        if t < r:
+            nilp[index[(r, s, t + 1)]][a] = 1
+    return FieldModel(fieldctx, dim, gram, nilp, [0] * dim, index)
 
 
 def standard_model_symplectic(p, fieldctx):
@@ -111,32 +127,18 @@ def standard_model_symplectic(p, fieldctx):
         raise BadCharacteristic(f"need characteristic 2, got {fieldctx.p}")
     lam = p.lam
     chi = p.chi_map()
-    crit = {r for r, _ in x_crit(p)}
-    index, dim, gram, nilp = _model_skeleton(lam, lambda r: multiplicity(lam, r))
-
-    def set_pair(a, b):
-        gram[index[a]][index[b]] = 1
-        gram[index[b]][index[a]] = 1  # char 2: skew = symmetric
-
+    pairs = []
     for r in underlying_set(lam):
         m_r = multiplicity(lam, r)
-        if m_r % 2 == 0:
-            for k in range(1, m_r // 2 + 1):
-                for t in range(1, r + 1):
-                    set_pair((r, 2 * k - 1, t), (r, 2 * k, r + 1 - t))
-        else:
-            for t in range(1, r + 1):
-                set_pair((r, 1, t), (r, 1, r + 1 - t))
-            for k in range(1, (m_r - 1) // 2 + 1):
-                for t in range(1, r + 1):
-                    set_pair((r, 2 * k, t), (r, 2 * k + 1, r + 1 - t))
-        for s in range(1, m_r + 1):
-            for t in range(1, r):
-                nilp[index[(r, s, t + 1)]][index[(r, s, t)]] = 1
-        if r in crit and m_r % 2 == 0:
+        if m_r % 2:
+            pairs.append((r, 1, 1))
+        pairs.extend((r, s, s + 1) for s in range(1 + m_r % 2, m_r, 2))
+    model = _paired_strings(fieldctx, pairs)
+    at = model.basis_index
+    for r, _ in x_crit(p):
+        if multiplicity(lam, r) % 2 == 0:
             # correction on the first string at height chi(r)
-            nilp[index[(r, 2, r + 1 - chi[r])]][index[(r, 1, chi[r])]] = 1
-    model = FieldModel(fieldctx, dim, gram, nilp, [0] * dim, index)
+            model.N[at[(r, 2, r + 1 - chi[r])]][at[(r, 1, chi[r])]] = 1
     return model.check()
 
 
@@ -145,21 +147,13 @@ def standard_model_exotic(b, fieldctx):
     if fieldctx.p == 2:
         raise BadCharacteristic("need odd characteristic")
     lam = sum_partitions(b.mu, b.nu)
-    index, dim, gram, nilp = _model_skeleton(lam, lambda r: 2 * multiplicity(lam, r))
-    for r in underlying_set(lam):
-        for k in range(1, multiplicity(lam, r) + 1):
-            for t in range(1, r + 1):
-                gram[index[(r, 2 * k - 1, t)]][index[(r, 2 * k, r + 1 - t)]] = 1
-                gram[index[(r, 2 * k, r + 1 - t)]][index[(r, 2 * k - 1, t)]] = (
-                    fieldctx.neg(1)
-                )
-        for s in range(1, 2 * multiplicity(lam, r) + 1):
-            for t in range(1, r):
-                nilp[index[(r, s, t + 1)]][index[(r, s, t)]] = 1
-    vec = [0] * dim
+    model = _paired_strings(fieldctx, [
+        (r, s, s + 1)
+        for r in underlying_set(lam)
+        for s in range(1, 2 * multiplicity(lam, r), 2)
+    ])
     for r in und_v(b):
-        vec[index[(r, 1, nabla_delta(b, r)[1] + 1)]] = 1
-    model = FieldModel(fieldctx, dim, gram, nilp, vec, index)
+        model.v[model.basis_index[(r, 1, nabla_delta(b, r)[1] + 1)]] = 1
     return model.check()
 
 
@@ -284,25 +278,21 @@ def _lines(F, basis):
         yield normalize_vector(F, vec_mat(F, coeffs, basis))
 
 
-def enumerate_lines(model, within="full", r=None):
+def enumerate_lines(model, r=None):
     """Yield one normalized vector per rational line of ker N.
 
-    ``within="full"`` runs over the whole kernel; ``within="stratum"``
-    restricts to lines inside the depth-r kernel layer but not the deeper
-    one (depth-r layer: kernel vectors that are (r-1)-fold images).
+    With no ``r`` the lines run over the whole kernel; with ``r`` they are
+    the lines inside the depth-r kernel layer but not the deeper one
+    (depth-r layer: kernel vectors that are (r-1)-fold images).
     """
     F = model.field
-    if within == "full":
+    if r is None:
         yield from _lines(F, nullspace(F, model.N))
         return
-    if within != "stratum":
-        raise ValueError(f"within must be 'full' or 'stratum', got {within!r}")
-    deep = _layer_basis(model, r)
-    deeper = _layer_basis(model, r + 1)
     skip = Echelon(F, model.dim)
-    for bvec in deeper:
+    for bvec in _layer_basis(model, r + 1):
         skip.add(bvec)
-    for vec in _lines(F, deep):
+    for vec in _lines(F, _layer_basis(model, r)):
         if not skip.contains(vec):
             yield vec
 

@@ -10,6 +10,8 @@ the first nonzero entry, so every computation is reproducible.
 
 import itertools
 
+from .errors import InvariantViolation
+
 
 def _smallest_prime_factor(n):
     d = 2
@@ -33,79 +35,52 @@ def _prime_power(q):
     return p, k
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m, p):
-    a = list(a)
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) >= len(m):
-        c = (a[-1] * inv_lead) % p
-        shiftlen = len(a) - len(m)
-        if c:
-            for i, y in enumerate(m):
-                a[shiftlen + i] = (a[shiftlen + i] - c * y) % p
-        _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _irreducible(p, k):
-    """First monic irreducible of degree k over GF(p), ascending coefficients."""
-    lower = []
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            lower.append(list(tail) + [1])
-    for tail in itertools.product(range(p), repeat=k):
-        cand = list(tail) + [1]
-        if cand[0] == 0:
-            continue  # divisible by x
-        if all(_poly_mod(cand, den, p) for den in lower):
-            return cand
-    raise AssertionError(f"no irreducible of degree {k} over GF({p})")
-
-
 class FieldCtx:
-    """A fixed small finite field with dense operation tables."""
+    """A fixed small finite field with dense operation tables.
+
+    GF(p^k) is GF(p)[x] modulo the first monic x^k + tail(x) with
+    tail(0) != 0 whose quotient ring is a field, that is, whose
+    multiplication table has a 1 in every nonzero row.  The candidate tails
+    are tried in the order ``itertools.product(range(p), repeat=k)`` lists
+    their ascending coefficients.  With b = x * b' + b0 for a constant b0,
+    a * b = x * (a * b') + a * b0: one "times x" step per digit of b.
+    """
 
     def __init__(self, q):
         p, k = _prime_power(q)
         self.q, self.p, self.k = q, p, k
-        self.modulus = tuple(_irreducible(p, k)) if k > 1 else (0, 1)
         digits = [self._digits(a) for a in range(q)]
-        self.add_table = [
+        add = self.add_table = [
             [self._encode([(x + y) % p for x, y in zip(da, db)]) for db in digits]
             for da in digits
         ]
-        self.mul_table = [
-            [
-                self._encode(_poly_mod(_poly_mul(da, db, p), list(self.modulus), p))
-                if k > 1
-                else (a * b) % p
-                for b, db in enumerate(digits)
-            ]
-            for a, da in enumerate(digits)
-        ]
         self.neg_table = [self._encode([(-x) % p for x in d]) for d in digits]
         self.sub_table = [
-            [self.add_table[a][self.neg_table[b]] for b in range(q)] for a in range(q)
+            [add[a][self.neg_table[b]] for b in range(q)] for a in range(q)
         ]
-        self.inv_table = [0] + [row.index(1) for row in self.mul_table[1:]]
+        # a * d for each constant d < p: the table's first p columns
+        scaled = [
+            [self._encode([d * x % p for x in da]) for d in range(p)] for da in digits
+        ]
+        top = q // p  # the code of x^(k-1)
+        for tail in itertools.product(range(p), repeat=k):
+            if tail[0] == 0:
+                continue  # divisible by x
+            # x^k = -tail(x), so x * a shifts a's digits up and adds its top
+            # digit times -tail(x)
+            minus_tail = scaled[self.neg_table[self._encode(tail)]]
+            times_x = [add[a % top * p][minus_tail[a // top]] for a in range(q)]
+            mul = []
+            for row in map(list, scaled):
+                for b in range(p, q):
+                    row.append(add[times_x[row[b // p]]][row[b % p]])
+                mul.append(row)
+            if all(1 in row for row in mul[1:]):
+                break
+        else:
+            raise InvariantViolation(f"no monic irreducible of degree {k} over GF({p})")
+        self.mul_table = mul
+        self.inv_table = [0] + [row.index(1) for row in mul[1:]]
 
     def _digits(self, a):
         out = []

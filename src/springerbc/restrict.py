@@ -190,37 +190,33 @@ def restrict_symplectic(p):
         m_gt_j = runs[j][0]
         ks = und[und.index(j) : i]  # the parts k with r < k <= j
         others = [pt for pt in crit_pts if pt[0] != r]
+        # each case ends with the chain: a term at j, then one for each part
+        # k with r < k <= j, on one target from one base point set
         if 2 * c != r:
             # corner with chi below the ceiling; multiplicity is even >= 2
-            pair = target(_lower(lam, r, 2))
-            star = others + [(r - 1, c - 1)]
-            emit(monomial(m_ge - 1), pair, crit_pts + [(r - 1, c)])
-            emit(geometric_sum(m_ge - 1, m_gt + 1), pair, crit_pts)
-            emit(monomial(m_gt_j), pair, star)
-            for k in ks:
-                emit(step(k), pair, star + [(k, c)])
+            chain = target(_lower(lam, r, 2))
+            base = others + [(r - 1, c - 1)]
+            emit(monomial(m_ge - 1), chain, crit_pts + [(r - 1, c)])
+            emit(geometric_sum(m_ge - 1, m_gt + 1), chain, crit_pts)
         elif (m_ge - m_gt) % 2 == 1:
             # corner at the ceiling, odd multiplicity (r even)
             low = (r - 2, (r - 2) // 2)
-            dstar = others + [low]
+            base = others + [low]
             coeff = geometric_sum(m_ge - 1, m_gt)
             if coeff:  # zero exactly when the part occurs once
                 emit(coeff, target(_lower(lam, r, 2)), crit_pts)
-            drop = target(_drop(lam, r))
-            emit(_step(m_ge - 1, m_gt), drop, crit_pts + [low])
-            emit(monomial(m_gt_j), drop, dstar)
-            for k in ks:
-                emit(step(k), drop, dstar + [(k, c)])
+            chain = target(_drop(lam, r))
+            emit(_step(m_ge - 1, m_gt), chain, crit_pts + [low])
         else:
             # corner at the ceiling, even multiplicity (r even)
-            tstar = others + [(r - 1, (r - 2) // 2)]
+            base = others + [(r - 1, (r - 2) // 2)]
             drop = target(_drop(lam, r))
-            pair = target(_lower(lam, r, 2))
+            chain = target(_lower(lam, r, 2))
             emit(monomial(m_ge - 1), drop, crit_pts + [(r - 2, (r - 2) // 2)])
-            emit(geometric_sum(m_ge - 1, m_gt + 1), pair, crit_pts)
-            emit(monomial(m_gt_j), pair, tstar)
-            for k in ks:
-                emit(step(k), pair, tstar + [(k, c)])
+            emit(geometric_sum(m_ge - 1, m_gt + 1), chain, crit_pts)
+        emit(monomial(m_gt_j), chain, base)
+        for k in ks:
+            emit(step(k), chain, base + [(k, c)])
     return out
 
 

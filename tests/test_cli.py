@@ -288,6 +288,13 @@ def test_bad_knobs_exit_2(capsys):
     assert "jobs" in err
 
 
+def test_too_deep_value_exits_2(capsys):
+    argv = ["value", "--theory", "exotic", "--mu", "[1000]", "--nu", "[]", "--at", "id"]
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert (out, err) == ("", "error: rank 1000 is too deep for the value recursion\n")
+
+
 def test_usage_errors(capsys):
     assert run(["restrict", "--theory", "sp2"]) == 2  # missing --param
     out_of(capsys)

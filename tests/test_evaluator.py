@@ -47,6 +47,12 @@ def test_rank0_and_errors():
         value(OmegaParam(Partition([1, 1]), (1,)), "id")
 
 
+def test_too_deep_for_the_recursion_is_invalid():
+    # rank 495 already ran out of stack frames; the outermost call says so
+    with pytest.raises(InvalidParam, match="rank 1000 is too deep"):
+        value(bipartition_from_text("mu=[1000] nu=[]"), "id")
+
+
 def _check_table(golden):
     for text, (vid, vs1) in golden.items():
         b = bipartition_from_text(text)

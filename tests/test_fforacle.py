@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import springerbc.theory as theory
@@ -165,6 +167,25 @@ def test_exotic_invariant_rejects_unhalved():
         exotic_invariant(broken)
 
 
+# sha256 of repr((dim, gram, N, v, basis_index items)) over every model of
+# rank n <= 5, in enumeration order: sp2 over GF(2) then GF(4), exotic over
+# GF(3) then GF(5).  Any change to any matrix or index changes it.
+MODELS_SHA256 = "335409b9fd6fad29bb094a2bbce517bd22cdfad64d53795dc244571ffc93a1be"
+
+
+def test_standard_models_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for th, qs in ((theory.SP2, (2, 4)), (theory.EXOTIC, (3, 5))):
+        for q in qs:
+            for n in range(6):
+                for param in th.enumerate(n):
+                    m = th.standard_model(param, field(q))
+                    entry = (m.dim, m.gram, m.N, m.v, list(m.basis_index.items()))
+                    digest.update(repr(entry).encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == (296, MODELS_SHA256)
+
+
 # --- lines ----------------------------------------------------------------------
 
 
@@ -190,7 +211,7 @@ def test_enumerate_lines_strata_partition_kernel():
         total = list(enumerate_lines(model))
         by_stratum = []
         for r in underlying_set(lam):
-            by_stratum.extend(enumerate_lines(model, within="stratum", r=r))
+            by_stratum.extend(enumerate_lines(model, r=r))
         assert sorted(map(tuple, by_stratum)) == sorted(map(tuple, total))
 
 
@@ -233,7 +254,7 @@ def test_quotient_types_obey_lemma():
                 allowed.add(tuple(substitute(p.lam, (r, r), (r - 1, r - 1))))
             if r >= 2:
                 allowed.add(tuple(substitute(p.lam, (r,), (r - 2,))))
-            for line in enumerate_lines(model, within="stratum", r=r):
+            for line in enumerate_lines(model, r=r):
                 qm = quotient_model(model, line)
                 assert tuple(jordan_type(GF2, qm.N, qm.dim)) in allowed, (p, r)
 
@@ -250,7 +271,7 @@ def test_exotic_quotient_type_is_doubled_shrink():
         for r in underlying_set(lam):
             shrunk = substitute(lam, (r,), (r - 1,))
             expected = tuple(union_partitions(shrunk, shrunk))
-            for line in enumerate_lines(model, within="stratum", r=r):
+            for line in enumerate_lines(model, r=r):
                 qm = quotient_model(model, line)
                 if qm is V_NOT_PERP:
                     continue

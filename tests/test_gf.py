@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import springerbc.gf as gf
+from springerbc.errors import InvariantViolation
 from springerbc.gf import (
     Echelon,
     FieldCtx,
@@ -41,6 +43,74 @@ def test_field_axioms(q):
 def test_frobenius_fixes_every_point(q):
     F = field(q)
     assert all(F.pow(a, q) == a for a in range(q))
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def poly_mod(a, m, p):
+    """a modulo the monic m over GF(p); coefficients ascending."""
+    a = list(a)
+    while len(a) >= len(m):
+        c, shift = a[-1], len(a) - len(m)
+        for i, y in enumerate(m):
+            a[shift + i] = (a[shift + i] - c * y) % p
+        a.pop()  # now zero, as m is monic
+    return a
+
+
+def reference_modulus(p, k):
+    """The first monic irreducible of degree k over GF(p) with nonzero
+    constant term, by trial division, tails in ``itertools.product`` order."""
+    lower = [
+        [*tail, 1]
+        for d in range(1, k // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    ]
+    for tail in itertools.product(range(p), repeat=k):
+        if tail[0] and all(any(poly_mod([*tail, 1], m, p)) for m in lower):
+            return [*tail, 1]
+
+
+PRIMES = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+PRIME_POWERS = sorted(p**k for p in PRIMES for k in range(1, 7) if p**k <= 64)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_tables_are_polynomial_arithmetic(q):
+    F = FieldCtx(q)
+    p, k = F.p, F.k
+    assert p**k == q
+    modulus = reference_modulus(p, k)
+    digits = [[a // p**i % p for i in range(k)] for a in range(q)]
+
+    def code(d):
+        return sum(x * p**i for i, x in enumerate(d))
+
+    assert F.add_table == [
+        [code([(x + y) % p for x, y in zip(da, db)]) for db in digits] for da in digits
+    ]
+    assert F.mul_table == [
+        [code(poly_mod(poly_mul(da, db, p), modulus, p)) for db in digits]
+        for da in digits
+    ]
+    assert F.neg_table == [code([-x % p for x in d]) for d in digits]
+    assert F.sub_table == [
+        [F.add_table[a][F.neg_table[b]] for b in range(q)] for a in range(q)
+    ]
+    assert F.inv_table == [0] + [F.mul_table[a].index(1) for a in range(1, q)]
+
+
+def test_no_field_among_the_candidates_is_an_invariant_violation(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over GF(2): 1 + x has no inverse
+    monkeypatch.setattr(gf.itertools, "product", lambda *_, **__: iter([(1, 0)]))
+    with pytest.raises(InvariantViolation, match="degree 2 over GF"):
+        FieldCtx(4)
 
 
 def test_field_size_limits():

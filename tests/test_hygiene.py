@@ -1,8 +1,13 @@
-"""Every module-level import in ``src/``, ``tests/`` and ``scripts/`` is used.
+"""Source hygiene checks.
 
+Every module-level import in ``src/``, ``tests/`` and ``scripts/`` is used.
 An import counts as used when the name it binds appears anywhere else in
 the module.  Package ``__init__.py`` files re-export what they import, and
 ``__future__`` imports bind no name, so both are skipped.
+
+No check in ``src/`` is an ``assert`` statement or a raised
+``AssertionError``: ``python -O`` strips the first, and the package reports
+a failed check as ``InvariantViolation``.
 """
 
 import ast
@@ -34,3 +39,23 @@ def test_no_unused_module_level_imports():
         for line, name in unused_imports(path)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def assertions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node.lineno, "raise AssertionError"
+        elif isinstance(node, ast.Assert):
+            yield node.lineno, "assert"
+
+
+def test_no_assertions_in_src():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, what in assertions(path)
+    ]
+    assert not found, "assertions in src/:\n" + "\n".join(found)

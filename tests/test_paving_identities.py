@@ -12,11 +12,16 @@ parameter of ranks 1 to 12 and needs no matrices.
 - exotic: [2l]_q minus the coefficient sum, with l = l(mu+nu), is
   q^(2l-1) when len(mu) > len(nu) and 0 otherwise.  The oracle's
   ``empty_lines`` is that difference at q.
+- exotic: every restriction coefficient of b has nonnegative coefficients
+  exactly when ``lemma_hypothesis(iota_inv(b))`` holds.
+- sp2: ``value(p, "id")`` has no negative coefficient, also where the
+  lemma's hypothesis fails.
 """
 
 import pytest
 
-from springerbc.params import paving_predicates
+from springerbc.evaluator import value
+from springerbc.params import iota_inv, paving_predicates
 from springerbc.partitions import sum_partitions
 from springerbc.qpoly import ZERO, geometric_sum, monomial
 from springerbc.theory import EXOTIC, SP2
@@ -60,3 +65,14 @@ def test_exotic_empty_lines(n):
         assert missing == (monomial(2 * ell - 1) if len(b.mu) > len(b.nu) else ZERO), b
         for q in (3, 5, 9):
             assert EXOTIC.empty_lines(b, q) == missing(q), b
+
+
+@pytest.mark.parametrize("n", RANKS)
+def test_exotic_nonnegativity_is_the_lemma_through_iota(n):
+    for b in EXOTIC.enumerate(n):
+        assert paving_predicates(iota_inv(b))[0] == nonnegative(EXOTIC.restrict(b)), b
+
+
+def test_sp2_values_at_id_are_nonnegative(sp2_restrictions):
+    for p in sp2_restrictions:
+        assert all(c >= 0 for c in value(p, "id")), p

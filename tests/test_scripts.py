@@ -43,6 +43,21 @@ def test_oracle_sweep():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle_sweep.py", "--max-n", "1", "--sp2-fields", "3"],  # odd field
+        ["oracle_sweep.py", "--max-n", "1", "--exotic-fields", "6"],  # no field
+        ["character_tables.py", "--theory", "sp2", "--n", "-1"],
+    ],
+    ids=["sp2_field_3", "exotic_field_6", "negative_rank"],
+)
+def test_bad_input_exits_2_without_traceback(argv):
+    done = run_script(*argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
     "argv, first",
     [
         # one print of about 300 kB, more than a pipe holds
