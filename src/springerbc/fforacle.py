@@ -15,10 +15,16 @@ two quotients with equal N, form and vector have equal Jordan types, kernel
 chains and cyclic spans, hence equal invariants.  The memo is keyed by the
 quotient's entries, never by the line or the parameter, lives for one call
 only, and takes no formula input.
+
+The one other cache is on each model: ``quotient_model`` keeps the form's
+nonzero entries by column and, per pivot pair, the rows of G and N that
+every quotient with those pivots starts from.  It lives as long as the
+model, which is one call for the models a tally builds.  Nothing is cached
+across models or calls.
 """
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
 
 from . import theory  # which imports this module, so not ``from .theory``
 from .errors import (
@@ -35,7 +41,9 @@ from .gf import (
     mat_vec,
     normalize_vector,
     nullspace,
+    pair,
     rank,
+    scale_vec,
     vec_dot,
     vec_mat,
 )
@@ -60,8 +68,12 @@ class VNotPerp:
 
 V_NOT_PERP = VNotPerp()
 
+# The most kernel lines one oracle call walks: at some 25k lines/s, 10^7
+# lines take several minutes.  A larger walk is refused before it starts.
+LINE_CAP = 10**7
 
-@dataclass
+
+@dataclasses.dataclass
 class FieldModel:
     """Explicit matrix model: an alternating form, a nilpotent, a vector."""
 
@@ -71,6 +83,14 @@ class FieldModel:
     N: list
     v: list
     basis_index: dict | None = None
+    # quotient_model's per-model work, built on first use: the form's
+    # nonzero entries by column, and one base per pivot pair (istar, jstar)
+    _form_columns: list | None = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _pivot_bases: dict | None = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def check(self):
         """Check the structural invariants, raising InvariantViolation: the
@@ -210,19 +230,25 @@ def chi_invariant(model):
     powers = [N]  # powers[j] = N^(j+1), below the largest part
     while len(powers) < top - 1:
         powers.append(mat_mul(F, powers[-1], N))
+    # pairings[i] = (N^(2i+1))^T G, so that the pairing of N^(2i+1)x against
+    # x is x^T pairings[i] x; from 2i + 1 = top on, N^(2i+1) = 0 and so is
+    # the pairing
+    pairings = [
+        mat_mul(F, [list(col) for col in zip(*powers[k])], G)
+        for k in range(0, top - 1, 2)
+    ]
     chi = {}
     for r in underlying_set(lam):
         if r < top:
             kernel = nullspace(F, powers[r - 1])
         else:  # N^top = 0, so its kernel is the whole space
             kernel = [[int(i == j) for j in range(model.dim)] for i in range(model.dim)]
-        g_b = [mat_vec(F, G, b) for b in kernel]
-        odd = [mat_vec(F, N, b) for b in kernel]  # N^(2i+1) b
         for i in range(0, r // 2 + 1):
-            if not any(vec_dot(F, x, gb) for x, gb in zip(odd, g_b)):
+            if i == len(pairings) or not any(
+                pair(F, pairings[i], b, b) for b in kernel
+            ):
                 chi[r] = i
                 break
-            odd = [mat_vec(F, N, mat_vec(F, N, x)) for x in odd]
         else:
             raise InvariantViolation(f"chi search exceeded r/2 at r={r}")
     return OmegaParam.make(lam, chi)
@@ -259,23 +285,42 @@ def exotic_invariant(model):
     return recover_bipartition(lam, hat, n)
 
 
-def _projective_tuples(q, d):
-    """One coefficient tuple per line of GF(q)^d, first nonzero entry 1:
-    ordered by pivot, then by the digits after the pivot."""
-    for pivot in range(d):
-        head = (0,) * pivot + (1,)
-        for tail in itertools.product(range(q), repeat=d - pivot - 1):
-            yield head + tail
-
-
 def line_count(q, d):
     return (q**d - 1) // (q - 1)
 
 
 def _lines(F, basis):
-    """Normalized vectors of the lines of the span of basis."""
-    for coeffs in _projective_tuples(F.q, len(basis)):
-        yield normalize_vector(F, vec_mat(F, coeffs, basis))
+    """Normalized vectors of the lines of the span of basis.
+
+    Each line is the combination of the basis by one coefficient tuple
+    whose first nonzero entry is 1, its pivot.  The tuples are ordered by
+    pivot, then by the digits after the pivot as ``itertools.product``
+    lists them.  Along the walk, prefix[K] is the partial sum
+    head + sum_{k<K} t_k b_k of the current tuple (1, t_0, t_1, ...) over
+    the basis vectors (head, b_0, b_1, ...).  The next tuple raises one
+    digit t_K and resets the digits after it to 0, so one vector addition
+    gives prefix[K + 1], and the later partial sums are the same vector.
+    """
+    q = F.q
+    add = F.add_table
+    multiples = [[scale_vec(F, c, b) for c in range(q)] for b in basis]
+    for pivot, head in enumerate(basis):
+        rest = multiples[pivot + 1 :]
+        m = len(rest)
+        digits = [0] * m
+        prefix = [head] * (m + 1)
+        while True:
+            yield normalize_vector(F, prefix[m])
+            k = m - 1
+            while k >= 0 and digits[k] == q - 1:
+                digits[k] = 0
+                k -= 1
+            if k < 0:
+                break
+            t = digits[k] = digits[k] + 1
+            vec = [add[a][b] for a, b in zip(prefix[k], rest[k][t])]
+            for j in range(k + 1, m + 1):
+                prefix[j] = vec
 
 
 def enumerate_lines(model, r=None):
@@ -324,65 +369,106 @@ def quotient_model(model, line):
     With f = <-, w>, jstar the first index where f is nonzero and istar the
     first index other than jstar where w is, the quotient has the basis
     e_a - alpha_a e_jstar (a != istar, jstar; alpha = f / f_jstar), taken
-    modulo w to representatives with istar coordinate 0.  The matrices are
-    built row by row; the corrections touch only the nonzero entries.
+    modulo w to representatives with istar coordinate 0.  With j = jstar
+    and i = istar, its form and nilpotent are
+
+        gram2[a][b] = G[a][b] - G[a][j] alpha_b - alpha_a (G[j][b] - G[j][j] alpha_b)
+        n2[a][b] = N[a][b] - N[a][j] alpha_b - w_a / w_i (N[i][b] - N[i][j] alpha_b)
+
+    Everything but alpha and w depends only on the pivot pair (i, j), so
+    it is taken from the model once per pair (``_pivot_base``) and each
+    line copies those rows and applies its rank-one corrections to the
+    nonzero entries.  The model's matrices must not change once a quotient
+    has been taken.
     """
     F = model.field
-    d = model.dim
     w = line
-    G, N = model.gram, model.N
-    f = mat_vec(F, G, w)  # f[i] = <e_i, w>
+    add, sub, mul = F.add_table, F.sub_table, F.mul_table
+    columns = model._form_columns
+    if columns is None:
+        G = model.gram
+        columns = model._form_columns = [
+            [(a, row[b]) for a, row in enumerate(G) if row[b]] for b in range(model.dim)
+        ]
+    f = [0] * model.dim  # f[a] = <e_a, w>
+    for b, x in enumerate(w):
+        if x:
+            mx = mul[x]
+            for a, g in columns[b]:
+                f[a] = add[f[a]][mx[g]]
     if vec_dot(F, model.v, f) != 0:
         return V_NOT_PERP
     jstar = next(i for i, x in enumerate(f) if x)
     istar = next(i for i, x in enumerate(w) if x and i != jstar)
-    lo, hi = sorted((istar, jstar))
+    bases = model._pivot_bases
+    if bases is None:
+        bases = model._pivot_bases = {}
+    base = bases.get((istar, jstar))
+    if base is None:
+        base = bases[istar, jstar] = _pivot_base(model, istar, jstar)
+    kept, g0, n0, g_col, n_col, g_row, n_row, g_jj, n_ij, v0 = base
 
-    def drop(seq):
-        # seq without its istar and jstar entries
-        return seq[:lo] + seq[lo + 1 : hi] + seq[hi + 1 :]
-
-    sub, mul = F.sub_table, F.mul_table
     finv = F.inv(f[jstar])
-    alpha = [(k, mul[x][finv]) for k, x in enumerate(drop(f)) if x]
+    alpha = [(k, mul[f[a]][finv]) for k, a in enumerate(kept) if f[a]]
+    winv = F.inv(w[istar])
+    w_over = [(k, mul[w[a]][winv]) for k, a in enumerate(kept) if w[a]]
 
-    def restricted(rows):
-        # the rows on the basis e_a - alpha_a e_jstar; drop(r) inlined, as
-        # this runs on every row of every quotient
-        out = [r[:lo] + r[lo + 1 : hi] + r[hi + 1 :] for r in rows]
-        for row, r in zip(out, rows):
-            t = r[jstar]
-            if t:
-                mt = mul[t]
-                for k, al in alpha:
-                    row[k] = sub[row[k]][mt[al]]
-        return out
+    def corrected(row, c):
+        # the sparse nonzero entries of row - c alpha
+        if c:
+            row = list(row)
+            mc = mul[c]
+            for k, al in alpha:
+                row[k] = sub[row[k]][mc[al]]
+        return [(k, y) for k, y in enumerate(row) if y]
 
     def subtract(rows, coeffs, vec):
-        # rows[k] -= c * vec for every (k, c) in coeffs
-        vec = [(k, y) for k, y in enumerate(vec) if y]
+        # rows[k] -= c * vec for every (k, c) in coeffs; vec sparse
         for k, c in coeffs:
             row, mc = rows[k], mul[c]
             for kk, y in vec:
                 row[kk] = sub[row[kk]][mc[y]]
 
-    # the form: <e_a - alpha_a e_j, e_b - alpha_b e_j>
-    gram2 = restricted(drop(G))
-    subtract(gram2, alpha, restricted([G[jstar]])[0])
-    if any(gram2[k][k] for k in range(d - 2)):
+    gram2 = [row[:] for row in g0]
+    subtract(gram2, g_col, alpha)
+    subtract(gram2, alpha, corrected(g_row, g_jj))
+    if any([row[k] for k, row in enumerate(gram2)]):
         raise InvariantViolation("quotient form not alternating")
-    # N: each column's multiple of w comes from the istar row
-    n2 = restricted(drop(N))
-    winv = F.inv(w[istar])
-    lift = [mul[x][winv] for x in restricted([N[istar]])[0]]
-    subtract(n2, [(k, x) for k, x in enumerate(drop(w)) if x], lift)
-    v = model.v
-    if any(v):
-        cv = mul[v[istar]][winv]
-        v2 = [sub[x][mul[cv][y]] for x, y in zip(drop(v), drop(w))]
+    n2 = [row[:] for row in n0]
+    subtract(n2, n_col, alpha)
+    subtract(n2, w_over, corrected(n_row, n_ij))
+    if v0 is None:
+        v2 = [0] * len(kept)
     else:
-        v2 = [0] * (d - 2)
-    return FieldModel(F, d - 2, gram2, n2, v2, None)
+        cv = mul[model.v[istar]][winv]
+        v2 = [sub[x][mul[cv][w[a]]] for x, a in zip(v0, kept)]
+    return FieldModel(F, len(kept), gram2, n2, v2, None)
+
+
+def _pivot_base(model, istar, jstar):
+    """The part of quotient_model shared by every line with pivots (istar,
+    jstar): the kept indices, G and N on the kept rows and columns, the
+    nonzero entries of column jstar of G and of N on the kept rows, row
+    jstar of G and row istar of N on the kept columns, G[j][j], N[i][j],
+    and the model vector on the kept indices (None when it is zero)."""
+    G, N, v = model.gram, model.N, model.v
+    kept = [a for a in range(model.dim) if a != istar and a != jstar]
+
+    def column(mat, b):
+        return [(k, mat[a][b]) for k, a in enumerate(kept) if mat[a][b]]
+
+    return (
+        kept,
+        [[G[a][b] for b in kept] for a in kept],
+        [[N[a][b] for b in kept] for a in kept],
+        column(G, jstar),
+        column(N, jstar),
+        [G[jstar][b] for b in kept],
+        [N[istar][b] for b in kept],
+        G[jstar][jstar],
+        N[istar][jstar],
+        [v[a] for a in kept] if any(v) else None,
+    )
 
 
 def brute_force_restriction(param, fieldctx):
@@ -404,6 +490,12 @@ def _tally(param, fieldctx):
         raise InvalidParam("oracle needs rank >= 1")
     model = theory.of(param).standard_model(param, fieldctx)
     basis = nullspace(fieldctx, model.N)
+    lines = line_count(fieldctx.q, len(basis))
+    if lines > LINE_CAP:
+        raise InvalidParam(
+            f"{param} over GF({fieldctx.q}) has {lines} kernel lines,"
+            f" above the oracle's cap of {LINE_CAP}"
+        )
     invariant = chi_invariant if fieldctx.p == 2 else exotic_invariant
     chain = itertools.chain.from_iterable
     seen = {}
@@ -421,7 +513,7 @@ def _tally(param, fieldctx):
         if sub is None:
             sub = seen[key] = invariant(qm)
         tally[sub] = tally.get(sub, 0) + 1
-    return tally, empty, line_count(fieldctx.q, len(basis))
+    return tally, empty, lines
 
 
 def verify_against_formula(param, fieldctx):

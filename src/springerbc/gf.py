@@ -223,9 +223,12 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec):
+        """The representative of vec modulo the span, zero at every pivot.
+        vec is never changed; when no stored row touches it, it is returned
+        itself rather than copied."""
         sub = self.F.sub_table
         mul = self.F.mul_table
-        v = list(vec)
+        v = vec
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c:
@@ -239,11 +242,16 @@ class Echelon:
     def add(self, vec):
         """Insert vec; return True if it enlarged the span."""
         v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+        for piv, x in enumerate(v):
+            if x:
+                break
+        else:
             return False
-        if v[piv] != 1:
-            v = scale_vec(self.F, self.F.inv(v[piv]), v)
+        if x != 1:
+            mx = self.F.mul_table[self.F.inv_table[x]]
+            v = [mx[y] for y in v]
+        elif v is vec:
+            v = list(v)  # a stored row is never the caller's list
         self.rows.append(v)
         self.pivots.append(piv)
         return True

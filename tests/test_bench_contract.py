@@ -4,15 +4,17 @@
 layer module by name, and its closed-form checks count the restrictions
 made directly under ``evaluator.value``.  A deleted name it wraps makes
 ``install`` fail; a dispatch that calls a restriction other than through
-its module attribute hides the call from the counts.
+its module attribute hides the call from the counts.  The oracle's check
+that every kernel line gets one quotient counts the calls to
+``fforacle.quotient_model`` made through its module attribute.
 """
 
 import sys
 from pathlib import Path
 
 import springerbc
-from springerbc import evaluator, fforacle, gf
-from springerbc.params import omega_from_text
+from springerbc import evaluator, fforacle, gf, theory
+from springerbc.params import bipartition_from_text, omega_from_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -48,3 +50,23 @@ def test_traced_cold_tables_and_oracle_keep_the_counter_identities():
     assert not hasattr(gf.FieldCtx.pow, "__wrapped__")
     assert not hasattr(evaluator.value, "__wrapped__")
 
+
+
+def test_traced_oracle_takes_one_counted_quotient_per_kernel_line():
+    cases = [
+        (omega_from_text("2^2_1 1^2_0"), 2),
+        (bipartition_from_text("mu=[2,1] nu=[1]"), 3),  # with empty fibres
+    ]
+    for param, q in cases:
+        F = gf.field(q)
+        model = theory.of(param).standard_model(param, F)
+        lines = fforacle.line_count(q, len(gf.nullspace(F, model.N)))
+        tr = tracer.Tracer()
+        tr.install(springerbc)
+        try:
+            report = fforacle.verify_against_formula(param, F)
+        finally:
+            tr.uninstall()
+        assert report["pass"], param
+        assert tr.calls("fforacle.quotient_model") == tr.extra["fforacle.lines"] == lines
+    assert report["empty_fiber"] > 0

@@ -295,6 +295,20 @@ def test_too_deep_value_exits_2(capsys):
     assert (out, err) == ("", "error: rank 1000 is too deep for the value recursion\n")
 
 
+def test_oversized_oracle_and_table_exit_2(capsys):
+    oracle = ["oracle", "--theory", "sp2", "--param", "1^10_0", "--q", "64"]
+    assert run(oracle) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: 1^10_0 over GF(64) has 18300341342965825 kernel lines")
+    assert run(["table", "--theory", "sp2", "--n", "30"]) == 2
+    out, err = out_of(capsys)
+    assert (out, err) == (
+        "",
+        "error: rank 30 has at least 35002 parameters, above the table cap of 24842\n",
+    )
+
+
 def test_usage_errors(capsys):
     assert run(["restrict", "--theory", "sp2"]) == 2  # missing --param
     out_of(capsys)

@@ -303,3 +303,16 @@ def test_traced_counter_identities(monkeypatch, theory):
         assert counts["calls"] == counts["top"] + counts["miss_terms"]
     finally:
         evaluator.clear_cache()
+
+
+def test_table_size_is_checked_before_enumerating():
+    # the count the cap is checked against is the number of parameters
+    for n in range(9):
+        evaluator._check_table_size(n)
+        assert len(enumerate_omega(n)) == len(enumerate_bipartitions(n))
+    evaluator._check_table_size(20)  # 24 842 parameters, the cap itself
+    for theory_name in ("sp2", "exotic"):
+        with pytest.raises(InvalidParam, match="rank 21 has at least 35002 parameters"):
+            value_table(21, theory_name)
+    with pytest.raises(InvalidParam, match="above the table cap of 24842"):
+        value_table(10**9, "exotic")

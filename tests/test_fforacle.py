@@ -357,3 +357,12 @@ def test_verify_higher_rank_branch_coverage():
     # nonempty secondary range (its marked part 2 pairs with 3 above)
     rep = verify_against_formula(bp("mu=[2,2] nu=[1]"), GF3)
     assert rep["pass"], rep
+
+
+def test_oversized_walk_is_refused_before_it_starts():
+    # (64^10 - 1) / 63 kernel lines; the refusal comes before any of them
+    param = omega_from_text("1^10_0")
+    with pytest.raises(InvalidParam, match="18300341342965825 kernel lines.*10000000"):
+        brute_force_restriction(param, field(64))
+    with pytest.raises(InvalidParam):
+        verify_against_formula(param, field(64))

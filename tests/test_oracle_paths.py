@@ -3,12 +3,14 @@
 Each fast path in ``fforacle`` is compared with a plain reference kept here:
 Jordan types from the ranks of explicit matrix powers, the chi search over
 rebuilt powers and ``pair``, quotient matrices built column by column, and a
-tally with no invariant memo.  The line order is pinned against the plain
-pivot-then-product enumeration.
+tally with no invariant memo.  The line walk is pinned against one
+combination of the basis per tuple of the plain pivot-then-product
+enumeration.
 """
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -23,7 +25,6 @@ from springerbc.fforacle import (
     V_NOT_PERP,
     FieldModel,
     _lines,
-    _projective_tuples,
     brute_force_restriction,
     chi_invariant,
     enumerate_lines,
@@ -34,7 +35,17 @@ from springerbc.fforacle import (
     standard_model_exotic,
     standard_model_symplectic,
 )
-from springerbc.gf import field, mat_mul, mat_vec, nullspace, pair, rank, vec_dot
+from springerbc.gf import (
+    field,
+    mat_mul,
+    mat_vec,
+    normalize_vector,
+    nullspace,
+    pair,
+    rank,
+    vec_dot,
+    vec_mat,
+)
 from springerbc.params import (
     OmegaParam,
     enumerate_bipartitions,
@@ -209,9 +220,13 @@ def test_chi_invariant_matches_reference_on_every_quotient():
 
 
 def test_quotient_model_matches_columnwise_reference():
+    # each model's lines in a shuffled order, so that the base cached for a
+    # pivot pair is not always built by the same line
     checked = 0
     for param, model in _models(3, (GF2, GF4), (GF3, GF5)):
-        for line in enumerate_lines(model):
+        lines = list(enumerate_lines(model))
+        random.Random(str(param)).shuffle(lines)
+        for line in lines:
             got = quotient_model(model, line)
             want = ref_quotient_model(model, line)
             if want is V_NOT_PERP:
@@ -225,6 +240,20 @@ def test_quotient_model_matches_columnwise_reference():
             ), (param, line)
             checked += 1
     assert checked > 0
+
+
+def test_chi_invariant_matches_reference_on_every_rank_4_quotient():
+    # each distinct quotient of the rank-5 models over GF(2) once
+    seen = set()
+    for p in enumerate_omega(5):
+        model = standard_model_symplectic(p, GF2)
+        for line in enumerate_lines(model):
+            qm = quotient_model(model, line)
+            key = repr((qm.N, qm.gram))
+            if key not in seen:
+                seen.add(key)
+                assert chi_invariant(qm) == ref_chi_invariant(qm), (p, line)
+    assert len(seen) > 1000
 
 
 def test_memoized_tally_matches_unmemoized():
@@ -244,9 +273,24 @@ def test_unranked_tuple_is_kth_tuple(q, d):
     # the k-th line is the reference's k-th tuple, over the unit basis
     full = list(ref_projective_tuples(q, d))
     assert len(full) == line_count(q, d)
-    assert list(_projective_tuples(q, d)) == full
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
     assert list(_lines(field(q), identity)) == [list(t) for t in full]
+
+
+def test_line_walk_matches_plain_combinations_on_kernel_bases():
+    # each distinct kernel basis of the models of rank <= 4 once
+    bases = {}
+    for _, model in _models(4, (GF2, GF4), (GF3, GF5)):
+        F = model.field
+        basis = nullspace(F, model.N)
+        bases[F.q, repr(basis)] = F, basis
+    for F, basis in bases.values():
+        want = [
+            normalize_vector(F, vec_mat(F, coeffs, basis))
+            for coeffs in ref_projective_tuples(F.q, len(basis))
+        ]
+        assert list(_lines(F, basis)) == want, (F, basis)
+    assert len(bases) > 50
 
 
 # --- checks under python -O --------------------------------------------------------------
