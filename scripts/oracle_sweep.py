@@ -16,6 +16,7 @@ import time
 from springerbc.cli import pipe_safe, reported
 from springerbc.fforacle import verify_against_formula
 from springerbc.gf import field
+from springerbc.params import check_rank
 from springerbc.theory import EXOTIC, SP2
 
 
@@ -26,6 +27,7 @@ def main():
     ap.add_argument("--exotic-fields", type=int, nargs="*", default=[3, 5])
     args = ap.parse_args()
 
+    check_rank(args.max_n)  # the top rank, before the first rank runs
     t0 = time.perf_counter()
     sweeps = [
         (SP2, [field(q) for q in args.sp2_fields]),

@@ -46,7 +46,6 @@ from .fforacle import (
     V_NOT_PERP,
     brute_force_restriction,
     chi_invariant,
-    enumerate_lines,
     exotic_invariant,
     jordan_type,
     quotient_model,

@@ -18,7 +18,7 @@ from .errors import InvalidParam, SpringerError
 from .evaluator import value, value_table
 from .fforacle import verify_against_formula
 from .gf import field
-from .params import iota, iota_inv, paving_predicates, to_limit_symbol
+from .params import check_rank, iota, iota_inv, paving_predicates, to_limit_symbol
 from .qpoly import ONE, poly_to_text
 from .restrict import check_equivalence
 from .theory import EXOTIC, SP2, THEORIES
@@ -106,6 +106,7 @@ def cmd_oracle(args):
 def cmd_equivalence(args):
     if args.n < 1:
         raise InvalidParam(f"--n must be >= 1, got {args.n}")
+    check_rank(args.n)  # the top rank, before the first rank runs
     docs, lines = [], []
     for n in range(1, args.n + 1):
         report = check_equivalence(n)

@@ -128,37 +128,11 @@ def _new_pack(packs, p, slot):
     return entry
 
 
-# The most parameters one table takes on: those of rank 20.  Rank 16 has
-# 5 822 and its table takes about 1.3 s on a 2-vCPU host.
-TABLE_CAP = 24_842
-
-
 def value_table(n, theory):
     """Rows (parameter, value at id, value at s1) for every rank-n parameter,
-    in enumeration order.  ``theory`` is "sp2" or "exotic".  A rank with
-    more than TABLE_CAP parameters is refused before any is enumerated."""
+    in enumeration order.  ``theory`` is "sp2" or "exotic".  The enumeration
+    refuses an oversized rank (``params.check_rank``) before any value."""
     if theory not in THEORIES:
         raise InvalidParam(f"theory must be 'sp2' or 'exotic', got {theory!r}")
-    _check_table_size(n)
     params = THEORIES[theory].enumerate(n)
     return [(p, value(p, "id"), value(p, "s1")) for p in params]
-
-
-def _check_table_size(n):
-    """Raise InvalidParam when rank n has more than TABLE_CAP parameters.
-
-    Either theory has one rank-n parameter per bipartition of n.  Their
-    number b(n) grows with n, so it is counted rank by rank, up to n or the
-    first rank above the cap.  The generating function of b is the product
-    over k of (1 - x^k)^-2, whence m b(m) = 2 sum_{k=1}^{m} sigma(k) b(m - k),
-    with sigma(k) the sum of the divisors of k.
-    """
-    b, sigma = [1], [0]
-    for m in range(1, n + 1):
-        sigma.append(sum(d for d in range(1, m + 1) if m % d == 0))
-        b.append(2 * sum(sigma[k] * b[m - k] for k in range(1, m + 1)) // m)
-        if b[m] > TABLE_CAP:
-            raise InvalidParam(
-                f"rank {n} has at least {b[m]} parameters,"
-                f" above the table cap of {TABLE_CAP}"
-            )

@@ -323,45 +323,6 @@ def _lines(F, basis):
                 prefix[j] = vec
 
 
-def enumerate_lines(model, r=None):
-    """Yield one normalized vector per rational line of ker N.
-
-    With no ``r`` the lines run over the whole kernel; with ``r`` they are
-    the lines inside the depth-r kernel layer but not the deeper one
-    (depth-r layer: kernel vectors that are (r-1)-fold images).
-    """
-    F = model.field
-    if r is None:
-        yield from _lines(F, nullspace(F, model.N))
-        return
-    skip = Echelon(F, model.dim)
-    for bvec in _layer_basis(model, r + 1):
-        skip.add(bvec)
-    for vec in _lines(F, _layer_basis(model, r)):
-        if not skip.contains(vec):
-            yield vec
-
-
-def _layer_basis(model, r):
-    """Basis of ker N intersected with the image of N^(r-1), computed as the
-    (r-1)-fold image of ker N^r."""
-    F = model.field
-    if r <= 1:
-        return nullspace(F, model.N)
-    power = model.N
-    for _ in range(r - 2):
-        power = mat_mul(F, power, model.N)
-    # power == N^(r-1)
-    ker_r = nullspace(F, mat_mul(F, power, model.N))
-    ech = Echelon(F, model.dim)
-    out = []
-    for bvec in ker_r:
-        img = mat_vec(F, power, bvec)
-        if ech.add(img):
-            out.append(img)
-    return out
-
-
 def quotient_model(model, line):
     """Model induced on (line-perp)/line, or V_NOT_PERP when the model vector
     pairs nontrivially with the line (empty fiber, bipartition theory).
@@ -488,7 +449,8 @@ def _tally(param, fieldctx):
     distinct quotient (see the module docstring)."""
     if param.rank < 1:
         raise InvalidParam("oracle needs rank >= 1")
-    model = theory.of(param).standard_model(param, fieldctx)
+    th = theory.of(param)
+    model = th.standard_model(param, fieldctx)
     basis = nullspace(fieldctx, model.N)
     lines = line_count(fieldctx.q, len(basis))
     if lines > LINE_CAP:
@@ -496,7 +458,6 @@ def _tally(param, fieldctx):
             f"{param} over GF({fieldctx.q}) has {lines} kernel lines,"
             f" above the oracle's cap of {LINE_CAP}"
         )
-    invariant = chi_invariant if fieldctx.p == 2 else exotic_invariant
     chain = itertools.chain.from_iterable
     seen = {}
     tally = {}
@@ -511,7 +472,7 @@ def _tally(param, fieldctx):
         key = bytes(chain((chain(qm.N), chain(qm.gram), qm.v)))
         sub = seen.get(key)
         if sub is None:
-            sub = seen[key] = invariant(qm)
+            sub = seen[key] = th.invariant(qm)
         tally[sub] = tally.get(sub, 0) + 1
     return tally, empty, lines
 

@@ -301,12 +301,15 @@ def test_oversized_oracle_and_table_exit_2(capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert err.startswith("error: 1^10_0 over GF(64) has 18300341342965825 kernel lines")
-    assert run(["table", "--theory", "sp2", "--n", "30"]) == 2
-    out, err = out_of(capsys)
-    assert (out, err) == (
-        "",
-        "error: rank 30 has at least 35002 parameters, above the table cap of 24842\n",
-    )
+    for argv in (
+        ["table", "--theory", "sp2", "--n", "30"],
+        ["enumerate", "--theory", "sp2", "--n", "30"],
+        ["equivalence", "--n", "30"],
+    ):
+        assert run(argv) == 2
+        out, err = out_of(capsys)
+        assert (out, err) == ("", "error: rank 30 has at least 35002 parameters,"
+                              " above the table cap of 24842\n")
 
 
 def test_usage_errors(capsys):

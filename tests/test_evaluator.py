@@ -18,6 +18,7 @@ from springerbc.evaluator import value, value_table
 from springerbc.params import (
     OmegaParam,
     bipartition_from_text,
+    check_rank,
     enumerate_bipartitions,
     enumerate_omega,
     iota,
@@ -308,9 +309,9 @@ def test_traced_counter_identities(monkeypatch, theory):
 def test_table_size_is_checked_before_enumerating():
     # the count the cap is checked against is the number of parameters
     for n in range(9):
-        evaluator._check_table_size(n)
+        check_rank(n)
         assert len(enumerate_omega(n)) == len(enumerate_bipartitions(n))
-    evaluator._check_table_size(20)  # 24 842 parameters, the cap itself
+    check_rank(20)  # 24 842 parameters, the cap itself
     for theory_name in ("sp2", "exotic"):
         with pytest.raises(InvalidParam, match="rank 21 has at least 35002 parameters"):
             value_table(21, theory_name)

@@ -13,9 +13,9 @@ from springerbc.errors import (
 from springerbc.fforacle import (
     FieldModel,
     V_NOT_PERP,
+    _lines,
     brute_force_restriction,
     chi_invariant,
-    enumerate_lines,
     exotic_invariant,
     jordan_type,
     line_count,
@@ -24,7 +24,7 @@ from springerbc.fforacle import (
     standard_model_symplectic,
     verify_against_formula,
 )
-from springerbc.gf import field, mat_mul, mat_vec
+from springerbc.gf import field, mat_mul, mat_vec, nullspace
 from springerbc.params import (
     Bipartition,
     bipartition_from_text,
@@ -33,7 +33,12 @@ from springerbc.params import (
     omega_from_text,
     underlying_set,
 )
-from springerbc.partitions import Partition, multiplicity, sum_partitions
+from springerbc.partitions import (
+    Partition,
+    multiplicity,
+    sum_partitions,
+    union_partitions,
+)
 
 GF2, GF3, GF4, GF5 = field(2), field(3), field(4), field(5)
 EXO1 = Bipartition(Partition([4, 3, 2, 2, 2, 2, 1]), Partition([3, 3, 3, 2, 1, 1]))
@@ -45,6 +50,11 @@ def om(text):
 
 def bp(text):
     return bipartition_from_text(text)
+
+
+def kernel_lines(model):
+    """The oracle's walk over the lines of ker N."""
+    return _lines(model.field, nullspace(model.field, model.N))
 
 
 # --- models ------------------------------------------------------------------
@@ -190,29 +200,14 @@ def test_standard_models_are_pinned():
 
 
 def test_enumerate_lines_counts():
-    assert len(list(enumerate_lines(standard_model_symplectic(om("2^2_1"), GF2)))) == 3
-    assert len(list(enumerate_lines(standard_model_symplectic(om("1^4_0"), GF2)))) == 15
+    assert len(list(kernel_lines(standard_model_symplectic(om("2^2_1"), GF2)))) == 3
+    assert len(list(kernel_lines(standard_model_symplectic(om("1^4_0"), GF2)))) == 15
     model = standard_model_exotic(bp("mu=[1] nu=[1]"), GF3)
-    lines = list(enumerate_lines(model))
+    lines = list(kernel_lines(model))
     assert len(lines) == 4 == line_count(3, 2)
     for vec in lines:
         assert mat_vec(GF3, model.N, vec) == [0] * model.dim
         assert next(x for x in vec if x) == 1
-
-
-def test_enumerate_lines_strata_partition_kernel():
-    for param, F in [
-        (om("4^1_2 2^1_1"), GF2),
-        (om("2^2_1 1^2_0"), GF2),
-        (bp("mu=[1,1] nu=[1]"), GF3),
-    ]:
-        model = theory.of(param).standard_model(param, F)
-        lam = jordan_type(F, model.N, model.dim)
-        total = list(enumerate_lines(model))
-        by_stratum = []
-        for r in underlying_set(lam):
-            by_stratum.extend(enumerate_lines(model, r=r))
-        assert sorted(map(tuple, by_stratum)) == sorted(map(tuple, total))
 
 
 # --- quotients -------------------------------------------------------------------
@@ -222,7 +217,7 @@ def test_quotient_classes_spec_example():
     # two lines drop one box twice, one line collapses a block by two
     model = standard_model_symplectic(om("2^2_1"), GF2)
     types = []
-    for line in enumerate_lines(model):
+    for line in kernel_lines(model):
         qm = quotient_model(model, line)
         types.append(jordan_type(GF2, qm.N, qm.dim))
     assert sorted(types) == [(1, 1), (2,), (2,)]
@@ -231,7 +226,7 @@ def test_quotient_classes_spec_example():
 def test_quotient_structural_invariants():
     for param, F in [(om("2^2_1 1^2_0"), GF2), (bp("mu=[1,1] nu=[1]"), GF3)]:
         model = theory.of(param).standard_model(param, F)
-        for line in enumerate_lines(model):
+        for line in kernel_lines(model):
             qm = quotient_model(model, line)
             if qm is V_NOT_PERP:
                 continue
@@ -240,47 +235,84 @@ def test_quotient_structural_invariants():
             qm.check()
 
 
-def test_quotient_types_obey_lemma():
-    # symplectic: a line at depth r either drops one box from two copies of
-    # r or shrinks a single r by two; nothing else
-    from springerbc.partitions import substitute, union_partitions
+def lowered(lam, jt):
+    """(lam minus jt, jt minus lam) as sorted multisets of parts."""
+    rest = list(jt)
+    gone = []
+    for r in lam:
+        if r in rest:
+            rest.remove(r)
+        else:
+            gone.append(r)
+    return tuple(gone), tuple(rest)
 
-    for text in ("2^3_1", "2^2_1 1^2_0", "4^1_2 2^1_1"):
-        p = om(text)
-        model = standard_model_symplectic(p, GF2)
-        for r in underlying_set(p.lam):
-            allowed = set()
-            if multiplicity(p.lam, r) >= 2:
-                allowed.add(tuple(substitute(p.lam, (r, r), (r - 1, r - 1))))
-            if r >= 2:
-                allowed.add(tuple(substitute(p.lam, (r,), (r - 2,))))
-            for line in enumerate_lines(model, r=r):
-                qm = quotient_model(model, line)
-                assert tuple(jordan_type(GF2, qm.N, qm.dim)) in allowed, (p, r)
+
+def depth_lines(lam, r, q):
+    """The number of lines of ker N at depth r: in the image of N^(r-1) but
+    not of N^r.  That image meets ker N in one dimension per part >= r."""
+    above = multiplicity(lam, r, "geq"), multiplicity(lam, r + 1, "geq")
+    return (q ** above[0] - q ** above[1]) // (q - 1)
+
+
+def test_quotient_types_obey_lemma():
+    # symplectic: each line either drops one box from two copies of a part r
+    # or shrinks a single r by two, and the lines lowering r are exactly the
+    # lines at depth r; r is read off the Jordan types alone
+    for F in (GF2, GF4):
+        for n in range(1, 5):
+            for p in enumerate_omega(n):
+                model = standard_model_symplectic(p, F)
+                types = {}
+                counts = {}
+                for line in kernel_lines(model):
+                    qm = quotient_model(model, line)
+                    key = repr(qm.N)
+                    if key not in types:
+                        types[key] = lowered(p.lam, jordan_type(F, qm.N, qm.dim))
+                    gone, new = types[key]
+                    r = gone[0]
+                    assert (gone, new) in {
+                        ((r, r), (r - 1, r - 1) if r > 1 else ()),
+                        ((r,), (r - 2,) if r > 2 else ()),
+                    }, (p, gone, new)
+                    counts[r] = counts.get(r, 0) + 1
+                assert counts == {
+                    r: depth_lines(p.lam, r, F.q) for r in underlying_set(p.lam)
+                }, (p, F.q)
 
 
 def test_exotic_quotient_type_is_doubled_shrink():
-    # every exotic quotient at depth r has type (lam with one r shrunk by
-    # one box), doubled
-    for text in ("mu=[1] nu=[1,1]", "mu=[1,1] nu=[1]", "mu=[2] nu=[1]"):
-        b = bp(text)
-        model = standard_model_exotic(b, GF3)
-        lam = sum_partitions(b.mu, b.nu)
-        from springerbc.partitions import substitute, union_partitions
-
-        for r in underlying_set(lam):
-            shrunk = substitute(lam, (r,), (r - 1,))
-            expected = tuple(union_partitions(shrunk, shrunk))
-            for line in enumerate_lines(model, r=r):
+    # every nonempty exotic quotient has type (lam with one part r shrunk by
+    # one box), doubled; at most the lines at depth r lower r
+    for n in range(1, 5):
+        for b in enumerate_bipartitions(n):
+            model = standard_model_exotic(b, GF3)
+            lam = sum_partitions(b.mu, b.nu)
+            doubled = union_partitions(lam, lam)
+            types = {}
+            counts = {}
+            empty = 0
+            for line in kernel_lines(model):
                 qm = quotient_model(model, line)
                 if qm is V_NOT_PERP:
+                    empty += 1
                     continue
-                assert tuple(jordan_type(GF3, qm.N, qm.dim)) == expected, (b, r)
+                key = repr(qm.N)
+                if key not in types:
+                    types[key] = lowered(doubled, jordan_type(GF3, qm.N, qm.dim))
+                gone, new = types[key]
+                r = gone[0]
+                assert (gone, new) == ((r, r), (r - 1, r - 1) if r > 1 else ()), b
+                counts[r] = counts.get(r, 0) + 1
+            for r, count in counts.items():
+                assert count <= depth_lines(doubled, r, 3), (b, r)
+            dim_ker = len(nullspace(GF3, model.N))
+            assert sum(counts.values()) + empty == line_count(3, dim_ker), b
 
 
 def test_quotient_empty_fiber_marker():
     model = standard_model_exotic(bp("mu=[1] nu=[]"), GF3)
-    results = [quotient_model(model, line) for line in enumerate_lines(model)]
+    results = [quotient_model(model, line) for line in kernel_lines(model)]
     assert sum(1 for r in results if r is V_NOT_PERP) == 3
 
 

@@ -27,7 +27,6 @@ from springerbc.fforacle import (
     _lines,
     brute_force_restriction,
     chi_invariant,
-    enumerate_lines,
     exotic_invariant,
     jordan_type,
     line_count,
@@ -137,7 +136,7 @@ def ref_tally(model):
     """brute_force_restriction without the per-call invariant memo."""
     invariant = chi_invariant if model.field.p == 2 else exotic_invariant
     tally, empty = {}, 0
-    for line in enumerate_lines(model):
+    for line in _lines(model.field, nullspace(model.field, model.N)):
         qm = quotient_model(model, line)
         if qm is V_NOT_PERP:
             empty += 1
@@ -211,7 +210,7 @@ def test_jordan_type_rejects_non_nilpotent_input(case, data):
 def test_chi_invariant_matches_reference_on_every_quotient():
     checked = 0
     for _, model in _models(3, (GF2, GF4), ()):
-        for line in enumerate_lines(model):
+        for line in _lines(model.field, nullspace(model.field, model.N)):
             qm = quotient_model(model, line)
             assert chi_invariant(qm) == ref_chi_invariant(qm), line
             checked += 1
@@ -224,7 +223,7 @@ def test_quotient_model_matches_columnwise_reference():
     # pivot pair is not always built by the same line
     checked = 0
     for param, model in _models(3, (GF2, GF4), (GF3, GF5)):
-        lines = list(enumerate_lines(model))
+        lines = list(_lines(model.field, nullspace(model.field, model.N)))
         random.Random(str(param)).shuffle(lines)
         for line in lines:
             got = quotient_model(model, line)
@@ -247,7 +246,7 @@ def test_chi_invariant_matches_reference_on_every_rank_4_quotient():
     seen = set()
     for p in enumerate_omega(5):
         model = standard_model_symplectic(p, GF2)
-        for line in enumerate_lines(model):
+        for line in _lines(model.field, nullspace(model.field, model.N)):
             qm = quotient_model(model, line)
             key = repr((qm.N, qm.gram))
             if key not in seen:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -238,10 +239,22 @@ def test_bijection_checks_raise_under_python_O():
     assert done.stdout.split() == ["raised"]
 
 
-def test_iota_independent_of_s():
-    for p in all_params(5):
-        smin = (len(p.lam) + 1) // 2
-        assert iota(p, s=smin) == iota(p, s=smin + 1) == iota(p, s=smin + 3)
+# sha256 of the lines "p|iota(p)" for every sp2 parameter and "b|iota_inv(b)"
+# for every bipartition, rank by rank for n <= 12, in enumeration order.
+# Round trips alone would still pass if both directions changed in step.
+BIJECTION_SHA256 = "3a2d9f01d1bb4fb3f9cbd3b45ec335f6d870252d7415b3d951a67a51fa5ecfa5"
+
+
+def test_bijection_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in range(13):
+        for p in enumerate_omega(n):
+            digest.update(f"{p}|{iota(p)}\n".encode())
+            count += 1
+        for b in enumerate_bipartitions(n):
+            digest.update(f"{b}|{iota_inv(b)}\n".encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (6264, BIJECTION_SHA256)
 
 
 def test_iota_round_trips():

@@ -49,8 +49,10 @@ def test_oracle_sweep():
         ["oracle_sweep.py", "--max-n", "1", "--exotic-fields", "6"],  # no field
         ["character_tables.py", "--theory", "sp2", "--n", "-1"],
         ["character_tables.py", "--theory", "exotic", "--n", "30"],
+        ["oracle_sweep.py", "--max-n", "30"],
     ],
-    ids=["sp2_field_3", "exotic_field_6", "negative_rank", "oversized_rank"],
+    ids=["sp2_field_3", "exotic_field_6", "negative_rank", "oversized_rank",
+         "oversized_sweep"],
 )
 def test_bad_input_exits_2_without_traceback(argv):
     done = run_script(*argv)

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import springerbc
+from springerbc import fforacle
+from springerbc.gf import field
 from springerbc.params import iota
 from springerbc.theory import EXOTIC, SP2, THEORIES, of
 
@@ -59,3 +61,17 @@ def test_record_serves_its_parameters(name):
 
 def test_rank1_parameters_correspond_under_iota():
     assert tuple(iota(p) for p in SP2.rank1) == EXOTIC.rank1
+
+
+@pytest.mark.parametrize("name, q, attr", [
+    ("sp2", 2, "chi_invariant"),
+    ("exotic", 3, "exotic_invariant"),
+])
+def test_invariant_recovers_the_parameter_of_its_model(name, q, attr, monkeypatch):
+    th = THEORIES[name]
+    for n in range(5):
+        for p in th.enumerate(n):
+            assert th.invariant(th.standard_model(p, field(q))) == p
+    # read off fforacle at call time, so that a wrapped invariant is called
+    monkeypatch.setattr(fforacle, attr, lambda model: ("wrapped", model))
+    assert th.invariant("model") == ("wrapped", "model")
