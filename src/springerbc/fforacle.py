@@ -41,7 +41,6 @@ from .gf import (
     mat_vec,
     normalize_vector,
     nullspace,
-    pair,
     rank,
     scale_vec,
     vec_dot,
@@ -177,16 +176,15 @@ def standard_model_exotic(b, fieldctx):
     return model.check()
 
 
-def jordan_type(fieldctx, mat, dim):
-    """Jordan type of a nilpotent matrix from its rank sequence.
-
-    The rows of N^k span the image of the row space of N^(k-1) under
-    x -> xN, so each rank comes from the previous echelon basis by one
-    vector-matrix product per basis row; no power of N is formed.
-    """
+def _jordan_chain(fieldctx, mat, dim):
+    """Jordan type of a nilpotent matrix and the chain of its row spaces:
+    chain[k - 1] is an echelon basis of the row space of N^k, for k up to
+    the largest part, where it is 0.  That row space is the image of the
+    one of N^(k-1) under x -> xN, so no power of N is formed."""
     if dim == 0:
-        return Partition()
+        return Partition(), []
     ranks = [dim]
+    chain = []
     ech = Echelon(fieldctx, dim)
     for row in mat:
         ech.add(row)
@@ -195,6 +193,7 @@ def jordan_type(fieldctx, mat, dim):
         if r == ranks[-1]:
             raise NotNilpotent(f"rank stabilized at {r} > 0")
         ranks.append(r)
+        chain.append(ech)
         if r == 0:
             break
         rows = ech.rows
@@ -209,44 +208,48 @@ def jordan_type(fieldctx, mat, dim):
     jt = Partition(parts)
     if jt.size != dim:
         raise InvariantViolation(f"Jordan type {jt} does not have size {dim}")
-    return jt
+    return jt, chain
+
+
+def jordan_type(fieldctx, mat, dim):
+    """Jordan type of a nilpotent matrix from its rank sequence."""
+    return _jordan_chain(fieldctx, mat, dim)[0]
 
 
 def chi_invariant(model):
     """Recover the (lam, chi) parameter of a characteristic-2 model.
 
-    chi(r) is the least i >= 0 such that the form pairing of N^(2i+1)x
-    against x vanishes on a basis of ker N^r; basis vanishing suffices
-    because the pairing is additive in x here and scales by squares.
+    chi(r) is the least i >= 0 such that <N^(2i+1)x, x> vanishes on ker N^r.
+    As N is self-adjoint for the form G, P = (N^(2i+1))^T G is symmetric,
+    so in characteristic 2 the cross terms of x^T P x cancel in pairs:
+    x^T P x = sum_a P[a][a] x_a^2 = (s . x)^2 with s_a^2 = P[a][a].  The
+    pairing thus vanishes on ker N^r exactly when s lies in (ker N^r)^perp,
+    the row space of N^r, which the rank chain holds.  From 2i + 1 = top
+    on, N^(2i+1) = 0 and so is the pairing.
     """
     F = model.field
     if F.p != 2:
         raise BadCharacteristic("invariant defined in characteristic 2")
-    N, G = model.N, model.gram
-    lam = jordan_type(F, N, model.dim)
+    N, dim = model.N, model.dim
+    lam, chain = _jordan_chain(F, N, dim)
     if not lam:
         return OmegaParam.make(lam, {})
     top = lam.part_at(1)
-    powers = [N]  # powers[j] = N^(j+1), below the largest part
-    while len(powers) < top - 1:
-        powers.append(mat_mul(F, powers[-1], N))
-    # pairings[i] = (N^(2i+1))^T G, so that the pairing of N^(2i+1)x against
-    # x is x^T pairings[i] x; from 2i + 1 = top on, N^(2i+1) = 0 and so is
-    # the pairing
-    pairings = [
-        mat_mul(F, [list(col) for col in zip(*powers[k])], G)
-        for k in range(0, top - 1, 2)
-    ]
+    add, mul, sqrt = F.add_table, F.mul_table, F.sqrt_table
+    form_rows = [[(a, g) for a, g in enumerate(row) if g] for row in model.gram]
+    square = mat_mul(F, N, N) if top > 3 else None
+    roots = []  # roots[i] = s for the pairing of N^(2i+1), while 2i + 1 < top
+    for i in range(top // 2):
+        odd = mat_mul(F, odd, square) if i else N  # N^(2i+1)
+        diag = [0] * dim  # diag[a] = sum_b N^(2i+1)[b][a] G[b][a]
+        for odd_row, form_row in zip(odd, form_rows):
+            for a, g in form_row:
+                diag[a] = add[diag[a]][mul[odd_row[a]][g]]
+        roots.append([sqrt[x] for x in diag])
     chi = {}
     for r in underlying_set(lam):
-        if r < top:
-            kernel = nullspace(F, powers[r - 1])
-        else:  # N^top = 0, so its kernel is the whole space
-            kernel = [[int(i == j) for j in range(model.dim)] for i in range(model.dim)]
         for i in range(0, r // 2 + 1):
-            if i == len(pairings) or not any(
-                pair(F, pairings[i], b, b) for b in kernel
-            ):
+            if i == len(roots) or chain[r - 1].contains(roots[i]):
                 chi[r] = i
                 break
         else:

@@ -81,6 +81,8 @@ class FieldCtx:
             raise InvariantViolation(f"no monic irreducible of degree {k} over GF({p})")
         self.mul_table = mul
         self.inv_table = [0] + [row.index(1) for row in mul[1:]]
+        # in characteristic 2 squaring is a bijection; a -> a^(q/2) inverts it
+        self.sqrt_table = [self.pow(a, q // 2) for a in range(q)] if p == 2 else None
 
     def _digits(self, a):
         out = []
@@ -181,11 +183,6 @@ def vec_dot(F, x, y):
         if a and b:
             acc = add[acc][mul[a][b]]
     return acc
-
-
-def pair(F, gram, x, y):
-    """The bilinear pairing x^T gram y."""
-    return vec_dot(F, x, mat_vec(F, gram, y))
 
 
 def scale_vec(F, c, vec):

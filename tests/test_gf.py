@@ -45,6 +45,13 @@ def test_frobenius_fixes_every_point(q):
     assert all(F.pow(a, q) == a for a in range(q))
 
 
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
+def test_square_root_table_inverts_squaring(q):
+    F = field(q)
+    assert sorted(F.sqrt_table) == list(range(q))
+    assert all(F.sqrt_table[F.mul(a, a)] == a for a in range(q))
+
+
 def poly_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

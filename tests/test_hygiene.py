@@ -11,7 +11,8 @@ a failed check as ``InvariantViolation``.
 
 Every public module-level function and class in ``src/`` has a caller in
 ``src/``, ``scripts/``, ``bench/`` or the acceptance suite: no API serves
-only its own unit test.
+only its own unit test.  A caller names it by ``from ... import`` or as
+``module.name``; a bare name counts only inside the defining module.
 """
 
 import ast
@@ -79,29 +80,44 @@ def public_definitions(path):
                 yield node.lineno, node.name
 
 
-def referenced_names(path):
-    """Every name a module reads, as a name, an attribute or an import."""
+def references(path):
+    """What a module reads: its bare names, its ``owner.attr`` pairs (owner
+    the last component of the expression before the dot) and the names it
+    imports with ``from ... import``."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    bare, qualified, imported = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                qualified.add((owner.id, node.attr))
+            elif isinstance(owner, ast.Attribute):
+                qualified.add((owner.attr, node.attr))
         elif isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
+            imported.update(alias.name for alias in node.names)
+    return bare, qualified, imported
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
+    # a bare name is a caller only in the defining module: elsewhere a
+    # local variable of the same name would pass for a call
     src = sorted((ROOT / "src" / "springerbc").glob("*.py"))
     src = [path for path in src if path.name != "__init__.py"]
     callers = src + sorted((ROOT / "scripts").glob("*.py"))
     callers += sorted((ROOT / "bench").glob("*.py"))
     callers.append(ROOT / "tests" / "test_acceptance.py")
-    used = {name for path in callers for name in referenced_names(path)}
+    refs = {path: references(path) for path in callers}
+    qualified = set().union(*(q for _, q, _ in refs.values()))
+    imported = set().union(*(i for _, _, i in refs.values()))
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in src
         for line, name in public_definitions(path)
-        if name not in used and name not in NO_CALLER_ON_PURPOSE
+        if name not in refs[path][0]
+        and (path.stem, name) not in qualified
+        and name not in imported
+        and name not in NO_CALLER_ON_PURPOSE
     ]
     assert not found, "no caller outside the tests:\n" + "\n".join(found)

@@ -2,10 +2,10 @@
 
 Each fast path in ``fforacle`` is compared with a plain reference kept here:
 Jordan types from the ranks of explicit matrix powers, the chi search over
-rebuilt powers and ``pair``, quotient matrices built column by column, and a
-tally with no invariant memo.  The line walk is pinned against one
-combination of the basis per tuple of the plain pivot-then-product
-enumeration.
+rebuilt powers and the form x^T G y on each kernel basis vector, quotient
+matrices built column by column, and a tally with no invariant memo.  The
+line walk is pinned against one combination of the basis per tuple of the
+plain pivot-then-product enumeration.
 """
 
 import itertools
@@ -40,7 +40,6 @@ from springerbc.gf import (
     mat_vec,
     normalize_vector,
     nullspace,
-    pair,
     rank,
     vec_dot,
     vec_mat,
@@ -80,7 +79,8 @@ def ref_jordan_type(F, mat, dim):
 
 
 def ref_chi_invariant(model):
-    """The chi search over rebuilt powers N^1 .. N^(l+1) and ``pair``."""
+    """The chi search over rebuilt powers N^1 .. N^(l+1), testing the form
+    pairing of N^(2i+1)b against b for every kernel basis vector b."""
     F = model.field
     lam = ref_jordan_type(F, model.N, model.dim)
     if not lam:
@@ -93,7 +93,10 @@ def ref_chi_invariant(model):
         kernel = nullspace(F, powers[r - 1])
         for i in range(0, r // 2 + 1):
             odd = powers[2 * i]
-            if all(pair(F, model.gram, mat_vec(F, odd, b), b) == 0 for b in kernel):
+            if not any(
+                vec_dot(F, mat_vec(F, odd, b), mat_vec(F, model.gram, b))
+                for b in kernel
+            ):
                 chi[r] = i
                 break
         else:
@@ -126,7 +129,7 @@ def ref_quotient_model(model, line):
         return [F.sub(x[i], F.mul(c, w[i])) for i in keep]
 
     basis = [basis_vector(a) for a in keep]
-    gram2 = [[pair(F, model.gram, x, y) for y in basis] for x in basis]
+    gram2 = [[vec_dot(F, x, mat_vec(F, model.gram, y)) for y in basis] for x in basis]
     cols = [project(mat_vec(F, model.N, x)) for x in basis]
     n2 = [list(row) for row in zip(*cols)] if cols else []
     return FieldModel(F, d - 2, gram2, n2, project(model.v), None)

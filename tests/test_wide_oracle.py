@@ -2,7 +2,9 @@
 
 The acceptance suite checks ranks n <= 3; these sweeps reach the formula
 branches that need more parts: sp2 at n = 4 and n = 5 over GF(2), and the
-exotic theory at n = 4 over GF(3).
+exotic theory at n = 4 over GF(3).  The sp2 sweep at n = 3 over GF(8)
+checks the invariant where square roots in the field are not the identity
+(over GF(2) every element is its own square root).
 """
 
 import pytest
@@ -11,7 +13,7 @@ from springerbc.fforacle import verify_against_formula
 from springerbc.gf import field
 from springerbc.theory import THEORIES
 
-SWEEPS = [("sp2", 4, 2), ("sp2", 5, 2), ("exotic", 4, 3)]
+SWEEPS = [("sp2", 4, 2), ("sp2", 5, 2), ("sp2", 3, 8), ("exotic", 4, 3)]
 
 
 @pytest.mark.parametrize("theory, n, q", SWEEPS)
