@@ -16,7 +16,7 @@ from springerbc.theory import THEORIES
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--theory", choices=("sp2", "exotic"), required=True)
+    ap.add_argument("--theory", choices=tuple(THEORIES), required=True)
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args()
 

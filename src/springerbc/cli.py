@@ -131,7 +131,7 @@ def cmd_paving(args):
 
 def _add_common(sp, theory=True, param=True, polys=False):
     if theory:
-        sp.add_argument("--theory", choices=("sp2", "exotic"), required=True)
+        sp.add_argument("--theory", choices=tuple(THEORIES), required=True)
     if param:
         sp.add_argument("--param", help="sp2 parameter text, e.g. \"2^2_1\"")
         sp.add_argument("--mu", help="partition text, e.g. [5,3,1] or []")

@@ -16,14 +16,16 @@ chains and cyclic spans, hence equal invariants.  The memo is keyed by the
 quotient's entries, never by the line or the parameter, lives for one call
 only, and takes no formula input.
 
-The one other cache is on each model: ``quotient_model`` keeps the form's
-nonzero entries by column and, per pivot pair, the rows of G and N that
+The one other cache is on each model, in two ``cached_property``
+attributes: the form's nonzero entries by column, which ``quotient_model``
+and ``chi_invariant`` read, and, per pivot pair, the rows of G and N that
 every quotient with those pivots starts from.  It lives as long as the
 model, which is one call for the models a tally builds.  Nothing is cached
 across models or calls.
 """
 
 import dataclasses
+import functools
 import itertools
 
 from . import theory  # which imports this module, so not ``from .theory``
@@ -39,7 +41,6 @@ from .gf import (
     FieldCtx,
     mat_mul,
     mat_vec,
-    normalize_vector,
     nullspace,
     rank,
     scale_vec,
@@ -82,14 +83,21 @@ class FieldModel:
     N: list
     v: list
     basis_index: dict | None = None
-    # quotient_model's per-model work, built on first use: the form's
-    # nonzero entries by column, and one base per pivot pair (istar, jstar)
-    _form_columns: list | None = dataclasses.field(
-        default=None, init=False, compare=False, repr=False
-    )
-    _pivot_bases: dict | None = dataclasses.field(
-        default=None, init=False, compare=False, repr=False
-    )
+
+    @functools.cached_property
+    def _form_columns(self):
+        """The form's nonzero entries by column: for each b, the (a, G[a][b])
+        with G[a][b] != 0."""
+        return [
+            [(a, row[b]) for a, row in enumerate(self.gram) if row[b]]
+            for b in range(self.dim)
+        ]
+
+    @functools.cached_property
+    def _pivot_bases(self):
+        """quotient_model's ``_pivot_base`` per pivot pair (istar, jstar),
+        filled as the pairs are first met."""
+        return {}
 
     def check(self):
         """Check the structural invariants, raising InvariantViolation: the
@@ -236,7 +244,8 @@ def chi_invariant(model):
         return OmegaParam.make(lam, {})
     top = lam.part_at(1)
     add, mul, sqrt = F.add_table, F.mul_table, F.sqrt_table
-    form_rows = [[(a, g) for a, g in enumerate(row) if g] for row in model.gram]
+    # in characteristic 2, G is symmetric: column b of G is also its row b
+    form_rows = model._form_columns
     square = mat_mul(F, N, N) if top > 3 else None
     roots = []  # roots[i] = s for the pairing of N^(2i+1), while 2i + 1 < top
     for i in range(top // 2):
@@ -283,8 +292,8 @@ def exotic_invariant(model):
         col_in = [model.N[i][j] for i in range(model.dim)]
         red = span.reduce(col_in)
         cols.append([red[i] for i in free])
-    induced = [list(row) for row in zip(*cols)] if cols else []
-    hat = jordan_type(F, induced, hat_dim)
+    # the induced nilpotent's transpose, which has the same Jordan type
+    hat = jordan_type(F, cols, hat_dim)
     return recover_bipartition(lam, hat, n)
 
 
@@ -293,16 +302,19 @@ def line_count(q, d):
 
 
 def _lines(F, basis):
-    """Normalized vectors of the lines of the span of basis.
+    """One vector on each line of the span of basis.
 
     Each line is the combination of the basis by one coefficient tuple
-    whose first nonzero entry is 1, its pivot.  The tuples are ordered by
+    whose first nonzero entry is 1, its pivot, and that combination is the
+    vector yielded; it is not rescaled.  The tuples are ordered by
     pivot, then by the digits after the pivot as ``itertools.product``
     lists them.  Along the walk, prefix[K] is the partial sum
     head + sum_{k<K} t_k b_k of the current tuple (1, t_0, t_1, ...) over
     the basis vectors (head, b_0, b_1, ...).  The next tuple raises one
     digit t_K and resets the digits after it to 0, so one vector addition
     gives prefix[K + 1], and the later partial sums are the same vector.
+    The yielded lists are the walk's own (the first of each pivot is the
+    basis vector itself), so callers must not mutate them.
     """
     q = F.q
     add = F.add_table
@@ -313,7 +325,7 @@ def _lines(F, basis):
         digits = [0] * m
         prefix = [head] * (m + 1)
         while True:
-            yield normalize_vector(F, prefix[m])
+            yield prefix[m]
             k = m - 1
             while k >= 0 and digits[k] == q - 1:
                 digits[k] = 0
@@ -336,24 +348,22 @@ def quotient_model(model, line):
     modulo w to representatives with istar coordinate 0.  With j = jstar
     and i = istar, its form and nilpotent are
 
-        gram2[a][b] = G[a][b] - G[a][j] alpha_b - alpha_a (G[j][b] - G[j][j] alpha_b)
+        gram2[a][b] = G[a][b] - G[a][j] alpha_b - alpha_a G[j][b]
         n2[a][b] = N[a][b] - N[a][j] alpha_b - w_a / w_i (N[i][b] - N[i][j] alpha_b)
 
-    Everything but alpha and w depends only on the pivot pair (i, j), so
-    it is taken from the model once per pair (``_pivot_base``) and each
-    line copies those rows and applies its rank-one corrections to the
-    nonzero entries.  The model's matrices must not change once a quotient
-    has been taken.
+    (the term alpha_a G[j][j] alpha_b is absent: G[j][j] = 0 on an
+    alternating form).  The line enters only through alpha, w / w_i and the
+    zero test of <v, f>, so every nonzero multiple of it gives the same
+    quotient.  Everything but alpha and w depends only on the pivot pair
+    (i, j), so it is taken from the model once per pair (``_pivot_base``)
+    and each line copies those rows and applies its rank-one corrections
+    to the nonzero entries.  The model's matrices must not change once a
+    quotient has been taken.
     """
     F = model.field
     w = line
     add, sub, mul = F.add_table, F.sub_table, F.mul_table
     columns = model._form_columns
-    if columns is None:
-        G = model.gram
-        columns = model._form_columns = [
-            [(a, row[b]) for a, row in enumerate(G) if row[b]] for b in range(model.dim)
-        ]
     f = [0] * model.dim  # f[a] = <e_a, w>
     for b, x in enumerate(w):
         if x:
@@ -365,26 +375,15 @@ def quotient_model(model, line):
     jstar = next(i for i, x in enumerate(f) if x)
     istar = next(i for i, x in enumerate(w) if x and i != jstar)
     bases = model._pivot_bases
-    if bases is None:
-        bases = model._pivot_bases = {}
     base = bases.get((istar, jstar))
     if base is None:
         base = bases[istar, jstar] = _pivot_base(model, istar, jstar)
-    kept, g0, n0, g_col, n_col, g_row, n_row, g_jj, n_ij, v0 = base
+    kept, g0, n0, g_col, n_col, g_row, n_row, n_ij, v0 = base
 
     finv = F.inv(f[jstar])
     alpha = [(k, mul[f[a]][finv]) for k, a in enumerate(kept) if f[a]]
     winv = F.inv(w[istar])
     w_over = [(k, mul[w[a]][winv]) for k, a in enumerate(kept) if w[a]]
-
-    def corrected(row, c):
-        # the sparse nonzero entries of row - c alpha
-        if c:
-            row = list(row)
-            mc = mul[c]
-            for k, al in alpha:
-                row[k] = sub[row[k]][mc[al]]
-        return [(k, y) for k, y in enumerate(row) if y]
 
     def subtract(rows, coeffs, vec):
         # rows[k] -= c * vec for every (k, c) in coeffs; vec sparse
@@ -395,12 +394,17 @@ def quotient_model(model, line):
 
     gram2 = [row[:] for row in g0]
     subtract(gram2, g_col, alpha)
-    subtract(gram2, alpha, corrected(g_row, g_jj))
+    subtract(gram2, alpha, g_row)
     if any([row[k] for k, row in enumerate(gram2)]):
         raise InvariantViolation("quotient form not alternating")
     n2 = [row[:] for row in n0]
     subtract(n2, n_col, alpha)
-    subtract(n2, w_over, corrected(n_row, n_ij))
+    if n_ij:  # row istar of N less N[i][j] alpha
+        n_row = list(n_row)
+        mc = mul[n_ij]
+        for k, al in alpha:
+            n_row[k] = sub[n_row[k]][mc[al]]
+    subtract(n2, w_over, [(k, y) for k, y in enumerate(n_row) if y])
     if v0 is None:
         v2 = [0] * len(kept)
     else:
@@ -412,10 +416,13 @@ def quotient_model(model, line):
 def _pivot_base(model, istar, jstar):
     """The part of quotient_model shared by every line with pivots (istar,
     jstar): the kept indices, G and N on the kept rows and columns, the
-    nonzero entries of column jstar of G and of N on the kept rows, row
-    jstar of G and row istar of N on the kept columns, G[j][j], N[i][j],
-    and the model vector on the kept indices (None when it is zero)."""
+    nonzero entries of column jstar of G and of N on the kept rows and of
+    row jstar of G on the kept columns, row istar of N on the kept columns,
+    N[i][j], and the model vector on the kept indices (None when it is
+    zero).  Raises InvariantViolation when G[j][j] != 0."""
     G, N, v = model.gram, model.N, model.v
+    if G[jstar][jstar]:
+        raise InvariantViolation("form not alternating")
     kept = [a for a in range(model.dim) if a != istar and a != jstar]
 
     def column(mat, b):
@@ -427,9 +434,8 @@ def _pivot_base(model, istar, jstar):
         [[N[a][b] for b in kept] for a in kept],
         column(G, jstar),
         column(N, jstar),
-        [G[jstar][b] for b in kept],
+        [(k, G[jstar][b]) for k, b in enumerate(kept) if G[jstar][b]],
         [N[istar][b] for b in kept],
-        G[jstar][jstar],
         N[istar][jstar],
         [v[a] for a in kept] if any(v) else None,
     )
@@ -490,7 +496,7 @@ def verify_against_formula(param, fieldctx):
     """
     q = fieldctx.q
     th = theory.of(param)
-    formula = {sub: coeff(q) for sub, coeff in th.restrict(param).items()}
+    formula = {sub: coeff(q) for sub, coeff in th.restrict(param).terms.items()}
     tally, empty, lines = _tally(param, fieldctx)
     totals_match = sum(formula.values()) + empty == lines
     ok = tally == formula and totals_match and empty == th.empty_lines(param, q)

@@ -190,16 +190,6 @@ def scale_vec(F, c, vec):
     return [mc[x] for x in vec]
 
 
-def normalize_vector(F, vec):
-    """Scale so the first nonzero coordinate is 1; zero vectors unchanged."""
-    for x in vec:
-        if x:
-            if x == 1:
-                return list(vec)
-            return scale_vec(F, F.inv(x), vec)
-    return list(vec)
-
-
 class Echelon:
     """Incrementally built row-echelon basis of a subspace of F^dim.
 

@@ -500,10 +500,10 @@ def nabla_delta(b, r):
     """The (mu-part, nu-part) sitting at part value r of mu + nu; (0, 0) at r=0."""
     if r == 0:
         return (0, 0)
-    for pair in zip_longest(b.mu, b.nu, fillvalue=0):
-        if pair[0] + pair[1] == r:
-            return pair
-    raise NotAPart(f"{r} is not a part of {sum_partitions(b.mu, b.nu)}")
+    pair = _components(b).get(r)
+    if pair is None:
+        raise NotAPart(f"{r} is not a part of {sum_partitions(b.mu, b.nu)}")
+    return pair
 
 
 def _components(b):

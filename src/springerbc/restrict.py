@@ -18,6 +18,8 @@ from .params import (
     _marked,
     _omega_ok,
     _psi_vec,
+    enumerate_omega,
+    iota,
     psi,
     und_v,
     validate_omega,
@@ -35,17 +37,6 @@ from .partitions import (
     underlying_set,
 )
 from .qpoly import QPoly, ZERO, _step, geometric_sum, monomial
-
-__all__ = [
-    "CharSum",
-    "geometric_sum",
-    "restrict_symplectic",
-    "restrict_exotic",
-    "restrict_symplectic_q1",
-    "restrict_exotic_q1",
-    "check_equivalence",
-    "EquivalenceReport",
-]
 
 
 class CharSum:
@@ -395,8 +386,6 @@ class EquivalenceReport:
 def check_equivalence(n):
     """Transport every rank-n restriction through the bijection and compare
     term-for-term against the bipartition-side formula."""
-    from .params import enumerate_omega, iota
-
     rows = []
     for p in enumerate_omega(n):
         transported = restrict_symplectic(p).map_params(iota)

@@ -85,7 +85,7 @@ EXOTIC = Theory(
     empty_lines=_exotic_empty_lines,
 )
 
-THEORIES = {"sp2": SP2, "exotic": EXOTIC}
+THEORIES = {th.name: th for th in (SP2, EXOTIC)}
 _BY_TYPE = {th.param_type: th for th in THEORIES.values()}
 
 

@@ -12,7 +12,6 @@ from springerbc.gf import (
     field,
     mat_mul,
     mat_vec,
-    normalize_vector,
     nullspace,
     rank,
     vec_dot,
@@ -230,8 +229,3 @@ def test_echelon_membership_and_reduce():
     red = e.reduce([1, 2, 4])
     assert red[0] == 0 and red[1] == 0  # pivot coordinates cleared
 
-
-def test_normalize_vector():
-    F = field(5)
-    assert normalize_vector(F, [0, 3, 1]) == [0, 1, 2]
-    assert normalize_vector(F, [0, 0]) == [0, 0]

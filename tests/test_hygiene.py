@@ -5,6 +5,9 @@ An import counts as used when the name it binds appears anywhere else in
 the module.  Package ``__init__.py`` files re-export what they import, and
 ``__future__`` imports bind no name, so both are skipped.
 
+No function body in ``src/`` contains an import: every import is at
+module level, where the unused-import check above sees it.
+
 No check in ``src/`` is an ``assert`` statement or a raised
 ``AssertionError``: ``python -O`` strips the first, and the package reports
 a failed check as ``InvariantViolation``.
@@ -44,6 +47,28 @@ def test_no_unused_module_level_imports():
         for line, name in unused_imports(path)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def imports_in_functions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update(
+                inner.lineno
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(found)
+
+
+def test_no_imports_in_function_bodies_in_src():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line in imports_in_functions(path)
+    ]
+    assert not found, "imports inside functions:\n" + "\n".join(found)
 
 
 def assertions(path):

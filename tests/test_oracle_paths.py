@@ -5,7 +5,8 @@ Jordan types from the ranks of explicit matrix powers, the chi search over
 rebuilt powers and the form x^T G y on each kernel basis vector, quotient
 matrices built column by column, and a tally with no invariant memo.  The
 line walk is pinned against one combination of the basis per tuple of the
-plain pivot-then-product enumeration.
+plain pivot-then-product enumeration, and the quotient against every
+rescaling of its line.
 """
 
 import itertools
@@ -38,7 +39,6 @@ from springerbc.gf import (
     field,
     mat_mul,
     mat_vec,
-    normalize_vector,
     nullspace,
     rank,
     vec_dot,
@@ -288,11 +288,29 @@ def test_line_walk_matches_plain_combinations_on_kernel_bases():
         bases[F.q, repr(basis)] = F, basis
     for F, basis in bases.values():
         want = [
-            normalize_vector(F, vec_mat(F, coeffs, basis))
+            vec_mat(F, coeffs, basis)
             for coeffs in ref_projective_tuples(F.q, len(basis))
         ]
         assert list(_lines(F, basis)) == want, (F, basis)
     assert len(bases) > 50
+
+
+def test_quotient_model_ignores_the_scale_of_the_line():
+    # the walk does not normalize its lines, so every nonzero multiple of a
+    # kernel line must give the same quotient
+    checked = 0
+    for param, model in _models(3, (GF4,), (GF3, GF5)):
+        F = model.field
+        for line in _lines(F, nullspace(F, model.N)):
+            want = quotient_model(model, line)
+            for c in range(1, F.q):
+                got = quotient_model(model, [F.mul(c, x) for x in line])
+                if want is V_NOT_PERP:
+                    assert got is V_NOT_PERP, (param, line, c)
+                else:
+                    assert got == want, (param, line, c)
+                    checked += 1
+    assert checked > 0
 
 
 # --- checks under python -O --------------------------------------------------------------
@@ -337,3 +355,14 @@ def test_model_check_rejects_odd_form():
     gram[0][0] = 1
     with pytest.raises(InvariantViolation):
         FieldModel(GF3, model.dim, gram, model.N, model.v).check()
+
+
+def test_quotient_model_rejects_a_pivot_off_the_alternating_form():
+    # G[0][0] = 1 and otherwise alternating: the line e_3 has f = e_0, so
+    # the pivot pair is (3, 0), and the quotient on e_1, e_2 would come out
+    # alternating if quotient_model did not look at G[0][0]
+    gram = [[1, 0, 0, 1], [0, 0, 1, 0], [0, 2, 0, 0], [2, 0, 0, 0]]
+    zero = [[0] * 4 for _ in range(4)]
+    model = FieldModel(GF3, 4, gram, zero, [0] * 4)
+    with pytest.raises(InvariantViolation, match="^form not alternating"):
+        quotient_model(model, [0, 0, 0, 1])
