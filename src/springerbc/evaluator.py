@@ -130,9 +130,11 @@ def _new_pack(packs, p, slot):
 
 def value_table(n, theory):
     """Rows (parameter, value at id, value at s1) for every rank-n parameter,
-    in enumeration order.  ``theory`` is "sp2" or "exotic".  The enumeration
-    refuses an oversized rank (``params.check_rank``) before any value."""
+    in enumeration order.  ``theory`` is a name in ``THEORIES``.  The
+    enumeration refuses an oversized rank (``params.check_rank``) before any
+    value."""
     if theory not in THEORIES:
-        raise InvalidParam(f"theory must be 'sp2' or 'exotic', got {theory!r}")
+        names = " or ".join(map(repr, THEORIES))
+        raise InvalidParam(f"theory must be {names}, got {theory!r}")
     params = THEORIES[theory].enumerate(n)
     return [(p, value(p, "id"), value(p, "s1")) for p in params]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from .errors import (
     DomainMismatch,
@@ -77,55 +77,47 @@ def validate_omega(lam, chi):
     """Check the three defining conditions; return a list of violations.
 
     ``chi`` must be a mapping defined exactly on the distinct parts of
-    ``lam`` (DomainMismatch otherwise).  An empty list means valid.
+    ``lam`` (DomainMismatch otherwise).  An empty list means valid.  The
+    messages come in decreasing order of the parts; condition 3 is
+    reported at pairs of adjacent distinct parts.
     """
     und = underlying_set(lam)
     if set(chi) != set(und):
         raise DomainMismatch(
             f"chi domain {sorted(chi)} != distinct parts {sorted(und)}"
         )
-    if _omega_ok(lam, und, [chi[r] for r in und]):
-        return []
+    return _violations(lam, und, [chi[r] for r in und])
+
+
+def _violations(lam, und, vec):
+    """The defining conditions violated by lam and the chi values ``vec``
+    aligned with its distinct parts ``und`` (decreasing), as messages.
+
+    One pass compares each part with the next larger one: condition 3 is
+    transitive, so adjacent parts suffice.
+    """
     bad = []
-    for r in und:
-        c = chi[r]
-        odd_mult = lam.count(r) % 2 == 1
-        if r % 2 == 1 and odd_mult:
-            bad.append(f"condition 1 at r={r}: odd part with odd multiplicity")
-        if not (0 <= c and 2 * c <= r):
-            bad.append(f"condition 2 at r={r}: chi={c} outside [0, {r}/2]")
-        if odd_mult and 2 * c != r:
+    r = None  # the next larger part, with chi(r) = prev
+    for rp, c in zip(und, vec):
+        # an odd multiplicity needs rp even and chi = rp/2 (conditions 1, 2)
+        forced = 2 * c != rp and lam.count(rp) % 2 == 1
+        if forced and rp % 2 == 1:
+            bad.append(f"condition 1 at r={rp}: odd part with odd multiplicity")
+        if c < 0 or 2 * c > rp:
+            bad.append(f"condition 2 at r={rp}: chi={c} outside [0, {rp}/2]")
+        if forced:
             bad.append(
-                f"condition 2 at r={r}: odd multiplicity forces chi={r}/2, got {c}"
+                f"condition 2 at r={rp}: odd multiplicity forces chi={rp}/2, got {c}"
             )
-    for i, r in enumerate(und):
-        for rp in und[i + 1 :]:  # rp < r
-            if chi[rp] > chi[r]:
+        if r is not None:
+            if c > prev:
                 bad.append(f"condition 3 at r'={rp}, r={r}: chi({rp}) > chi({r})")
-            if rp - chi[rp] > r - chi[r]:
+            if rp - c > r - prev:
                 bad.append(
                     f"condition 3 at r'={rp}, r={r}: slack({rp}) > slack({r})"
                 )
+        r, prev = rp, c
     return bad
-
-
-def _omega_ok(lam, und, vec):
-    """Whether ``validate_omega`` finds no violation, in one pass over the
-    distinct parts ``und`` of lam (decreasing) and their chi values ``vec``.
-    Condition 3 is transitive, so comparing adjacent parts suffices."""
-    if not und:
-        return True
-    prev_c, prev_slack = vec[0], und[0] - vec[0]
-    for r, c in zip(und, vec):
-        if c < 0 or 2 * c > r:
-            return False
-        # an odd multiplicity needs r even and chi = r/2 (conditions 1, 2)
-        if 2 * c != r and lam.count(r) % 2 == 1:
-            return False
-        if c > prev_c or r - c > prev_slack:
-            return False
-        prev_c, prev_slack = c, r - c
-    return True
 
 
 _OMEGA_TOKEN = re.compile(r"^(\d+)\^(\d+)_(\d+)$")
@@ -261,69 +253,45 @@ def bipartition_from_text(text):
 
 def enumerate_omega(n):
     """All valid (lam, chi) with |lam| = 2n, in a fixed deterministic order:
-    lam descending lexicographic, then chi vectors descending."""
+    lam descending lexicographic, then chi vectors descending.
+
+    A part r takes chi from r//2 down to 0; at an odd multiplicity only
+    r/2, and nothing when r is odd.  Every combination with no violation
+    is kept.
+    """
     check_rank(n)
     out = []
     for parts in partitions_of(2 * n):
         lam = Partition(parts)
         und = underlying_set(lam)
-        if any(r % 2 == 1 and multiplicity(lam, r) % 2 == 1 for r in und):
-            continue
-        for vec in _chi_choices(lam, und):
-            out.append(OmegaParam(lam, vec))
+        choices = [
+            range(r // 2, -1, -1) if lam.count(r) % 2 == 0
+            else [r // 2] if r % 2 == 0
+            else []
+            for r in und
+        ]
+        for vec in product(*choices):
+            if not _violations(lam, und, vec):
+                out.append(OmegaParam(lam, vec))
     return out
 
 
-# The most parameters one enumeration takes on: those of rank 20.  Rank 16
-# has 5 822, and its value table takes about 1.3 s on a 2-vCPU host.
-TABLE_CAP = 24_842
+# The largest rank one enumeration takes on.  The number of rank-n
+# parameters strictly increases with n: 24 842 at rank 20, 35 002 at
+# rank 21.  Rank 16 has 5 822, and its value table takes about 1.3 s on a
+# 2-vCPU host.
+MAX_TABLE_RANK = 20
 
 
 def check_rank(n):
-    """Raise InvalidParam when n < 0 or rank n has more than TABLE_CAP
-    parameters, before any is enumerated.
-
-    Either theory has one rank-n parameter per bipartition of n.  Their
-    number b(n) grows with n, so it is counted rank by rank, up to n or the
-    first rank above the cap.  The generating function of b is the product
-    over k of (1 - x^k)^-2, whence m b(m) = 2 sum_{k=1}^{m} sigma(k) b(m - k),
-    with sigma(k) the sum of the divisors of k.
-    """
+    """Raise InvalidParam when n < 0 or n > MAX_TABLE_RANK, before any
+    parameter is enumerated."""
     if n < 0:
         raise InvalidParam(f"rank must be >= 0, got {n}")
-    b, sigma = [1], [0]
-    for m in range(1, n + 1):
-        sigma.append(sum(d for d in range(1, m + 1) if m % d == 0))
-        b.append(2 * sum(sigma[k] * b[m - k] for k in range(1, m + 1)) // m)
-        if b[m] > TABLE_CAP:
-            raise InvalidParam(
-                f"rank {n} has at least {b[m]} parameters,"
-                f" above the table cap of {TABLE_CAP}"
-            )
-
-
-def _chi_choices(lam, und):
-    """All admissible chi vectors for lam, descending lexicographic."""
-
-    def rec(i, prev_r, prev_c):
-        if i == len(und):
-            yield ()
-            return
-        r = und[i]
-        if i == 0:
-            lo, hi = 0, r // 2
-        else:
-            lo = max(0, prev_c - (prev_r - r))
-            hi = min(r // 2, prev_c)
-        if multiplicity(lam, r) % 2 == 1:
-            cands = [r // 2] if lo <= r // 2 <= hi else []
-        else:
-            cands = range(hi, lo - 1, -1)
-        for c in cands:
-            for rest in rec(i + 1, r, c):
-                yield (c,) + rest
-
-    yield from rec(0, None, None)
+    if n > MAX_TABLE_RANK:
+        raise InvalidParam(
+            f"rank {n} is above the largest table rank, {MAX_TABLE_RANK}"
+        )
 
 
 def enumerate_bipartitions(n):

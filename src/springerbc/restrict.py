@@ -16,13 +16,12 @@ from .params import (
     _components,
     _corners,
     _marked,
-    _omega_ok,
     _psi_vec,
+    _violations,
     enumerate_omega,
     iota,
     psi,
     und_v,
-    validate_omega,
     x_crit,
 )
 from .partitions import (
@@ -49,13 +48,10 @@ class CharSum:
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            items = terms.items() if hasattr(terms, "items") else terms
-            for param, coeff in items:
+            for param, coeff in terms.items():
                 self.add(param, coeff)
 
     def add(self, param, coeff):
-        if not isinstance(coeff, QPoly):
-            coeff = QPoly(coeff)
         if not coeff:
             return
         terms = self.terms
@@ -154,8 +150,8 @@ def restrict_symplectic(p):
             return
         lam_new, und_new = tgt
         chi_new = _psi_vec(und_new, points)
-        if not _omega_ok(lam_new, und_new, chi_new):
-            bad = validate_omega(lam_new, dict(zip(und_new, chi_new)))
+        bad = _violations(lam_new, und_new, chi_new)
+        if bad:
             raise InvalidParam("; ".join(bad))
         out.add(OmegaParam(lam_new, chi_new), coeff)
 

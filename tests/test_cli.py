@@ -308,8 +308,7 @@ def test_oversized_oracle_and_table_exit_2(capsys):
     ):
         assert run(argv) == 2
         out, err = out_of(capsys)
-        assert (out, err) == ("", "error: rank 30 has at least 35002 parameters,"
-                              " above the table cap of 24842\n")
+        assert (out, err) == ("", "error: rank 30 is above the largest table rank, 20\n")
 
 
 def test_usage_errors(capsys):

@@ -200,14 +200,23 @@ def test_standard_models_are_pinned():
 
 
 def test_enumerate_lines_counts():
-    assert len(list(kernel_lines(standard_model_symplectic(om("2^2_1"), GF2)))) == 3
-    assert len(list(kernel_lines(standard_model_symplectic(om("1^4_0"), GF2)))) == 15
-    model = standard_model_exotic(bp("mu=[1] nu=[1]"), GF3)
-    lines = list(kernel_lines(model))
-    assert len(lines) == 4 == line_count(3, 2)
-    for vec in lines:
-        assert mat_vec(GF3, model.N, vec) == [0] * model.dim
-        assert next(x for x in vec if x) == 1
+    # one nonzero kernel vector on each line: scaled to a leading 1, no two
+    # coincide, and there are as many as the lines of ker N
+    for model, count in [
+        (standard_model_symplectic(om("2^2_1"), GF2), 3),
+        (standard_model_symplectic(om("1^4_0"), GF2), 15),
+        (standard_model_exotic(bp("mu=[1] nu=[1]"), GF3), 4),
+    ]:
+        F = model.field
+        lines = list(kernel_lines(model))
+        assert len(lines) == count == line_count(F.q, len(nullspace(F, model.N)))
+        normalized = set()
+        for vec in lines:
+            assert any(vec)
+            assert mat_vec(F, model.N, vec) == [0] * model.dim
+            lead = F.inv(next(x for x in vec if x))
+            normalized.add(tuple(F.mul(lead, x) for x in vec))
+        assert len(normalized) == len(lines)
 
 
 # --- quotients -------------------------------------------------------------------

@@ -16,6 +16,9 @@ Every public module-level function and class in ``src/`` has a caller in
 ``src/``, ``scripts/``, ``bench/`` or the acceptance suite: no API serves
 only its own unit test.  A caller names it by ``from ... import`` or as
 ``module.name``; a bare name counts only inside the defining module.
+
+Every private module-level function, class and constant in ``src/`` is
+read somewhere in ``src/``: a helper whose last caller is gone goes with it.
 """
 
 import ast
@@ -106,13 +109,13 @@ def public_definitions(path):
 
 
 def references(path):
-    """What a module reads: its bare names, its ``owner.attr`` pairs (owner
-    the last component of the expression before the dot) and the names it
-    imports with ``from ... import``."""
+    """What a module reads: its bare names in load context, its ``owner.attr``
+    pairs (owner the last component of the expression before the dot) and
+    the names it imports with ``from ... import``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bare, qualified, imported = set(), set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             bare.add(node.id)
         elif isinstance(node, ast.Attribute):
             owner = node.value
@@ -146,3 +149,33 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         and name not in NO_CALLER_ON_PURPOSE
     ]
     assert not found, "no caller outside the tests:\n" + "\n".join(found)
+
+
+def private_definitions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_name_is_read_in_src():
+    src = sorted((ROOT / "src" / "springerbc").glob("*.py"))
+    refs = {path: references(path) for path in src}
+    qualified = set().union(*(q for _, q, _ in refs.values()))
+    imported = set().union(*(i for _, _, i in refs.values()))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in src
+        for line, name in private_definitions(path)
+        if name not in refs[path][0]
+        and (path.stem, name) not in qualified
+        and name not in imported
+    ]
+    assert not found, "private names read nowhere in src/:\n" + "\n".join(found)

@@ -257,6 +257,20 @@ def test_bijection_is_pinned():
     assert (count, digest.hexdigest()) == (6264, BIJECTION_SHA256)
 
 
+# sha256 of the lines "p" for every sp2 parameter of rank 13 to 16, in
+# enumeration order; ranks up to 12 are pinned through the bijection above.
+ENUMERATION_SHA256 = "5f42eff7ab31d14d5cb3a49d4c14c4b139ec7ced9bbbe5df8ca4ca6c967750df"
+
+
+def test_enumeration_is_pinned_for_ranks_13_to_16():
+    digest, count = hashlib.sha256(), 0
+    for n in range(13, 17):
+        for p in enumerate_omega(n):
+            digest.update(f"{p}\n".encode())
+            count += 1
+    assert (count, digest.hexdigest()) == (14213, ENUMERATION_SHA256)
+
+
 def test_iota_round_trips():
     for p in all_params(6):
         assert iota_inv(iota(p)) == p
