@@ -4,9 +4,10 @@ One subcommand per library operation, with stable text and JSON output so
 the tool can back golden tests and scripted sweeps.  Each ``cmd_*``
 returns its JSON documents (one per output line), its text and, for the
 verification commands (oracle, equivalence), an exit code; ``run`` alone
-prints.  Exit codes: 0 on success, 2 on parse or validity errors, 3 when a
-verification command finds a mismatch, 1 when the reader of stdout goes
-away before the output is written (as ``| head`` does).
+prints.  Exit codes: 0 on success, 2 on bad input (a parse or validity
+error) or a broken internal invariant, 3 when a verification command finds
+a mismatch, 1 when the reader of stdout goes away before the output is
+written (as ``| head`` does).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import InvalidParam, SpringerError
+from .errors import InvalidParam, InvariantViolation
 from .evaluator import value, value_table
 from .fforacle import verify_against_formula
 from .gf import field
@@ -219,11 +220,12 @@ def pipe_safe(program, *args):
 
 
 def reported(program, *args):
-    """Return program(*args), an exit status; on bad input print
-    ``error: ...`` on stderr instead of a traceback and return 2."""
+    """Return program(*args), an exit status; on bad input or a broken
+    invariant print ``error: ...`` on stderr instead of a traceback and
+    return 2."""
     try:
         return program(*args)
-    except (SpringerError, ValueError) as exc:
+    except (ValueError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,13 +29,7 @@ import functools
 import itertools
 
 from . import theory  # which imports this module, so not ``from .theory``
-from .errors import (
-    BadCharacteristic,
-    HalvingFailed,
-    InvalidParam,
-    InvariantViolation,
-    NotNilpotent,
-)
+from .errors import InvalidParam, InvariantViolation
 from .gf import (
     Echelon,
     FieldCtx,
@@ -151,7 +145,7 @@ def _paired_strings(fieldctx, pairs):
 def standard_model_symplectic(p, fieldctx):
     """Matrix model over a characteristic-2 field for a (lam, chi) parameter."""
     if fieldctx.p != 2:
-        raise BadCharacteristic(f"need characteristic 2, got {fieldctx.p}")
+        raise InvalidParam(f"need characteristic 2, got {fieldctx.p}")
     lam = p.lam
     chi = p.chi_map()
     pairs = []
@@ -172,7 +166,7 @@ def standard_model_symplectic(p, fieldctx):
 def standard_model_exotic(b, fieldctx):
     """Matrix model over an odd-characteristic field for a bipartition."""
     if fieldctx.p == 2:
-        raise BadCharacteristic("need odd characteristic")
+        raise InvalidParam("need odd characteristic")
     lam = sum_partitions(b.mu, b.nu)
     model = _paired_strings(fieldctx, [
         (r, s, s + 1)
@@ -199,7 +193,7 @@ def _jordan_chain(fieldctx, mat, dim):
     while True:
         r = ech.size
         if r == ranks[-1]:
-            raise NotNilpotent(f"rank stabilized at {r} > 0")
+            raise InvalidParam(f"rank stabilized at {r} > 0")
         ranks.append(r)
         chain.append(ech)
         if r == 0:
@@ -237,7 +231,7 @@ def chi_invariant(model):
     """
     F = model.field
     if F.p != 2:
-        raise BadCharacteristic("invariant defined in characteristic 2")
+        raise InvalidParam("invariant defined in characteristic 2")
     N, dim = model.N, model.dim
     lam, chain = _jordan_chain(F, N, dim)
     if not lam:
@@ -270,13 +264,13 @@ def exotic_invariant(model):
     """Recover the bipartition of an odd-characteristic model."""
     F = model.field
     if F.p == 2:
-        raise BadCharacteristic("invariant defined in odd characteristic")
+        raise InvalidParam("invariant defined in odd characteristic")
     doubled = jordan_type(F, model.N, model.dim)
     halved = []
     for r in underlying_set(doubled):
         m_r = multiplicity(doubled, r)
         if m_r % 2:
-            raise HalvingFailed(f"Jordan type {doubled} is not doubled")
+            raise InvalidParam(f"Jordan type {doubled} is not doubled")
         halved.extend([r] * (m_r // 2))
     lam = Partition(halved)
     n = lam.size

@@ -10,7 +10,7 @@ the first nonzero entry, so every computation is reproducible.
 
 import itertools
 
-from .errors import InvariantViolation
+from .errors import InvalidParam, InvariantViolation
 
 
 def _smallest_prime_factor(n):
@@ -24,14 +24,14 @@ def _smallest_prime_factor(n):
 
 def _prime_power(q):
     if not (2 <= q <= 64):
-        raise ValueError(f"field size must be in [2, 64], got {q}")
+        raise InvalidParam(f"field size must be in [2, 64], got {q}")
     p = _smallest_prime_factor(q)
     k, m = 0, q
     while m % p == 0:
         m //= p
         k += 1
     if m != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise InvalidParam(f"{q} is not a prime power")
     return p, k
 
 
@@ -111,7 +111,7 @@ class FieldCtx:
 
     def inv(self, a):
         if a == 0:
-            raise ZeroDivisionError("inverse of 0")
+            raise InvalidParam("inverse of 0")
         return self.inv_table[a]
 
     def pow(self, a, e):

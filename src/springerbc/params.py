@@ -15,14 +15,7 @@ import re
 from dataclasses import dataclass
 from itertools import product, zip_longest
 
-from .errors import (
-    DomainMismatch,
-    Inconsistent,
-    InvalidParam,
-    InvariantViolation,
-    NotAPart,
-    RankTooSmall,
-)
+from .errors import InvalidParam, InvariantViolation
 from .partitions import (
     Partition,
     multiplicity,
@@ -77,13 +70,13 @@ def validate_omega(lam, chi):
     """Check the three defining conditions; return a list of violations.
 
     ``chi`` must be a mapping defined exactly on the distinct parts of
-    ``lam`` (DomainMismatch otherwise).  An empty list means valid.  The
+    ``lam`` (InvalidParam otherwise).  An empty list means valid.  The
     messages come in decreasing order of the parts; condition 3 is
     reported at pairs of adjacent distinct parts.
     """
     und = underlying_set(lam)
     if set(chi) != set(und):
-        raise DomainMismatch(
+        raise InvalidParam(
             f"chi domain {sorted(chi)} != distinct parts {sorted(und)}"
         )
     return _violations(lam, und, [chi[r] for r in und])
@@ -138,12 +131,12 @@ def omega_from_text(text):
     for tok in tokens:
         m = _OMEGA_TOKEN.match(tok)
         if not m:
-            raise ValueError(f"bad parameter token {tok!r}")
+            raise InvalidParam(f"bad parameter token {tok!r}")
         r, mult, c = int(m.group(1)), int(m.group(2)), int(m.group(3))
         if r < 1 or mult < 1:
-            raise ValueError(f"bad parameter token {tok!r}")
+            raise InvalidParam(f"bad parameter token {tok!r}")
         if last_r is not None and r >= last_r:
-            raise ValueError(f"part values must be strictly decreasing: {text!r}")
+            raise InvalidParam(f"part values must be strictly decreasing: {text!r}")
         last_r = r
         parts.extend([r] * mult)
         chi[r] = c
@@ -243,7 +236,7 @@ def bipartition_to_text(b):
 def bipartition_from_text(text):
     m = re.match(r"^\s*mu=(\[[0-9, ]*\])\s+nu=(\[[0-9, ]*\])\s*$", text)
     if not m:
-        raise ValueError(f"bad bipartition text {text!r}")
+        raise InvalidParam(f"bad bipartition text {text!r}")
     return Bipartition(partition_from_text(m.group(1)), partition_from_text(m.group(2)))
 
 
@@ -418,9 +411,9 @@ def to_limit_symbol(b, r, s, m):
     """Encode a bipartition of rank n as a symbol, for r >= s + n >= 2n."""
     n = b.rank
     if not (r >= s + n >= 2 * n):
-        raise RankTooSmall(f"need r >= s + n >= 2n, got r={r}, s={s}, n={n}")
+        raise InvalidParam(f"need r >= s + n >= 2n, got r={r}, s={s}, n={n}")
     if len(b.mu) > m + 1 or len(b.nu) > m:
-        raise RankTooSmall(
+        raise InvalidParam(
             f"need l(mu) <= m+1 and l(nu) <= m, got {len(b.mu)}, {len(b.nu)}, m={m}"
         )
     zeta = _zeta(r, m)
@@ -455,12 +448,12 @@ def recover_bipartition(lam, hat, n):
         nu.append(lam.part_at(i) - mu[i - 1])
         mu.append(hat.part_at(2 * i) - nu[i - 1])
     if any(x < 0 for x in mu + nu):
-        raise Inconsistent(f"negative entries recovering from {lam}, {hat}, n={n}")
+        raise InvalidParam(f"negative entries recovering from {lam}, {hat}, n={n}")
     if mu != sorted(mu, reverse=True) or nu != sorted(nu, reverse=True):
-        raise Inconsistent(f"non-monotone entries recovering from {lam}, {hat}")
+        raise InvalidParam(f"non-monotone entries recovering from {lam}, {hat}")
     b = Bipartition(Partition(mu), Partition(nu))
     if sum_partitions(b.mu, b.nu) != lam or hat_lambda(b) != hat or b.rank != n:
-        raise Inconsistent(f"round trip failed recovering from {lam}, {hat}, n={n}")
+        raise InvalidParam(f"round trip failed recovering from {lam}, {hat}, n={n}")
     return b
 
 
@@ -470,7 +463,7 @@ def nabla_delta(b, r):
         return (0, 0)
     pair = _components(b).get(r)
     if pair is None:
-        raise NotAPart(f"{r} is not a part of {sum_partitions(b.mu, b.nu)}")
+        raise InvalidParam(f"{r} is not a part of {sum_partitions(b.mu, b.nu)}")
     return pair
 
 

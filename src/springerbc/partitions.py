@@ -7,7 +7,7 @@ tuple is the unique partition of 0.  Indexing beyond the length reads as 0
 
 from operator import add
 
-from .errors import InvariantViolation, NegativePart, OldsNotPresent
+from .errors import InvalidParam, InvariantViolation
 
 
 class Partition(tuple):
@@ -22,7 +22,7 @@ class Partition(tuple):
         while parts and parts[-1] == 0:
             parts.pop()
         if parts and parts[-1] < 0:
-            raise NegativePart(f"negative part in {parts}")
+            raise InvalidParam(f"negative part in {parts}")
         return super().__new__(cls, parts)
 
     @property
@@ -65,15 +65,15 @@ def partition_to_text(p):
 def partition_from_text(text):
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"partition text must look like [3,1], got {text!r}")
+        raise InvalidParam(f"partition text must look like [3,1], got {text!r}")
     body = text[1:-1].strip()
     if not body:
         return EMPTY
     parts = [int(tok) for tok in body.split(",")]
     if any(x < 1 for x in parts):
-        raise ValueError(f"partition parts must be positive: {text!r}")
+        raise InvalidParam(f"partition parts must be positive: {text!r}")
     if parts != sorted(parts, reverse=True):
-        raise ValueError(f"partition parts must be weakly decreasing: {text!r}")
+        raise InvalidParam(f"partition parts must be weakly decreasing: {text!r}")
     return Partition(parts)
 
 
@@ -81,12 +81,12 @@ def multiplicity(p, r, mode="eq"):
     """Number of parts of the partition p equal to r, or with ``mode="geq"``
     at least r.  The parts are sorted, so the parts >= r form a prefix."""
     if r < 1:
-        raise ValueError(f"part value must be >= 1, got {r}")
+        raise InvalidParam(f"part value must be >= 1, got {r}")
     if mode == "eq":
         return p.count(r)
     if mode == "geq":
         return next((i for i, x in enumerate(p) if x < r), len(p))
-    raise ValueError(f"unknown multiplicity mode {mode!r}")
+    raise InvalidParam(f"unknown multiplicity mode {mode!r}")
 
 
 def underlying_set(p):
@@ -112,15 +112,15 @@ def substitute(p, olds, news):
     olds = list(olds)
     news = list(news)
     if len(olds) != len(news):
-        raise ValueError("olds and news must have the same cardinality")
+        raise InvalidParam("olds and news must have the same cardinality")
     if any(x < 0 for x in news):
-        raise NegativePart(f"substitute target below zero: {news}")
+        raise InvalidParam(f"substitute target below zero: {news}")
     rest = list(p)
     try:
         for x in olds:
             rest.remove(x)
     except ValueError:
-        raise OldsNotPresent(
+        raise InvalidParam(
             f"{sorted(olds, reverse=True)} not contained in {p}"
         ) from None
     rest.extend(map(int, news))
@@ -136,19 +136,19 @@ def shift(p, direction, a, b):
     parts equal to 1 into zeros, which are dropped.
     """
     if direction not in ("up", "down"):
-        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+        raise InvalidParam(f"direction must be 'up' or 'down', got {direction!r}")
     if a < 1:
-        raise ValueError(f"shift interval must start at >= 1, got {a}")
+        raise InvalidParam(f"shift interval must start at >= 1, got {a}")
     if b < a:
         return p
     if direction == "down" and b > len(p):
-        raise NegativePart(f"down-shift [{a},{b}] exceeds length {len(p)} of {p}")
+        raise InvalidParam(f"down-shift [{a},{b}] exceeds length {len(p)} of {p}")
     step = 1 if direction == "up" else -1
     parts = list(p) + [0] * max(0, b - len(p))
     for i in range(a - 1, b):
         parts[i] += step
         if parts[i] < 0:
-            raise NegativePart(f"down-shift made part {i + 1} negative in {p}")
+            raise InvalidParam(f"down-shift made part {i + 1} negative in {p}")
     return _sorted(parts)
 
 
@@ -159,11 +159,11 @@ def shift(p, direction, a, b):
 
 
 def _run_end(p, x, copies=1):
-    """Index one past the last copy of x in p; OldsNotPresent unless x
+    """Index one past the last copy of x in p; InvalidParam unless x
     occurs at least ``copies`` times."""
     m = p.count(x)
     if m < copies:
-        raise OldsNotPresent(f"{[x] * copies} not contained in {p}")
+        raise InvalidParam(f"{[x] * copies} not contained in {p}")
     return p.index(x) + m
 
 
@@ -180,7 +180,7 @@ def _drop(p, x):
     """The last copy of the part x becomes x - 2, placed after the run of
     x - 1 (dropped at 0): ``substitute(p, (x,), (x - 2,))``."""
     if x < 2:
-        raise NegativePart(f"substitute target below zero: {[x - 2]}")
+        raise InvalidParam(f"substitute target below zero: {[x - 2]}")
     i = _run_end(p, x)
     e = i + p.count(x - 1)  # the run of x - 1, if any, starts at i
     mid = (x - 2,) if x > 2 else ()
@@ -203,7 +203,7 @@ def _shift(p, a, b, step):
         mid = tuple([x + 1 for x in p[a:b]]) + (1,) * (b - max(a, n))
         return _canonical(p[:a] + mid + p[b:])
     if b > n:
-        raise NegativePart(f"down-shift [{a + 1},{b}] exceeds length {n} of {p}")
+        raise InvalidParam(f"down-shift [{a + 1},{b}] exceeds length {n} of {p}")
     if b < n and p[b - 1] == p[b]:
         raise InvariantViolation(f"down-shift [{a + 1},{b}] unsorts {p}")
     mid = tuple([x - 1 for x in p[a:b]])

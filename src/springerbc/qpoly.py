@@ -9,7 +9,7 @@ formulas need is realized up front as a geometric sum.
 import sys
 from operator import add, neg
 
-from .errors import BadRange
+from .errors import InvalidParam
 
 
 class QPoly(tuple):
@@ -140,7 +140,7 @@ ONE = QPoly((1,))
 def monomial(e):
     """The polynomial q^e."""
     if e < 0:
-        raise BadRange(f"monomial needs e >= 0, got e={e}")
+        raise InvalidParam(f"monomial needs e >= 0, got e={e}")
     return _canonical((0,) * e + (1,))
 
 
@@ -151,14 +151,14 @@ def geometric_sum(a, b):
     divided coefficient in the restriction formulas is produced.
     """
     if a < b:
-        raise BadRange(f"geometric_sum needs a >= b, got a={a}, b={b}")
+        raise InvalidParam(f"geometric_sum needs a >= b, got a={a}, b={b}")
     return _canonical((0,) * b + (1,) * (a - b)) if a > b else ZERO
 
 
 def _step(a, b):
     """q^a - q^b for a >= b >= 0, built canonical: ``monomial(a) - monomial(b)``."""
     if a < b:
-        raise BadRange(f"_step needs a >= b, got a={a}, b={b}")
+        raise InvalidParam(f"_step needs a >= b, got a={a}, b={b}")
     return _canonical((0,) * b + (-1,) + (0,) * (a - b - 1) + (1,)) if a > b else ZERO
 
 

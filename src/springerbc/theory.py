@@ -11,6 +11,7 @@ function rebound there (by a tracer or a test) is the one called.
 from types import SimpleNamespace
 
 from . import fforacle, restrict
+from .errors import InvalidParam
 from .params import (
     Bipartition,
     OmegaParam,
@@ -49,13 +50,13 @@ def _exotic_empty_lines(b, q):
 
 def _parse_sp2(args):
     if args.param is None:
-        raise ValueError("an sp2 parameter needs --param")
+        raise InvalidParam("an sp2 parameter needs --param")
     return omega_from_text(args.param)
 
 
 def _parse_exotic(args):
     if args.mu is None or args.nu is None:
-        raise ValueError("an exotic parameter needs --mu and --nu")
+        raise InvalidParam("an exotic parameter needs --mu and --nu")
     return Bipartition(partition_from_text(args.mu), partition_from_text(args.nu))
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from springerbc.cli import run
+from springerbc.cli import reported, run
+from springerbc.errors import InvalidParam, InvariantViolation
 
 
 def out_of(capsys):
@@ -213,6 +214,42 @@ def test_pinned_stdout_and_exit_code(capsys, line, code, expected):
     assert run(line.split()) == code
     out, err = out_of(capsys)
     assert out == expected and not err
+
+
+# Exact stderr for one rejected input per kind of precondition the CLI can
+# reach: each exits 2 and prints nothing on stdout.
+REJECTED = [
+    ("oracle --theory sp2 --param 2^1_1 --q 3", "need characteristic 2, got 3"),
+    ("oracle --theory exotic --mu [1] --nu [] --q 2", "need odd characteristic"),
+    (
+        "oracle --theory exotic --mu [1] --nu [] --q 65",
+        "field size must be in [2, 64], got 65",
+    ),
+    ("oracle --theory exotic --mu [1] --nu [] --q 6", "6 is not a prime power"),
+    (
+        "symbol --mu [1] --nu [] --r 2 --s 0 --m 0",
+        "need r >= s + n >= 2n, got r=2, s=0, n=1",
+    ),
+    (
+        "restrict --theory exotic --mu [1,0] --nu []",
+        "partition parts must be positive: '[1,0]'",
+    ),
+]
+
+
+@pytest.mark.parametrize("line,message", REJECTED, ids=[c for c, _ in REJECTED])
+def test_rejected_input_exits_2_with_its_message(capsys, line, message):
+    assert run(line.split()) == 2
+    assert out_of(capsys) == ("", f"error: {message}\n")
+
+
+def test_reported_turns_a_broken_invariant_into_exit_2(capsys):
+    def broken():
+        raise InvariantViolation("iota(x) = y has rank 3")
+
+    assert reported(broken) == 2
+    assert out_of(capsys) == ("", "error: iota(x) = y has rank 3\n")
+    assert issubclass(InvalidParam, ValueError)
 
 
 def test_equivalence(capsys):

@@ -23,12 +23,7 @@ from hypothesis import strategies as st
 import springerbc.evaluator as evaluator
 import springerbc.restrict as restrict_module
 import springerbc.theory as theory
-from springerbc.errors import (
-    DomainMismatch,
-    InvariantViolation,
-    NegativePart,
-    OldsNotPresent,
-)
+from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.evaluator import GROUP_ELEMENTS, value
 from springerbc.params import (
     Bipartition,
@@ -195,7 +190,7 @@ def test_value_accumulates_any_coefficient(monkeypatch):
 @given(parts_st, st.integers(1, 10), st.integers(1, 3))
 def test_lower_matches_substitute(p, x, copies):
     if p.count(x) < copies:
-        with pytest.raises(OldsNotPresent):
+        with pytest.raises(InvalidParam, match="not contained in"):
             _lower(p, x, copies)
         return
     same(_lower(p, x, copies), substitute(p, (x,) * copies, (x - 1,) * copies))
@@ -204,10 +199,10 @@ def test_lower_matches_substitute(p, x, copies):
 @given(parts_st, st.integers(1, 10))
 def test_drop_matches_substitute(p, x):
     if x < 2:
-        with pytest.raises(NegativePart):
+        with pytest.raises(InvalidParam, match="^substitute target below zero"):
             _drop(p, x)
     elif x not in p:
-        with pytest.raises(OldsNotPresent):
+        with pytest.raises(InvalidParam, match="not contained in"):
             _drop(p, x)
     else:
         same(_drop(p, x), substitute(p, (x,), (x - 2,)))
@@ -237,7 +232,7 @@ def test_shift_by_slicing_matches_shift(data):
 
 
 def test_shift_by_slicing_rejects_down_past_the_end():
-    with pytest.raises(NegativePart):
+    with pytest.raises(InvalidParam, match="exceeds length 2"):
         _shift(Partition([2, 1]), 1, 3, -1)
 
 
@@ -262,7 +257,7 @@ def pairwise_x_crit(und, chi):
 def pairwise_validate(lam, chi):
     und = underlying_set(lam)
     if set(chi) != set(und):
-        raise DomainMismatch("domain")
+        raise InvalidParam("domain")
     bad = []
     for r in und:
         c = chi[r]

@@ -12,6 +12,10 @@ No check in ``src/`` is an ``assert`` statement or a raised
 ``AssertionError``: ``python -O`` strips the first, and the package reports
 a failed check as ``InvariantViolation``.
 
+The package raises two exception types, the two that ``errors.py``
+defines: every ``raise`` in ``src/`` names ``InvalidParam`` (bad input) or
+``InvariantViolation`` (a broken result), or re-raises bare.
+
 Every public module-level function and class in ``src/`` has a caller in
 ``src/``, ``scripts/``, ``bench/`` or the acceptance suite: no API serves
 only its own unit test.  A caller names it by ``from ... import`` or as
@@ -92,6 +96,30 @@ def test_no_assertions_in_src():
         for line, what in assertions(path)
     ]
     assert not found, "assertions in src/:\n" + "\n".join(found)
+
+
+ERROR_TYPES = {"InvalidParam", "InvariantViolation"}
+
+
+def foreign_raises(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in ERROR_TYPES):
+                yield node.lineno, ast.unparse(node.exc)
+
+
+def test_src_raises_only_the_two_error_types():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: raise {what}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, what in foreign_raises(path)
+    ]
+    assert not found, "raises of other types in src/:\n" + "\n".join(found)
+    errors = ast.parse((ROOT / "src" / "springerbc" / "errors.py").read_text())
+    defined = {n.name for n in errors.body if isinstance(n, ast.ClassDef)}
+    assert defined == ERROR_TYPES
 
 
 # Kept on purpose with no caller outside the tests: the oracle's raw tally

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from springerbc.errors import NegativePart, OldsNotPresent
+from springerbc.errors import InvalidParam
 from springerbc.partitions import (
     Partition,
     multiplicity,
@@ -22,7 +22,7 @@ def test_constructor_normalizes():
     assert Partition([1, 3, 0, 2]) == (3, 2, 1)
     assert Partition() == ()
     assert Partition([0, 0]) == ()
-    with pytest.raises(NegativePart):
+    with pytest.raises(InvalidParam, match="^negative part in"):
         Partition([2, -1])
 
 
@@ -73,9 +73,9 @@ def test_substitute_examples():
     assert substitute(p, (4, 3), (2, 2)) == (6, 4, 2, 2)
     assert substitute(p, (4, 4), (2, 0)) == (6, 3, 2)
     assert substitute(Partition([2, 2]), (2, 2), (1, 1)) == (1, 1)
-    with pytest.raises(OldsNotPresent):
+    with pytest.raises(InvalidParam, match="not contained in"):
         substitute(p, (5,), (1,))
-    with pytest.raises(OldsNotPresent):
+    with pytest.raises(InvalidParam, match="not contained in"):
         substitute(p, (6, 6), (1, 1))
 
 
@@ -100,7 +100,7 @@ def test_shift_examples():
 
 def test_shift_edge_cases():
     assert shift(Partition([2, 1]), "down", 2, 2) == (2,)  # 1 -> 0 dropped
-    with pytest.raises(NegativePart):
+    with pytest.raises(InvalidParam, match="exceeds length 2"):
         shift(Partition([2, 1]), "down", 1, 3)  # interval past the length
     assert shift(Partition(), "up", 1, 2) == (1, 1)
 

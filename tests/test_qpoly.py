@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from springerbc.errors import BadRange
+from springerbc.errors import InvalidParam
 from springerbc.qpoly import (
     ONE,
     QPoly,
@@ -28,7 +28,7 @@ def test_geometric_sum_examples():
     assert geometric_sum(2, 0) == (1, 1)  # q + 1
     assert geometric_sum(3, 1) == (0, 1, 1)  # q^2 + q
     assert geometric_sum(1, 1) == ()
-    with pytest.raises(BadRange):
+    with pytest.raises(InvalidParam, match="^geometric_sum needs a >= b"):
         geometric_sum(0, 1)
 
 
@@ -46,9 +46,9 @@ def test_arithmetic():
 
 def test_monomial_rejects_negative_exponent():
     assert monomial(0) == (1,)
-    with pytest.raises(BadRange):
+    with pytest.raises(InvalidParam, match="^monomial needs e >= 0, got e=-1$"):
         monomial(-1)
-    with pytest.raises(BadRange):
+    with pytest.raises(InvalidParam, match="^monomial needs e >= 0, got e=-2$"):
         monomial(-2)
 
 
