@@ -225,7 +225,7 @@ def reported(program, *args):
     return 2."""
     try:
         return program(*args)
-    except (ValueError, InvariantViolation) as exc:
+    except (InvalidParam, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

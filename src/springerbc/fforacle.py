@@ -8,38 +8,41 @@ the resulting tallies against the formula coefficients evaluated at q.
 Everything here is deliberately independent of the formulas it verifies:
 the invariants are recomputed from matrices alone.
 
+Models are defined by list matrices, but the oracle computes on rows in
+the field's row representation (``gf``): over GF(2^k) one int per row, so
+the line walk, the quotients, the rank chains and the chi invariant add
+rows by XOR; in odd characteristic a list per row.  The functions here
+have one body for both, and the split between them lies in the row
+primitives alone.
+
 A tally computes the invariant once per distinct quotient model within one
 call (many lines of one kernel give the same quotient matrices).  This is
 sound because the invariant is a function of the model's matrices alone:
 two quotients with equal N, form and vector have equal Jordan types, kernel
 chains and cyclic spans, hence equal invariants.  The memo is keyed by the
-quotient's entries, never by the line or the parameter, lives for one call
-only, and takes no formula input.
+quotient's rows, frozen together (the ints themselves, or the bytes of the
+list rows), never by the line or the parameter; it lives for one call only
+and takes no formula input.
 
-The one other cache is on each model, in two ``cached_property``
-attributes: the form's nonzero entries by column, which ``quotient_model``
-and ``chi_invariant`` read, and, per pivot pair, the rows of G and N that
-every quotient with those pivots starts from.  It lives as long as the
-model, which is one call for the models a tally builds.  Nothing is cached
-across models or calls.
+The other caches are on each model, in ``cached_property`` attributes: its
+rows, packed from its lists (or, for a quotient, its lists unpacked from
+its rows) when first read; the form's columns, prepared for products with
+the line; and, per pivot pair, the rows of G and N that every quotient with
+those pivots starts from.  They live as long as the model, which is one
+call for the models a tally builds.  Nothing is cached across models or
+calls.
 """
 
-import dataclasses
 import functools
-import itertools
 
 from . import theory  # which imports this module, so not ``from .theory``
 from .errors import InvalidParam, InvariantViolation
 from .gf import (
     Echelon,
-    FieldCtx,
     mat_mul,
     mat_vec,
     nullspace,
     rank,
-    scale_vec,
-    vec_dot,
-    vec_mat,
 )
 from .params import (
     OmegaParam,
@@ -67,25 +70,63 @@ V_NOT_PERP = VNotPerp()
 LINE_CAP = 10**7
 
 
-@dataclasses.dataclass
 class FieldModel:
-    """Explicit matrix model: an alternating form, a nilpotent, a vector."""
+    """Explicit matrix model: an alternating form, a nilpotent, a vector.
 
-    field: FieldCtx
-    dim: int
-    gram: list
-    N: list
-    v: list
-    basis_index: dict | None = None
+    The lists ``gram``, ``N`` and ``v`` define the model, and ``check``
+    reads them.  The oracle reads ``rows``: the rows of the form and of the
+    nilpotent and the vector in the field's row representation, packed from
+    the lists when first read, so the lists must not change after that.  A
+    quotient model is made from its rows (``_from_rows``), and its lists
+    are unpacked only when they are read.
+    """
+
+    def __init__(self, field, dim, gram, N, v, basis_index=None):
+        self.field, self.dim, self.basis_index = field, dim, basis_index
+        self.gram, self.N, self.v = gram, N, v
+
+    @classmethod
+    def _from_rows(cls, field, dim, rows):
+        model = cls.__new__(cls)
+        model.field, model.dim, model.basis_index = field, dim, None
+        model.rows = rows
+        return model
+
+    @functools.cached_property
+    def rows(self):
+        """(rows of gram, rows of N, v) in the field's row representation."""
+        pack = self.field.rows.pack
+        return [pack(r) for r in self.gram], [pack(r) for r in self.N], pack(self.v)
+
+    @functools.cached_property
+    def gram(self):
+        return [self.field.rows.unpack(r, self.dim) for r in self.rows[0]]
+
+    @functools.cached_property
+    def N(self):
+        return [self.field.rows.unpack(r, self.dim) for r in self.rows[1]]
+
+    @functools.cached_property
+    def v(self):
+        return self.field.rows.unpack(self.rows[2], self.dim)
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldModel):
+            return NotImplemented
+        return (self.field, self.dim, self.rows, self.basis_index) == (
+            other.field, other.dim, other.rows, other.basis_index
+        )
+
+    def __repr__(self):
+        return (
+            f"FieldModel(field={self.field!r}, dim={self.dim}, gram={self.gram},"
+            f" N={self.N}, v={self.v}, basis_index={self.basis_index})"
+        )
 
     @functools.cached_property
     def _form_columns(self):
-        """The form's nonzero entries by column: for each b, the (a, G[a][b])
-        with G[a][b] != 0."""
-        return [
-            [(a, row[b]) for a, row in enumerate(self.gram) if row[b]]
-            for b in range(self.dim)
-        ]
+        """The form's columns, prepared for products with vectors."""
+        return self.field.rows.columns(self.gram)
 
     @functools.cached_property
     def _pivot_bases(self):
@@ -178,17 +219,19 @@ def standard_model_exotic(b, fieldctx):
     return model.check()
 
 
-def _jordan_chain(fieldctx, mat, dim):
-    """Jordan type of a nilpotent matrix and the chain of its row spaces:
-    chain[k - 1] is an echelon basis of the row space of N^k, for k up to
-    the largest part, where it is 0.  That row space is the image of the
-    one of N^(k-1) under x -> xN, so no power of N is formed."""
+def _jordan_chain(fieldctx, rows, dim):
+    """Jordan type of a nilpotent matrix, given by its rows in the field's
+    row representation, and the chain of its row spaces: chain[k - 1] is
+    an echelon basis of the row space of N^k, for k up to the largest part,
+    where it is 0.  That row space is the image of the one of N^(k-1) under
+    x -> xN, so no power of N is formed."""
     if dim == 0:
         return Partition(), []
+    combine = fieldctx.rows.combine
     ranks = [dim]
     chain = []
     ech = Echelon(fieldctx, dim)
-    for row in mat:
+    for row in rows:
         ech.add(row)
     while True:
         r = ech.size
@@ -198,10 +241,10 @@ def _jordan_chain(fieldctx, mat, dim):
         chain.append(ech)
         if r == 0:
             break
-        rows = ech.rows
+        image = ech.rows
         ech = Echelon(fieldctx, dim)
-        for row in rows:
-            ech.add(vec_mat(fieldctx, row, mat))
+        for row in image:
+            ech.add(combine(row, rows))
     at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
     parts = []
     for i, cnt in enumerate(at_least, start=1):
@@ -214,8 +257,10 @@ def _jordan_chain(fieldctx, mat, dim):
 
 
 def jordan_type(fieldctx, mat, dim):
-    """Jordan type of a nilpotent matrix from its rank sequence."""
-    return _jordan_chain(fieldctx, mat, dim)[0]
+    """Jordan type of a nilpotent matrix (a list of rows) from its rank
+    sequence."""
+    pack = fieldctx.rows.pack
+    return _jordan_chain(fieldctx, [pack(row) for row in mat], dim)[0]
 
 
 def chi_invariant(model):
@@ -227,28 +272,27 @@ def chi_invariant(model):
     x^T P x = sum_a P[a][a] x_a^2 = (s . x)^2 with s_a^2 = P[a][a].  The
     pairing thus vanishes on ker N^r exactly when s lies in (ker N^r)^perp,
     the row space of N^r, which the rank chain holds.  From 2i + 1 = top
-    on, N^(2i+1) = 0 and so is the pairing.
+    on, N^(2i+1) = 0 and so is the pairing.  In characteristic 2, G is
+    symmetric, so the diagonal of P is the sum over b of the entrywise
+    products of row b of N^(2i+1) and row b of G.
     """
     F = model.field
     if F.p != 2:
         raise InvalidParam("invariant defined in characteristic 2")
-    N, dim = model.N, model.dim
-    lam, chain = _jordan_chain(F, N, dim)
+    R = F.rows
+    gram, N, _ = model.rows
+    lam, chain = _jordan_chain(F, N, model.dim)
     if not lam:
         return OmegaParam.make(lam, {})
     top = lam.part_at(1)
-    add, mul, sqrt = F.add_table, F.mul_table, F.sqrt_table
-    # in characteristic 2, G is symmetric: column b of G is also its row b
-    form_rows = model._form_columns
-    square = mat_mul(F, N, N) if top > 3 else None
+    square = [R.combine(row, N) for row in N] if top > 3 else None
     roots = []  # roots[i] = s for the pairing of N^(2i+1), while 2i + 1 < top
+    odd = N
     for i in range(top // 2):
-        odd = mat_mul(F, odd, square) if i else N  # N^(2i+1)
-        diag = [0] * dim  # diag[a] = sum_b N^(2i+1)[b][a] G[b][a]
-        for odd_row, form_row in zip(odd, form_rows):
-            for a, g in form_row:
-                diag[a] = add[diag[a]][mul[odd_row[a]][g]]
-        roots.append([sqrt[x] for x in diag])
+        if i:
+            odd = [R.combine(row, square) for row in odd]  # N^(2i+1)
+        diag = functools.reduce(R.add, map(R.mul_slots, odd, gram))
+        roots.append(R.sqrt(diag))
     chi = {}
     for r in underlying_set(lam):
         for i in range(0, r // 2 + 1):
@@ -261,11 +305,13 @@ def chi_invariant(model):
 
 
 def exotic_invariant(model):
-    """Recover the bipartition of an odd-characteristic model."""
+    """Recover the bipartition of an odd-characteristic model, whose rows
+    are lists."""
     F = model.field
     if F.p == 2:
         raise InvalidParam("invariant defined in odd characteristic")
-    doubled = jordan_type(F, model.N, model.dim)
+    _, N, v = model.rows
+    doubled = _jordan_chain(F, N, model.dim)[0]
     halved = []
     for r in underlying_set(doubled):
         m_r = multiplicity(doubled, r)
@@ -276,14 +322,14 @@ def exotic_invariant(model):
     n = lam.size
     # cyclic subspace generated by v
     span = Echelon(F, model.dim)
-    x = model.v
+    x = v
     while span.add(x):
-        x = mat_vec(F, model.N, x)
+        x = mat_vec(F, N, x)
     free = [j for j in range(model.dim) if j not in span.pivots]
     hat_dim = len(free)
     cols = []
     for j in free:
-        col_in = [model.N[i][j] for i in range(model.dim)]
+        col_in = [N[i][j] for i in range(model.dim)]
         red = span.reduce(col_in)
         cols.append([red[i] for i in free])
     # the induced nilpotent's transpose, which has the same Jordan type
@@ -296,7 +342,8 @@ def line_count(q, d):
 
 
 def _lines(F, basis):
-    """One vector on each line of the span of basis.
+    """One vector on each line of the span of basis, in the field's row
+    representation, as are the basis vectors.
 
     Each line is the combination of the basis by one coefficient tuple
     whose first nonzero entry is 1, its pivot, and that combination is the
@@ -307,12 +354,13 @@ def _lines(F, basis):
     the basis vectors (head, b_0, b_1, ...).  The next tuple raises one
     digit t_K and resets the digits after it to 0, so one vector addition
     gives prefix[K + 1], and the later partial sums are the same vector.
-    The yielded lists are the walk's own (the first of each pivot is the
+    The yielded rows are the walk's own (the first of each pivot is the
     basis vector itself), so callers must not mutate them.
     """
     q = F.q
-    add = F.add_table
-    multiples = [[scale_vec(F, c, b) for c in range(q)] for b in basis]
+    R = F.rows
+    add = R.add
+    multiples = [[R.scale(c, b) for c in range(q)] for b in basis]
     for pivot, head in enumerate(basis):
         rest = multiples[pivot + 1 :]
         m = len(rest)
@@ -327,7 +375,7 @@ def _lines(F, basis):
             if k < 0:
                 break
             t = digits[k] = digits[k] + 1
-            vec = [add[a][b] for a, b in zip(prefix[k], rest[k][t])]
+            vec = add(prefix[k], rest[k][t])
             for j in range(k + 1, m + 1):
                 prefix[j] = vec
 
@@ -335,6 +383,8 @@ def _lines(F, basis):
 def quotient_model(model, line):
     """Model induced on (line-perp)/line, or V_NOT_PERP when the model vector
     pairs nontrivially with the line (empty fiber, bipartition theory).
+    The line is a vector of the field's row representation, and so are the
+    rows the quotient is made of.
 
     With f = <-, w>, jstar the first index where f is nonzero and istar the
     first index other than jstar where w is, the quotient has the basis
@@ -350,88 +400,76 @@ def quotient_model(model, line):
     zero test of <v, f>, so every nonzero multiple of it gives the same
     quotient.  Everything but alpha and w depends only on the pivot pair
     (i, j), so it is taken from the model once per pair (``_pivot_base``)
-    and each line copies those rows and applies its rank-one corrections
-    to the nonzero entries.  The model's matrices must not change once a
-    quotient has been taken.
+    and each line applies its rank-one corrections to those rows.  The
+    model's matrices must not change once a quotient has been taken.
     """
     F = model.field
+    R = F.rows
     w = line
-    add, sub, mul = F.add_table, F.sub_table, F.mul_table
-    columns = model._form_columns
-    f = [0] * model.dim  # f[a] = <e_a, w>
-    for b, x in enumerate(w):
-        if x:
-            mx = mul[x]
-            for a, g in columns[b]:
-                f[a] = add[f[a]][mx[g]]
-    if vec_dot(F, model.v, f) != 0:
+    f = R.apply(model._form_columns, w)  # f[a] = <e_a, w>
+    if R.dot(model.rows[2], f):
         return V_NOT_PERP
-    jstar = next(i for i, x in enumerate(f) if x)
-    istar = next(i for i, x in enumerate(w) if x and i != jstar)
+    jstar, f_j = R.first(f)
+    istar, w_i = R.first(w)
+    if istar == jstar:
+        lead = R.first(w, jstar + 1)
+        if lead is None:  # w = c e_j, and <w, w> = c^2 G[j][j] != 0
+            raise InvariantViolation("form not alternating")
+        istar, w_i = lead
     bases = model._pivot_bases
     base = bases.get((istar, jstar))
     if base is None:
         base = bases[istar, jstar] = _pivot_base(model, istar, jstar)
-    kept, g0, n0, g_col, n_col, g_row, n_row, n_ij, v0 = base
+    sel, g0, n0, g_col, n_col, g_row, n_row, n_ij, v0, v_i = base
 
-    finv = F.inv(f[jstar])
-    alpha = [(k, mul[f[a]][finv]) for k, a in enumerate(kept) if f[a]]
-    winv = F.inv(w[istar])
-    w_over = [(k, mul[w[a]][winv]) for k, a in enumerate(kept) if w[a]]
+    def over(row, c):  # row / c
+        return row if c == 1 else R.scale(F.inv(c), row)
 
-    def subtract(rows, coeffs, vec):
-        # rows[k] -= c * vec for every (k, c) in coeffs; vec sparse
-        for k, c in coeffs:
-            row, mc = rows[k], mul[c]
-            for kk, y in vec:
-                row[kk] = sub[row[kk]][mc[y]]
-
-    gram2 = [row[:] for row in g0]
-    subtract(gram2, g_col, alpha)
-    subtract(gram2, alpha, g_row)
-    if any([row[k] for k, row in enumerate(gram2)]):
+    alpha = over(R.take(f, sel), f_j)
+    w_kept = R.take(w, sel)
+    gram2 = list(g0)
+    R.sub_outer(gram2, g_col, alpha)
+    R.sub_outer(gram2, R.items(alpha), g_row)
+    if R.nonzero(R.diagonal(gram2)):
         raise InvariantViolation("quotient form not alternating")
-    n2 = [row[:] for row in n0]
-    subtract(n2, n_col, alpha)
+    n2 = list(n0)
+    R.sub_outer(n2, n_col, alpha)
     if n_ij:  # row istar of N less N[i][j] alpha
-        n_row = list(n_row)
-        mc = mul[n_ij]
-        for k, al in alpha:
-            n_row[k] = sub[n_row[k]][mc[al]]
-    subtract(n2, w_over, [(k, y) for k, y in enumerate(n_row) if y])
-    if v0 is None:
-        v2 = [0] * len(kept)
-    else:
-        cv = mul[model.v[istar]][winv]
-        v2 = [sub[x][mul[cv][w[a]]] for x, a in zip(v0, kept)]
-    return FieldModel(F, len(kept), gram2, n2, v2, None)
+        n_row = R.sub_mul(n_row, n_ij, alpha)
+    R.sub_outer(n2, R.items(over(w_kept, w_i)), n_row)
+    v2 = R.sub_mul(v0, F.mul(v_i, F.inv(w_i)), w_kept) if v_i else v0
+    return FieldModel._from_rows(F, len(g0), (gram2, n2, v2))
 
 
 def _pivot_base(model, istar, jstar):
     """The part of quotient_model shared by every line with pivots (istar,
-    jstar): the kept indices, G and N on the kept rows and columns, the
-    nonzero entries of column jstar of G and of N on the kept rows and of
-    row jstar of G on the kept columns, row istar of N on the kept columns,
-    N[i][j], and the model vector on the kept indices (None when it is
-    zero).  Raises InvariantViolation when G[j][j] != 0."""
-    G, N, v = model.gram, model.N, model.v
+    jstar): take's argument for the kept indices, the rows of G and N on
+    the kept rows and columns, the nonzero entries of column jstar of G
+    and of N on the kept rows, rows jstar of G and istar of N on the kept
+    columns, N[i][j], the model vector on the kept indices and v[i].
+    Raises InvariantViolation when G[j][j] != 0."""
+    G, N = model.gram, model.N
     if G[jstar][jstar]:
         raise InvariantViolation("form not alternating")
+    R = model.field.rows
+    gram_rows, n_rows, v = model.rows
     kept = [a for a in range(model.dim) if a != istar and a != jstar]
+    sel = R.selector(kept)
 
     def column(mat, b):
         return [(k, mat[a][b]) for k, a in enumerate(kept) if mat[a][b]]
 
     return (
-        kept,
-        [[G[a][b] for b in kept] for a in kept],
-        [[N[a][b] for b in kept] for a in kept],
+        sel,
+        [R.take(gram_rows[a], sel) for a in kept],
+        [R.take(n_rows[a], sel) for a in kept],
         column(G, jstar),
         column(N, jstar),
-        [(k, G[jstar][b]) for k, b in enumerate(kept) if G[jstar][b]],
-        [N[istar][b] for b in kept],
+        R.take(gram_rows[jstar], sel),
+        R.take(n_rows[istar], sel),
         N[istar][jstar],
-        [v[a] for a in kept] if any(v) else None,
+        R.take(v, sel),
+        R.entry(v, istar),
     )
 
 
@@ -454,14 +492,15 @@ def _tally(param, fieldctx):
         raise InvalidParam("oracle needs rank >= 1")
     th = theory.of(param)
     model = th.standard_model(param, fieldctx)
-    basis = nullspace(fieldctx, model.N)
+    pack = fieldctx.rows.pack
+    basis = [pack(b) for b in nullspace(fieldctx, model.N)]
     lines = line_count(fieldctx.q, len(basis))
     if lines > LINE_CAP:
         raise InvalidParam(
             f"{param} over GF({fieldctx.q}) has {lines} kernel lines,"
             f" above the oracle's cap of {LINE_CAP}"
         )
-    chain = itertools.chain.from_iterable
+    freeze = fieldctx.rows.freeze
     seen = {}
     tally = {}
     empty = 0
@@ -470,9 +509,10 @@ def _tally(param, fieldctx):
         if qm is V_NOT_PERP:
             empty += 1
             continue
-        # field codes are below 64 and every quotient here has dimension
-        # dim - 2, so these bytes determine (N, gram, v)
-        key = bytes(chain((chain(qm.N), chain(qm.gram), qm.v)))
+        # every quotient here has dimension dim - 2, so its rows, frozen
+        # together, determine (N, gram, v)
+        gram2, n2, v2 = qm.rows
+        key = freeze((*n2, *gram2, v2))
         sub = seen.get(key)
         if sub is None:
             sub = seen[key] = th.invariant(qm)

@@ -132,7 +132,10 @@ def omega_from_text(text):
         m = _OMEGA_TOKEN.match(tok)
         if not m:
             raise InvalidParam(f"bad parameter token {tok!r}")
-        r, mult, c = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        try:
+            r, mult, c = map(int, m.groups())
+        except ValueError:  # more digits than int() converts
+            raise InvalidParam(f"bad parameter token {tok!r}") from None
         if r < 1 or mult < 1:
             raise InvalidParam(f"bad parameter token {tok!r}")
         if last_r is not None and r >= last_r:

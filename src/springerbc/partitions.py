@@ -69,7 +69,10 @@ def partition_from_text(text):
     body = text[1:-1].strip()
     if not body:
         return EMPTY
-    parts = [int(tok) for tok in body.split(",")]
+    try:
+        parts = [int(tok) for tok in body.split(",")]
+    except ValueError:
+        raise InvalidParam(f"partition parts must be integers: {text!r}") from None
     if any(x < 1 for x in parts):
         raise InvalidParam(f"partition parts must be positive: {text!r}")
     if parts != sorted(parts, reverse=True):

@@ -234,13 +234,26 @@ REJECTED = [
         "restrict --theory exotic --mu [1,0] --nu []",
         "partition parts must be positive: '[1,0]'",
     ),
+    # int() refuses a string of more than 4300 digits
+    (
+        f"oracle --theory sp2 --param {'1' * 5000}^1_1 --q 2",
+        f"bad parameter token '{'1' * 5000}^1_1'",
+    ),
 ]
 
 
-@pytest.mark.parametrize("line,message", REJECTED, ids=[c for c, _ in REJECTED])
+@pytest.mark.parametrize("line,message", REJECTED, ids=[c[:50] for c, _ in REJECTED])
 def test_rejected_input_exits_2_with_its_message(capsys, line, message):
     assert run(line.split()) == 2
     assert out_of(capsys) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["[a]", "[1,,2]", "[1.5]"])
+def test_a_part_that_is_not_an_integer_is_named_with_its_text(capsys, text):
+    line = ["restrict", "--theory", "exotic", "--mu", text, "--nu", "[]"]
+    assert run(line) == 2
+    expected = f"error: partition parts must be integers: {text!r}\n"
+    assert out_of(capsys) == ("", expected)
 
 
 def test_reported_turns_a_broken_invariant_into_exit_2(capsys):

@@ -47,8 +47,10 @@ def bp(text):
 
 
 def kernel_lines(model):
-    """The oracle's walk over the lines of ker N."""
-    return _lines(model.field, nullspace(model.field, model.N))
+    """The oracle's walk over the lines of ker N, in the field's row
+    representation."""
+    F = model.field
+    return _lines(F, [F.rows.pack(b) for b in nullspace(F, model.N)])
 
 
 # --- models ------------------------------------------------------------------
@@ -202,7 +204,7 @@ def test_enumerate_lines_counts():
         (standard_model_exotic(bp("mu=[1] nu=[1]"), GF3), 4),
     ]:
         F = model.field
-        lines = list(kernel_lines(model))
+        lines = [F.rows.unpack(vec, model.dim) for vec in kernel_lines(model)]
         assert len(lines) == count == line_count(F.q, len(nullspace(F, model.N)))
         normalized = set()
         for vec in lines:

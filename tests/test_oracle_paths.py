@@ -139,7 +139,7 @@ def ref_tally(model):
     """brute_force_restriction without the per-call invariant memo."""
     invariant = chi_invariant if model.field.p == 2 else exotic_invariant
     tally, empty = {}, 0
-    for line in _lines(model.field, nullspace(model.field, model.N)):
+    for line in kernel_lines(model):
         qm = quotient_model(model, line)
         if qm is V_NOT_PERP:
             empty += 1
@@ -147,6 +147,17 @@ def ref_tally(model):
         sub = invariant(qm)
         tally[sub] = tally.get(sub, 0) + 1
     return tally, empty
+
+
+def kernel_lines(model):
+    """The oracle's walk over the lines of ker N, in the field's row
+    representation."""
+    F = model.field
+    return _lines(F, [F.rows.pack(b) for b in nullspace(F, model.N)])
+
+
+def as_list(model, row):
+    return model.field.rows.unpack(row, model.dim)
 
 
 def ref_projective_tuples(q, d):
@@ -213,7 +224,7 @@ def test_jordan_type_rejects_non_nilpotent_input(case, data):
 def test_chi_invariant_matches_reference_on_every_quotient():
     checked = 0
     for _, model in _models(3, (GF2, GF4), ()):
-        for line in _lines(model.field, nullspace(model.field, model.N)):
+        for line in kernel_lines(model):
             qm = quotient_model(model, line)
             assert chi_invariant(qm) == ref_chi_invariant(qm), line
             checked += 1
@@ -226,11 +237,11 @@ def test_quotient_model_matches_columnwise_reference():
     # pivot pair is not always built by the same line
     checked = 0
     for param, model in _models(3, (GF2, GF4), (GF3, GF5)):
-        lines = list(_lines(model.field, nullspace(model.field, model.N)))
+        lines = list(kernel_lines(model))
         random.Random(str(param)).shuffle(lines)
         for line in lines:
             got = quotient_model(model, line)
-            want = ref_quotient_model(model, line)
+            want = ref_quotient_model(model, as_list(model, line))
             if want is V_NOT_PERP:
                 assert got is V_NOT_PERP, (param, line)
                 continue
@@ -249,7 +260,7 @@ def test_chi_invariant_matches_reference_on_every_rank_4_quotient():
     seen = set()
     for p in enumerate_omega(5):
         model = standard_model_symplectic(p, GF2)
-        for line in _lines(model.field, nullspace(model.field, model.N)):
+        for line in kernel_lines(model):
             qm = quotient_model(model, line)
             key = repr((qm.N, qm.gram))
             if key not in seen:
@@ -275,8 +286,10 @@ def test_unranked_tuple_is_kth_tuple(q, d):
     # the k-th line is the reference's k-th tuple, over the unit basis
     full = list(ref_projective_tuples(q, d))
     assert len(full) == line_count(q, d)
-    identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    assert list(_lines(field(q), identity)) == [list(t) for t in full]
+    R = field(q).rows
+    identity = [R.pack([int(i == j) for j in range(d)]) for i in range(d)]
+    lines = [R.unpack(line, d) for line in _lines(field(q), identity)]
+    assert lines == [list(t) for t in full]
 
 
 def test_line_walk_matches_plain_combinations_on_kernel_bases():
@@ -291,7 +304,10 @@ def test_line_walk_matches_plain_combinations_on_kernel_bases():
             vec_mat(F, coeffs, basis)
             for coeffs in ref_projective_tuples(F.q, len(basis))
         ]
-        assert list(_lines(F, basis)) == want, (F, basis)
+        packed = [F.rows.pack(b) for b in basis]
+        dim = len(basis[0]) if basis else 0
+        got = [F.rows.unpack(line, dim) for line in _lines(F, packed)]
+        assert got == want, (F, basis)
     assert len(bases) > 50
 
 
@@ -301,10 +317,11 @@ def test_quotient_model_ignores_the_scale_of_the_line():
     checked = 0
     for param, model in _models(3, (GF4,), (GF3, GF5)):
         F = model.field
-        for line in _lines(F, nullspace(F, model.N)):
+        for line in kernel_lines(model):
             want = quotient_model(model, line)
             for c in range(1, F.q):
-                got = quotient_model(model, [F.mul(c, x) for x in line])
+                multiple = [F.mul(c, x) for x in as_list(model, line)]
+                got = quotient_model(model, F.rows.pack(multiple))
                 if want is V_NOT_PERP:
                     assert got is V_NOT_PERP, (param, line, c)
                 else:
@@ -366,3 +383,54 @@ def test_quotient_model_rejects_a_pivot_off_the_alternating_form():
     model = FieldModel(GF3, 4, gram, zero, [0] * 4)
     with pytest.raises(InvariantViolation, match="^form not alternating"):
         quotient_model(model, [0, 0, 0, 1])
+
+
+def test_quotient_model_rejects_a_pivot_off_the_alternating_form_in_characteristic_2():
+    # the twin over GF(4) on packed rows: G[0][0] = 3 and otherwise
+    # alternating; the line e_3 has f = 2 e_0, so the pivot pair is (3, 0)
+    gram = [[3, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0]]
+    zero = [[0] * 4 for _ in range(4)]
+    model = FieldModel(GF4, 4, gram, zero, [0] * 4)
+    with pytest.raises(InvariantViolation, match="^form not alternating"):
+        quotient_model(model, GF4.rows.pack([0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("F", [GF3, GF4])
+def test_quotient_model_rejects_a_line_that_pairs_with_itself(F):
+    # G[0][0] = 1: the line e_0 has f = e_0 - e_3, so the pivot jstar = 0 is
+    # the line's only nonzero index and no istar is left
+    minus = F.neg(1)
+    gram = [[1, 0, 0, 1], [0, 0, 1, 0], [0, minus, 0, 0], [minus, 0, 0, 0]]
+    zero = [[0] * 4 for _ in range(4)]
+    model = FieldModel(F, 4, gram, zero, [0] * 4)
+    with pytest.raises(InvariantViolation, match="^form not alternating"):
+        quotient_model(model, F.rows.pack([1, 0, 0, 0]))
+
+
+def test_pivot_check_in_characteristic_2_raises_under_python_O():
+    code = textwrap.dedent(
+        """
+        from springerbc.errors import InvariantViolation
+        from springerbc.fforacle import FieldModel, quotient_model
+        from springerbc.gf import field
+
+        assert False, "asserts must be stripped"
+        F = field(4)
+        gram = [[3, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0]]
+        zero = [[0] * 4 for _ in range(4)]
+        try:
+            quotient_model(FieldModel(F, 4, gram, zero, [0] * 4), F.rows.pack([0, 0, 0, 1]))
+        except InvariantViolation as exc:
+            print("raised", exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised", "form", "not", "alternating"]

@@ -1,10 +1,12 @@
-"""The finite-field oracle on every parameter of rank 4 and 5 sweeps.
+"""The finite-field oracle on every parameter of wide sweeps.
 
 The acceptance suite checks ranks n <= 3; these sweeps reach the formula
 branches that need more parts: sp2 at n = 4 and n = 5 over GF(2), and the
 exotic theory at n = 4 over GF(3).  The sp2 sweep at n = 3 over GF(8)
 checks the invariant where square roots in the field are not the identity
-(over GF(2) every element is its own square root).
+(over GF(2) every element is its own square root).  The sp2 sweeps over
+GF(16), GF(32) and GF(64) run the oracle on rows of 4, 5 and 6 bits per
+entry.
 """
 
 import pytest
@@ -13,7 +15,17 @@ from springerbc.fforacle import verify_against_formula
 from springerbc.gf import field
 from springerbc.theory import THEORIES
 
-SWEEPS = [("sp2", 4, 2), ("sp2", 5, 2), ("sp2", 3, 8), ("exotic", 4, 3)]
+SWEEPS = [
+    ("sp2", 4, 2),
+    ("sp2", 5, 2),
+    ("sp2", 3, 8),
+    ("sp2", 1, 16),
+    ("sp2", 2, 16),
+    ("sp2", 1, 32),
+    ("sp2", 2, 32),
+    ("sp2", 1, 64),
+    ("exotic", 4, 3),
+]
 
 
 @pytest.mark.parametrize("theory, n, q", SWEEPS)
