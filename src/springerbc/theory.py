@@ -30,7 +30,9 @@ class Theory(SimpleNamespace):
     order, ``parse(args)`` reads one from the command-line options,
     ``restrict`` and ``restrict_q1`` are the graded and ungraded
     restrictions, ``standard_model(param, field)`` is the oracle's matrix
-    model and ``invariant(model)`` recovers the parameter of a model.
+    model and ``invariant(model, memo)`` recovers the parameter of a
+    model; a tally passes one dict as ``memo`` to all its calls, which
+    the invariant may fill with work its quotients share.
     ``rank1`` holds the rank-1 parameter whose values are 1 at id and s1,
     then the one whose values are 1 + q at id and 1 - q at s1.
     ``empty_lines(param, q)`` is the number of kernel lines over GF(q) whose
@@ -68,7 +70,7 @@ SP2 = Theory(
     restrict=lambda p: restrict.restrict_symplectic(p),
     restrict_q1=lambda p: restrict.restrict_symplectic_q1(p),
     standard_model=lambda p, field: fforacle.standard_model_symplectic(p, field),
-    invariant=lambda model: fforacle.chi_invariant(model),
+    invariant=lambda model, memo=None: fforacle.chi_invariant(model),
     rank1=(omega_from_text("2^1_1"), omega_from_text("1^2_0")),
     empty_lines=lambda p, q: 0,  # the model vector is zero
 )
@@ -81,7 +83,7 @@ EXOTIC = Theory(
     restrict=lambda b: restrict.restrict_exotic(b),
     restrict_q1=lambda b: restrict.restrict_exotic_q1(b),
     standard_model=lambda b, field: fforacle.standard_model_exotic(b, field),
-    invariant=lambda model: fforacle.exotic_invariant(model),
+    invariant=lambda model, memo=None: fforacle.exotic_invariant(model, memo),
     rank1=(Bipartition(Partition([1]), EMPTY), Bipartition(EMPTY, Partition([1]))),
     empty_lines=_exotic_empty_lines,
 )

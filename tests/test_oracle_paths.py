@@ -2,11 +2,12 @@
 
 Each fast path in ``fforacle`` is compared with a plain reference kept here:
 Jordan types from the ranks of explicit matrix powers, the chi search over
-rebuilt powers and the form x^T G y on each kernel basis vector, quotient
-matrices built column by column, and a tally with no invariant memo.  The
-line walk is pinned against one combination of the basis per tuple of the
-plain pivot-then-product enumeration, and the quotient against every
-rescaling of its line.
+rebuilt powers and the form x^T G y on each kernel basis vector, the
+exotic invariant from the matrix of N on V modulo the cyclic span of v,
+quotient matrices built column by column, and a tally with no invariant
+memo.  The line walk is pinned against one combination of the basis per
+tuple of the plain pivot-then-product enumeration, and the quotient
+against every rescaling of its line.
 """
 
 import itertools
@@ -36,6 +37,7 @@ from springerbc.fforacle import (
     standard_model_symplectic,
 )
 from springerbc.gf import (
+    Echelon,
     field,
     mat_mul,
     mat_vec,
@@ -48,11 +50,14 @@ from springerbc.params import (
     OmegaParam,
     enumerate_bipartitions,
     enumerate_omega,
+    recover_bipartition,
     underlying_set,
 )
 from springerbc.partitions import Partition
 
 GF2, GF3, GF4, GF5 = field(2), field(3), field(4), field(5)
+# larger prime fields, and an odd extension field
+GF7, GF9, GF11, GF13 = field(7), field(9), field(11), field(13)
 
 
 # --- references ------------------------------------------------------------------
@@ -102,6 +107,27 @@ def ref_chi_invariant(model):
         else:
             raise AssertionError(f"chi search exceeded r/2 at r={r}")
     return OmegaParam.make(lam, chi)
+
+
+def ref_exotic_invariant(model):
+    """lam halved from the Jordan type of N, and hat the Jordan type of the
+    matrix of N on V/S, S the cyclic span of v, in the coordinates off the
+    pivots of S; both from the ranks of rebuilt powers."""
+    F, dim = model.field, model.dim
+    doubled = ref_jordan_type(F, model.N, dim)
+    lam = Partition(r for r in doubled[::2])
+    assert Partition(r for r in doubled[1::2]) == lam, doubled
+    span = Echelon(F, dim)
+    x = list(model.v)
+    while span.add(x):
+        x = mat_vec(F, model.N, x)
+    free = [j for j in range(dim) if j not in span.pivots]
+    induced = []  # column j of N reduced modulo S, on the free coordinates
+    for j in free:
+        red = span.reduce([row[j] for row in model.N])
+        induced.append([red[i] for i in free])
+    hat = ref_jordan_type(F, [list(row) for row in zip(*induced)], len(free))
+    return recover_bipartition(lam, hat, lam.size)
 
 
 def ref_quotient_model(model, line):
@@ -201,6 +227,12 @@ def test_jordan_type_matches_power_ranks(case):
     jt = jordan_type(F, mat, dim)
     assert jt == ref_jordan_type(F, mat, dim)
     assert jt.size == dim
+    # the row space of N^k has dimension rank(N^k), for k up to the largest part
+    chain = []
+    assert jordan_type(F, mat, dim, chain) == jt
+    assert [ech.size for ech in chain] == [
+        sum(max(r - k, 0) for r in jt) for k in range(1, max(jt, default=0) + 1)
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -232,11 +264,36 @@ def test_chi_invariant_matches_reference_on_every_quotient():
     assert checked > 0
 
 
+def test_exotic_invariant_matches_reference_on_every_quotient():
+    # each model's distinct quotients share one memo, as in a tally
+    checked = 0
+    models = itertools.chain(
+        _models(3, (), (GF3, GF5)), _models(2, (), (GF7, GF9, GF13))
+    )
+    for param, model in models:
+        memo, seen = {}, set()
+        for line in kernel_lines(model):
+            qm = quotient_model(model, line)
+            if qm is V_NOT_PERP:
+                continue
+            key = repr((qm.N, qm.gram, qm.v))
+            if key in seen:
+                continue
+            seen.add(key)
+            assert exotic_invariant(qm, memo) == ref_exotic_invariant(qm), (param, line)
+            checked += 1
+        assert exotic_invariant(model) == ref_exotic_invariant(model) == param
+    assert checked > 1000
+
+
 def test_quotient_model_matches_columnwise_reference():
     # each model's lines in a shuffled order, so that the base cached for a
     # pivot pair is not always built by the same line
     checked = 0
-    for param, model in _models(3, (GF2, GF4), (GF3, GF5)):
+    models = itertools.chain(
+        _models(3, (GF2, GF4), (GF3, GF5)), _models(2, (), (GF7, GF9, GF11, GF13))
+    )
+    for param, model in models:
         lines = list(kernel_lines(model))
         random.Random(str(param)).shuffle(lines)
         for line in lines:
@@ -270,7 +327,12 @@ def test_chi_invariant_matches_reference_on_every_rank_4_quotient():
 
 
 def test_memoized_tally_matches_unmemoized():
-    for param, model in _models(3, (GF2, GF4), (GF3, GF5)):
+    # the exotic tallies also share Jordan types and recovered bipartitions
+    # between quotients; ref_tally computes every invariant afresh
+    models = itertools.chain(
+        _models(3, (GF2, GF4), (GF3, GF5)), _models(2, (), (GF7, GF9))
+    )
+    for param, model in models:
         assert brute_force_restriction(param, model.field) == ref_tally(model), param
     for p in enumerate_omega(4):
         model = standard_model_symplectic(p, GF2)
@@ -352,16 +414,7 @@ def test_model_check_raises_under_python_O():
             print("raised")
         """
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"]
+    assert run_optimized(code) == ["raised"]
 
 
 def test_model_check_rejects_odd_form():
@@ -395,7 +448,7 @@ def test_quotient_model_rejects_a_pivot_off_the_alternating_form_in_characterist
         quotient_model(model, GF4.rows.pack([0, 0, 0, 1]))
 
 
-@pytest.mark.parametrize("F", [GF3, GF4])
+@pytest.mark.parametrize("F", [GF3, GF4, GF7])
 def test_quotient_model_rejects_a_line_that_pairs_with_itself(F):
     # G[0][0] = 1: the line e_0 has f = e_0 - e_3, so the pivot jstar = 0 is
     # the line's only nonzero index and no istar is left
@@ -424,6 +477,40 @@ def test_pivot_check_in_characteristic_2_raises_under_python_O():
             print("raised", exc)
         """
     )
+    assert run_optimized(code) == ["raised", "form", "not", "alternating"]
+
+
+def test_quotient_checks_over_a_prime_field_raise_under_python_O():
+    # over GF(7): the line e_0 pairs with itself (G[0][0] = 1); the line e_3 has f = e_0 and pivots (3, 0), and
+    # leaves G[1][1] = 1 on the quotient's diagonal
+    code = textwrap.dedent(
+        """
+        from springerbc.errors import InvariantViolation
+        from springerbc.fforacle import FieldModel, quotient_model
+        from springerbc.gf import field
+
+        assert False, "asserts must be stripped"
+        F = field(7)
+        zero = [[0] * 4 for _ in range(4)]
+        cases = [
+            ([[1, 0, 0, 1], [0, 0, 1, 0], [0, 6, 0, 0], [6, 0, 0, 0]], [1, 0, 0, 0]),
+            ([[0, 0, 0, 1], [0, 1, 1, 0], [0, 6, 0, 0], [6, 0, 0, 0]], [0, 0, 0, 1]),
+        ]
+        for gram, line in cases:
+            try:
+                quotient_model(FieldModel(F, 4, gram, zero, [0] * 4), F.rows.pack(line))
+            except InvariantViolation as exc:
+                print("raised:", exc)
+        """
+    )
+    assert run_optimized(code) == [
+        "raised:", "form", "not", "alternating",
+        "raised:", "quotient", "form", "not", "alternating",
+    ]
+
+
+def run_optimized(code):
+    """The words that code prints when run by ``python -O``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -433,4 +520,4 @@ def test_pivot_check_in_characteristic_2_raises_under_python_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised", "form", "not", "alternating"]
+    return done.stdout.split()

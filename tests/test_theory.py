@@ -73,5 +73,5 @@ def test_invariant_recovers_the_parameter_of_its_model(name, q, attr, monkeypatc
         for p in th.enumerate(n):
             assert th.invariant(th.standard_model(p, field(q))) == p
     # read off fforacle at call time, so that a wrapped invariant is called
-    monkeypatch.setattr(fforacle, attr, lambda model: ("wrapped", model))
+    monkeypatch.setattr(fforacle, attr, lambda model, memo=None: ("wrapped", model))
     assert th.invariant("model") == ("wrapped", "model")

@@ -6,7 +6,9 @@ exotic theory at n = 4 over GF(3).  The sp2 sweep at n = 3 over GF(8)
 checks the invariant where square roots in the field are not the identity
 (over GF(2) every element is its own square root).  The sp2 sweeps over
 GF(16), GF(32) and GF(64) run the oracle on rows of 4, 5 and 6 bits per
-entry.
+entry.  The exotic sweeps over GF(5), GF(7), GF(11) and GF(13) run it over
+larger prime fields, and those over GF(9) and GF(25) over odd extension
+fields.
 """
 
 import pytest
@@ -25,6 +27,12 @@ SWEEPS = [
     ("sp2", 2, 32),
     ("sp2", 1, 64),
     ("exotic", 4, 3),
+    ("exotic", 3, 5),
+    ("exotic", 3, 7),
+    ("exotic", 2, 9),
+    ("exotic", 2, 11),
+    ("exotic", 2, 13),
+    ("exotic", 2, 25),
 ]
 
 
