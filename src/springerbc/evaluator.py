@@ -21,15 +21,12 @@ doubles, the memo is cleared and the value is computed again from the
 outermost call.  The slot starts at 64 bits; at rank 18 the bounds seen
 reach 54 bits.
 
-The packed restriction coefficients are kept in a table per slot width,
-cleared with the memo.  The memo is a plain dict keyed by (parameter, w),
-shared across calls; each entry records its slot width, and an entry of
-another width counts as missing, so no sum ever mixes widths.  Reads and
-inserts are atomic under the GIL and recomputation is idempotent, so
-concurrent use from threads is safe, also while one of them widens.
+The memo is a plain dict keyed by (parameter, w), shared across calls,
+and the packed restriction coefficients are kept in a second dict; both
+hold values at the current slot width only, and widening clears both.
+``value`` is not thread-safe: nothing in the package starts a thread, and
+a call made while another widens could mix widths.
 """
-
-import threading
 
 from .errors import InvalidParam
 from .qpoly import ONE, QPoly, _pack, _unpack
@@ -48,10 +45,9 @@ def _base_table():
 
 
 _BASE = _base_table()
-_memo = {}  # (param, w) -> (packed value, coefficient bound, slot width)
-_packs = {}  # slot width -> {QPoly: (packed, l1 norm)}
+_memo = {}  # (param, w) -> (packed value, coefficient bound)
+_packs = {}  # QPoly -> (packed, l1 norm)
 _slot = 64  # bits per packed coefficient; only ever widened
-_widening = threading.Lock()
 
 
 def clear_cache():
@@ -59,72 +55,64 @@ def clear_cache():
     _packs.clear()
 
 
-def value(param, w, *, _at=0):
+def value(param, w, *, _inner=False):
     """Character value of the given parameter at w in {"id", "s1"}.
 
-    Internal: the recursion passes its slot width as ``_at`` and gets back
-    (packed value, coefficient bound, slot) instead of a QPoly."""
+    Internal: the recursion passes ``_inner`` and gets back (packed value,
+    coefficient bound) at the current slot width instead of a QPoly."""
     global _slot
     if w not in GROUP_ELEMENTS:
         raise InvalidParam(f"group element must be one of {GROUP_ELEMENTS}, got {w!r}")
     key = (param, w)
-    slot = _at or _slot
     while True:
         entry = _memo.get(key)
-        if entry is None or entry[2] != slot:
+        if entry is None:
             try:
-                entry = _miss(param, w, key, slot)
+                entry = _miss(param, w, key)
             except RecursionError:
-                if _at:
+                if _inner:
                     raise
                 raise InvalidParam(
                     f"rank {param.rank} is too deep for the value recursion"
                 ) from None
-        if _at:
+        if _inner:
             return entry
-        bound = entry[1]
-        if bound < 1 << (slot - 1):
-            return _unpack(entry[0], slot)
+        packed, bound = entry
+        if bound < 1 << (_slot - 1):
+            return _unpack(packed, _slot)
         # a coefficient might not fit its slot: start over, wider
-        while bound >= 1 << (slot - 1):
-            slot *= 2
-        with _widening:
-            if slot > _slot:
-                _slot = slot
-                clear_cache()
+        while bound >= 1 << (_slot - 1):
+            _slot *= 2
+        clear_cache()
 
 
-def _miss(param, w, key, slot):
-    """(packed value, coefficient bound, slot) of ``key``, memoized from
-    rank 2 on."""
-    packs = _packs.get(slot)
-    if packs is None:
-        packs = _packs[slot] = {}
+def _miss(param, w, key):
+    """(packed value, coefficient bound) of ``key``, memoized from rank 2
+    on."""
     n = param.rank
     if n <= 1:
         if n == 0:
-            return (1, 1, slot)
+            return (1, 1)
         try:
             base = _BASE[key]
         except KeyError:
             raise InvalidParam(f"not a valid rank-1 parameter: {param}") from None
-        packed, l1 = packs.get(base) or _new_pack(packs, base, slot)
-        return (packed, l1, slot)
+        return _packs.get(base) or _new_pack(base)
     # the record reads the restriction off its module on every miss, so
     # that a wrapped or patched restriction is the one called
     terms = of(param).restrict(param)
     total = bound = 0
     for target, coeff in terms.terms.items():
-        sub = value(target, w, _at=slot)
-        c = packs.get(coeff) or _new_pack(packs, coeff, slot)
+        sub = value(target, w, _inner=True)
+        c = _packs.get(coeff) or _new_pack(coeff)
         total += c[0] * sub[0]
         bound += c[1] * sub[1]
-    entry = _memo[key] = (total, bound, slot)
+    entry = _memo[key] = (total, bound)
     return entry
 
 
-def _new_pack(packs, p, slot):
-    entry = packs[p] = (_pack(p, slot), sum(map(abs, p)))
+def _new_pack(p):
+    entry = _packs[p] = (_pack(p, _slot), sum(map(abs, p)))
     return entry
 
 

@@ -8,12 +8,14 @@ the resulting tallies against the formula coefficients evaluated at q.
 Everything here is deliberately independent of the formulas it verifies:
 the invariants are recomputed from matrices alone.
 
-Models are defined by list matrices, but the oracle computes on rows in
-the field's row representation (``gf``): over GF(2^k) one int per row, so
-the line walk, the quotients, the rank chains and the chi invariant add
-rows by XOR; in odd characteristic a list per row.  The functions here
-have one body for both, and the split between them lies in the row
-primitives alone.
+A model is its rows, in the field's row representation (``gf``): over
+GF(2^k) one int per row, so the line walk, the quotients, the rank chains
+and the chi invariant add rows by XOR; in odd characteristic a list per
+row.  The functions here have one body for both, and the split between
+them lies in the row primitives alone.  The builders write list matrices
+and pack them once, and one constructor makes every model from its rows.
+Rows are unpacked to lists only where lists are read: by ``check``, and
+once per tally for the kernel basis of N (``gf.nullspace``).
 
 A tally computes the invariant once per distinct quotient model within one
 call (many lines of one kernel give the same quotient matrices).  This is
@@ -33,13 +35,11 @@ frozen rows (the benchmark's exotic sweeps have 1 464 distinct N among
 round-trip check so runs once per distinct pair.  Each is a function of
 its key alone, and the dict has the memo's lifetime.
 
-The other caches are on each model, in ``cached_property`` attributes: its
-rows, packed from its lists (or, for a quotient, its lists unpacked from
-its rows) when first read; the form's columns, prepared for products with
-the line; and, per pivot pair, the rows of G and N that every quotient with
-those pivots starts from.  They live as long as the model, which is one
-call for the models a tally builds.  Nothing is cached across models or
-calls.
+Each model also caches, for the quotients taken from it, the multiples of
+the form's rows (made when first read) and, per pivot pair, the rows of G
+and N that every quotient with those pivots starts from.  They live as
+long as the model, which is one call for the models a tally builds.
+Nothing is cached across models or calls.
 """
 
 import functools
@@ -82,49 +82,38 @@ LINE_CAP = 10**7
 class FieldModel:
     """Explicit matrix model: an alternating form, a nilpotent, a vector.
 
-    The lists ``gram``, ``N`` and ``v`` define the model, and ``check``
-    reads them.  The oracle reads ``rows``: the rows of the form and of the
-    nilpotent and the vector in the field's row representation, packed from
-    the lists when first read, so the lists must not change after that.  A
-    quotient model is made from its rows (``_from_rows``), and its lists
-    are unpacked only when they are read.
+    A model is its rows: ``gram_rows`` and ``n_rows``, the rows of the form
+    and of the nilpotent, and the vector ``v_row``, in the field's row
+    representation.  The oracle reads only these.  The lists ``gram``, ``N``
+    and ``v`` are a read-only view of them, unpacked when first read; a
+    change to a list is not written back to the rows.
     """
 
-    def __init__(self, field, dim, gram, N, v, basis_index=None):
+    def __init__(self, field, dim, gram_rows, n_rows, v_row, basis_index=None):
         self.field, self.dim, self.basis_index = field, dim, basis_index
-        self.gram, self.N, self.v = gram, N, v
-
-    @classmethod
-    def _from_rows(cls, field, dim, rows):
-        model = cls.__new__(cls)
-        model.field, model.dim, model.basis_index = field, dim, None
-        model.rows = rows
-        return model
-
-    @functools.cached_property
-    def rows(self):
-        """(rows of gram, rows of N, v) in the field's row representation."""
-        pack = self.field.rows.pack
-        return [pack(r) for r in self.gram], [pack(r) for r in self.N], pack(self.v)
+        self.gram_rows, self.n_rows, self.v_row = gram_rows, n_rows, v_row
+        self._pivot_bases = {}  # quotient_model's _pivot_base per pivot pair
 
     @functools.cached_property
     def gram(self):
-        return [self.field.rows.unpack(r, self.dim) for r in self.rows[0]]
+        return [self.field.rows.unpack(r, self.dim) for r in self.gram_rows]
 
     @functools.cached_property
     def N(self):
-        return [self.field.rows.unpack(r, self.dim) for r in self.rows[1]]
+        return [self.field.rows.unpack(r, self.dim) for r in self.n_rows]
 
     @functools.cached_property
     def v(self):
-        return self.field.rows.unpack(self.rows[2], self.dim)
+        return self.field.rows.unpack(self.v_row, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, FieldModel):
             return NotImplemented
-        return (self.field, self.dim, self.rows, self.basis_index) == (
-            other.field, other.dim, other.rows, other.basis_index
+        mine, theirs = (
+            (m.field, m.dim, m.gram_rows, m.n_rows, m.v_row, m.basis_index)
+            for m in (self, other)
         )
+        return mine == theirs
 
     def __repr__(self):
         return (
@@ -133,15 +122,9 @@ class FieldModel:
         )
 
     @functools.cached_property
-    def _form_columns(self):
-        """The form's columns, prepared for products with vectors."""
-        return self.field.rows.columns(self.gram)
-
-    @functools.cached_property
-    def _pivot_bases(self):
-        """quotient_model's ``_pivot_base`` per pivot pair (istar, jstar),
-        filled as the pairs are first met."""
-        return {}
+    def _form_multiples(self):
+        """The form's rows, prepared for products with vectors."""
+        return self.field.rows.multiples(self.gram_rows)
 
     def check(self):
         """Check the structural invariants, raising InvariantViolation: the
@@ -163,7 +146,8 @@ class FieldModel:
 
 
 def _paired_strings(fieldctx, pairs):
-    """The model on Jordan strings that the form pairs, with vector 0.
+    """The basis index and the lists of the form and the nilpotent of the
+    model on Jordan strings that the form pairs.
 
     Each (r, s, s2) in ``pairs`` names strings s and s2 of length r, and
     s2 = s pairs a string with itself.  The basis vector (r, s, t) is
@@ -189,7 +173,15 @@ def _paired_strings(fieldctx, pairs):
     for (r, s, t), a in index.items():
         if t < r:
             nilp[index[(r, s, t + 1)]][a] = 1
-    return FieldModel(fieldctx, dim, gram, nilp, [0] * dim, index)
+    return index, gram, nilp
+
+
+def _packed_model(fieldctx, index, gram, nilp, v):
+    """The checked model with these list matrices on the basis index."""
+    pack = fieldctx.rows.pack
+    return FieldModel(
+        fieldctx, len(index), list(map(pack, gram)), list(map(pack, nilp)), pack(v), index
+    ).check()
 
 
 def standard_model_symplectic(p, fieldctx):
@@ -204,13 +196,12 @@ def standard_model_symplectic(p, fieldctx):
         if m_r % 2:
             pairs.append((r, 1, 1))
         pairs.extend((r, s, s + 1) for s in range(1 + m_r % 2, m_r, 2))
-    model = _paired_strings(fieldctx, pairs)
-    at = model.basis_index
+    at, gram, nilp = _paired_strings(fieldctx, pairs)
     for r, _ in x_crit(p):
         if multiplicity(lam, r) % 2 == 0:
             # correction on the first string at height chi(r)
-            model.N[at[(r, 2, r + 1 - chi[r])]][at[(r, 1, chi[r])]] = 1
-    return model.check()
+            nilp[at[(r, 2, r + 1 - chi[r])]][at[(r, 1, chi[r])]] = 1
+    return _packed_model(fieldctx, at, gram, nilp, [0] * len(at))
 
 
 def standard_model_exotic(b, fieldctx):
@@ -218,14 +209,15 @@ def standard_model_exotic(b, fieldctx):
     if fieldctx.p == 2:
         raise InvalidParam("need odd characteristic")
     lam = sum_partitions(b.mu, b.nu)
-    model = _paired_strings(fieldctx, [
+    at, gram, nilp = _paired_strings(fieldctx, [
         (r, s, s + 1)
         for r in underlying_set(lam)
         for s in range(1, 2 * multiplicity(lam, r), 2)
     ])
+    v = [0] * len(at)
     for r in und_v(b):
-        model.v[model.basis_index[(r, 1, nabla_delta(b, r)[1] + 1)]] = 1
-    return model.check()
+        v[at[(r, 1, nabla_delta(b, r)[1] + 1)]] = 1
+    return _packed_model(fieldctx, at, gram, nilp, v)
 
 
 def _jordan_chain(fieldctx, rows, dim):
@@ -299,7 +291,7 @@ def chi_invariant(model):
     if F.p != 2:
         raise InvalidParam("invariant defined in characteristic 2")
     R = F.rows
-    gram, N, _ = model.rows
+    gram, N = model.gram_rows, model.n_rows
     lam, chain = _jordan_chain(F, N, model.dim)
     if not lam:
         return OmegaParam.make(lam, {})
@@ -343,7 +335,7 @@ def exotic_invariant(model, memo=None):
     if memo is None:
         memo = {}
     dim = model.dim
-    _, N, v = model.rows
+    N, v = model.n_rows, model.v_row
     n_key = F.rows.freeze(N)
     known = memo.get(n_key)
     if known is None:
@@ -422,28 +414,32 @@ def quotient_model(model, line):
     The line is a vector of the field's row representation, and so are the
     rows the quotient is made of.
 
-    With f = <-, w>, jstar the first index where f is nonzero and istar the
-    first index other than jstar where w is, the quotient has the basis
-    e_a - alpha_a e_jstar (a != istar, jstar; alpha = f / f_jstar), taken
-    modulo w to representatives with istar coordinate 0.  With j = jstar
-    and i = istar, its form and nilpotent are
+    With f = w^T G, the combination of the form's rows by the line w, jstar
+    the first index where f is nonzero and istar the first index other than
+    jstar where w is, the quotient has the basis e_a - alpha_a e_jstar
+    (a != istar, jstar; alpha = f / f_jstar), taken modulo w to
+    representatives with istar coordinate 0.  With j = jstar and i = istar,
+    its form and nilpotent are
 
         gram2[a][b] = G[a][b] - G[a][j] alpha_b - alpha_a G[j][b]
         n2[a][b] = N[a][b] - N[a][j] alpha_b - w_a / w_i (N[i][b] - N[i][j] alpha_b)
 
     (the term alpha_a G[j][j] alpha_b is absent: G[j][j] = 0 on an
-    alternating form).  The line enters only through alpha, w / w_i and the
-    zero test of <v, f>, so every nonzero multiple of it gives the same
-    quotient.  Everything but alpha and w depends only on the pivot pair
-    (i, j), so it is taken from the model once per pair (``_pivot_base``)
-    and each line applies its rank-one corrections to those rows.  The
-    model's matrices must not change once a quotient has been taken.
+    alternating form).  The form being alternating, f = -Gw = -<-, w>; f
+    enters only through the zero test of <v, f>, the index jstar and alpha,
+    and none of them sees its sign.  So the line enters only through alpha,
+    w / w_i and that zero test, and every nonzero multiple of it gives the
+    same quotient.  Everything but alpha and w depends only on the pivot
+    pair (i, j), so it is taken from the model once per pair
+    (``_pivot_base``) and each line applies its rank-one corrections to
+    those rows.  The model's rows must not change once a quotient has been
+    taken.
     """
     F = model.field
     R = F.rows
     w = line
-    f = R.apply(model._form_columns, w)  # f[a] = <e_a, w>
-    if R.dot(model.rows[2], f):
+    f = R.apply(model._form_multiples, w)
+    if R.dot(model.v_row, f):
         return V_NOT_PERP
     jstar, f_j = R.first(f)
     istar, w_i = R.first(w)
@@ -474,7 +470,7 @@ def quotient_model(model, line):
         n_row = R.sub_mul(n_row, n_ij, alpha)
     R.sub_outer(n2, R.items(over(w_kept, w_i)), n_row)
     v2 = R.sub_mul(v0, F.mul(v_i, F.inv(w_i)), w_kept) if v_i else v0
-    return FieldModel._from_rows(F, len(g0), (gram2, n2, v2))
+    return FieldModel(F, len(g0), gram2, n2, v2)
 
 
 def _pivot_base(model, istar, jstar):
@@ -484,28 +480,28 @@ def _pivot_base(model, istar, jstar):
     and of N on the kept rows, rows jstar of G and istar of N on the kept
     columns, N[i][j], the model vector on the kept indices and v[i].
     Raises InvariantViolation when G[j][j] != 0."""
-    G, N = model.gram, model.N
-    if G[jstar][jstar]:
-        raise InvariantViolation("form not alternating")
     R = model.field.rows
-    gram_rows, n_rows, v = model.rows
+    entry = R.entry
+    gram_rows, n_rows, v = model.gram_rows, model.n_rows, model.v_row
+    if entry(gram_rows[jstar], jstar):
+        raise InvariantViolation("form not alternating")
     kept = [a for a in range(model.dim) if a != istar and a != jstar]
     sel = R.selector(kept)
 
-    def column(mat, b):
-        return [(k, mat[a][b]) for k, a in enumerate(kept) if mat[a][b]]
+    def column(rows, b):
+        return [(k, x) for k, a in enumerate(kept) if (x := entry(rows[a], b))]
 
     return (
         sel,
         [R.take(gram_rows[a], sel) for a in kept],
         [R.take(n_rows[a], sel) for a in kept],
-        column(G, jstar),
-        column(N, jstar),
+        column(gram_rows, jstar),
+        column(n_rows, jstar),
         R.take(gram_rows[jstar], sel),
         R.take(n_rows[istar], sel),
-        N[istar][jstar],
+        entry(n_rows[istar], jstar),
         R.take(v, sel),
-        R.entry(v, istar),
+        entry(v, istar),
     )
 
 
@@ -548,8 +544,7 @@ def _tally(param, fieldctx):
             continue
         # every quotient here has dimension dim - 2, so its rows, frozen
         # together, determine (N, gram, v)
-        gram2, n2, v2 = qm.rows
-        key = freeze((*n2, *gram2, v2))
+        key = freeze((*qm.n_rows, *qm.gram_rows, qm.v_row))
         sub = seen.get(key)
         if sub is None:
             sub = seen[key] = th.invariant(qm, memo)

@@ -265,20 +265,20 @@ class _ListRows:
     def dot(self, r, s):
         return vec_dot(self.F, r, s)
 
-    @staticmethod
-    def columns(mat):
-        """The square matrix mat (a list of rows) prepared for ``apply``: the
-        nonzero entries of each column."""
-        return [[(a, x) for a, x in enumerate(col) if x] for col in zip(*mat)]
+    def multiples(self, rows):
+        """The rows of a square matrix prepared for ``apply``: the nonzero
+        entries of each."""
+        return list(map(self.items, rows))
 
-    def apply(self, columns, vec):
-        """The matrix given by ``columns`` times the vector vec."""
+    def apply(self, multiples, vec):
+        """The combination sum_b vec[b] * rows[b] of the rows that
+        ``multiples`` was made from."""
         add, mul = self.add_table, self.mul_table
         out = [0] * len(vec)
         for b, x in enumerate(vec):
             if x:
                 mx = mul[x]
-                for a, y in columns[b]:
+                for a, y in multiples[b]:
                     out[a] = add[out[a]][mx[y]]
         return out
 
@@ -430,23 +430,21 @@ class _PackedRows:
             out ^= ((row >> j) & self.ones) * root
         return out
 
-    def columns(self, mat):
-        """The square matrix mat (a list of rows) prepared for ``apply``: the
-        q multiples of each column, as rows."""
-        return [
-            [self.scale(c, col) for c in range(self.q)]
-            for col in map(self.pack, zip(*mat))
-        ]
+    def multiples(self, rows):
+        """The rows of a square matrix prepared for ``apply``: the q
+        multiples of each."""
+        return [[self.scale(c, row) for c in range(self.q)] for row in rows]
 
-    def apply(self, columns, vec):
-        """The matrix given by ``columns`` times the vector vec."""
+    def apply(self, multiples, vec):
+        """The combination sum_b vec[b] * rows[b] of the rows that
+        ``multiples`` was made from."""
         k, mask = self.k, self.mask
         acc = 0
         while vec:
             b = ((vec & -vec).bit_length() - 1) // k
             c = (vec >> k * b) & mask
             vec ^= c << k * b
-            acc ^= columns[b][c]
+            acc ^= multiples[b][c]
         return acc
 
     def dot(self, r, s):

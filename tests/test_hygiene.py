@@ -23,6 +23,10 @@ only its own unit test.  A caller names it by ``from ... import`` or as
 
 Every private module-level function, class and constant in ``src/`` is
 read somewhere in ``src/``: a helper whose last caller is gone goes with it.
+
+No module in ``src/`` imports a concurrency module (``threading``,
+``_thread``, ``multiprocessing``, ``concurrent``, ``asyncio``): the package
+runs on one thread, and the evaluator's memo relies on that.
 """
 
 import ast
@@ -207,3 +211,29 @@ def test_every_private_name_is_read_in_src():
         and name not in imported
     ]
     assert not found, "private names read nowhere in src/:\n" + "\n".join(found)
+
+
+CONCURRENCY = {"threading", "_thread", "multiprocessing", "concurrent", "asyncio"}
+
+
+def concurrency_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in CONCURRENCY:
+                yield node.lineno, name
+
+
+def test_src_starts_no_threads():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in concurrency_imports(path)
+    ]
+    assert not found, "concurrency imports in src/:\n" + "\n".join(found)

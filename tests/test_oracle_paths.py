@@ -158,7 +158,13 @@ def ref_quotient_model(model, line):
     gram2 = [[vec_dot(F, x, mat_vec(F, model.gram, y)) for y in basis] for x in basis]
     cols = [project(mat_vec(F, model.N, x)) for x in basis]
     n2 = [list(row) for row in zip(*cols)] if cols else []
-    return FieldModel(F, d - 2, gram2, n2, project(model.v), None)
+    return model_of_lists(F, gram2, n2, project(model.v))
+
+
+def model_of_lists(F, gram, N, v):
+    """The model with these list matrices, packed to the field's rows."""
+    pack = F.rows.pack
+    return FieldModel(F, len(v), list(map(pack, gram)), list(map(pack, N)), pack(v))
 
 
 def ref_tally(model):
@@ -428,7 +434,7 @@ def test_model_check_rejects_odd_form():
 
 
 def test_quotient_model_rejects_a_pivot_off_the_alternating_form():
-    # G[0][0] = 1 and otherwise alternating: the line e_3 has f = e_0, so
+    # G[0][0] = 1 and otherwise alternating: the line e_3 has f = -e_0, so
     # the pivot pair is (3, 0), and the quotient on e_1, e_2 would come out
     # alternating if quotient_model did not look at G[0][0]
     gram = [[1, 0, 0, 1], [0, 0, 1, 0], [0, 2, 0, 0], [2, 0, 0, 0]]
@@ -443,19 +449,19 @@ def test_quotient_model_rejects_a_pivot_off_the_alternating_form_in_characterist
     # alternating; the line e_3 has f = 2 e_0, so the pivot pair is (3, 0)
     gram = [[3, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0]]
     zero = [[0] * 4 for _ in range(4)]
-    model = FieldModel(GF4, 4, gram, zero, [0] * 4)
+    model = model_of_lists(GF4, gram, zero, [0] * 4)
     with pytest.raises(InvariantViolation, match="^form not alternating"):
         quotient_model(model, GF4.rows.pack([0, 0, 0, 1]))
 
 
 @pytest.mark.parametrize("F", [GF3, GF4, GF7])
 def test_quotient_model_rejects_a_line_that_pairs_with_itself(F):
-    # G[0][0] = 1: the line e_0 has f = e_0 - e_3, so the pivot jstar = 0 is
+    # G[0][0] = 1: the line e_0 has f = e_0 + e_3, so the pivot jstar = 0 is
     # the line's only nonzero index and no istar is left
     minus = F.neg(1)
     gram = [[1, 0, 0, 1], [0, 0, 1, 0], [0, minus, 0, 0], [minus, 0, 0, 0]]
     zero = [[0] * 4 for _ in range(4)]
-    model = FieldModel(F, 4, gram, zero, [0] * 4)
+    model = model_of_lists(F, gram, zero, [0] * 4)
     with pytest.raises(InvariantViolation, match="^form not alternating"):
         quotient_model(model, F.rows.pack([1, 0, 0, 0]))
 
@@ -470,9 +476,10 @@ def test_pivot_check_in_characteristic_2_raises_under_python_O():
         assert False, "asserts must be stripped"
         F = field(4)
         gram = [[3, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0]]
-        zero = [[0] * 4 for _ in range(4)]
+        gram = [F.rows.pack(row) for row in gram]
+        zero = [0] * 4
         try:
-            quotient_model(FieldModel(F, 4, gram, zero, [0] * 4), F.rows.pack([0, 0, 0, 1]))
+            quotient_model(FieldModel(F, 4, gram, zero, 0), F.rows.pack([0, 0, 0, 1]))
         except InvariantViolation as exc:
             print("raised", exc)
         """
@@ -481,7 +488,7 @@ def test_pivot_check_in_characteristic_2_raises_under_python_O():
 
 
 def test_quotient_checks_over_a_prime_field_raise_under_python_O():
-    # over GF(7): the line e_0 pairs with itself (G[0][0] = 1); the line e_3 has f = e_0 and pivots (3, 0), and
+    # over GF(7): the line e_0 pairs with itself (G[0][0] = 1); the line e_3 has f = -e_0 and pivots (3, 0), and
     # leaves G[1][1] = 1 on the quotient's diagonal
     code = textwrap.dedent(
         """

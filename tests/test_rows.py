@@ -9,11 +9,13 @@ representations, so running it on the list rows of the same field
 """
 
 import copy
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from springerbc.gf import Echelon, _ListRows, field, rank
+from springerbc.gf import Echelon, _ListRows, field, rank, vec_mat
 
 CHAR2 = [2, 4, 8, 16, 32, 64]
 
@@ -79,11 +81,7 @@ def test_packed_matrix_primitives_follow_the_field_tables(case, data):
     for c, row in zip(coeffs, mat):
         combined = [add[a][mul[c][b]] for a, b in zip(combined, row)]
     assert R.unpack(R.combine(R.pack(coeffs), rows), d) == combined
-    image = [0] * d  # mat times the column vector coeffs
-    for a, row in enumerate(mat):
-        for b, c in enumerate(coeffs):
-            image[a] = add[image[a]][mul[row[b]][c]]
-    assert R.unpack(R.apply(R.columns(mat), R.pack(coeffs)), d) == image
+    assert R.unpack(R.apply(R.multiples(rows), R.pack(coeffs)), d) == combined
     assert R.unpack(R.diagonal(rows), d) == [mat[a][a] for a in range(d)]
     kept = data.draw(st.lists(st.sampled_from(range(d)), unique=True)) if d else []
     kept.sort()
@@ -97,6 +95,27 @@ def test_packed_matrix_primitives_follow_the_field_tables(case, data):
     for k, c in touched:
         want[k] = [F.sub_table[a][mul[c][b]] for a, b in zip(want[k], coeffs)]
     assert [R.unpack(row, d) for row in got] == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 32, 64])
+def test_apply_combines_the_rows_like_vec_mat(q):
+    # apply on the rows' multiples is the row vector times the matrix, in
+    # either row representation, for dense and sparse entries alike
+    F = field(q)
+    R = F.rows
+    rng = random.Random(q)
+
+    def draw(d, density):
+        return [rng.randrange(q) if rng.random() < density else 0 for _ in range(d)]
+
+    for d in range(1, 9):
+        for density in (0.3, 1.0):
+            mat = [draw(d, density) for _ in range(d)]
+            multiples = R.multiples([R.pack(row) for row in mat])
+            for _ in range(4):
+                coeffs = draw(d, density)
+                got = R.unpack(R.apply(multiples, R.pack(coeffs)), d)
+                assert got == vec_mat(F, coeffs, mat), (d, mat, coeffs)
 
 
 def list_rows_of(F):
