@@ -562,8 +562,8 @@ def verify_against_formula(param, fieldctx):
     """
     q = fieldctx.q
     th = theory.of(param)
+    tally, empty, lines = _tally(param, fieldctx)  # its rank check comes first
     formula = {sub: coeff(q) for sub, coeff in th.restrict(param).terms.items()}
-    tally, empty, lines = _tally(param, fieldctx)
     totals_match = sum(formula.values()) + empty == lines
     ok = tally == formula and totals_match and empty == th.empty_lines(param, q)
     ordered = sorted(set(tally) | set(formula), key=lambda k: k.sort_key())

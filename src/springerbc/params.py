@@ -7,6 +7,17 @@ module also provides the critical-value machinery that compresses chi to
 a finite point set and recovers it, the explicit block bijection between
 the two parameter sets, limit symbols, the bookkeeping functions for the
 bipartition theory, and the affine-paving predicates.
+
+A parameter is an immutable tuple subclass with no instance dict:
+``OmegaParam(lam, chi)`` is the tuple (0, lam, chi) and
+``Bipartition(mu, nu)`` the tuple (1, mu, nu), with the fields read-only
+properties.  The value recursion builds every restriction target and looks
+it up in its memo, so construction, hashing and equality are tuple's own C
+code, not Python methods.  The leading tag keeps the theories apart where
+their fields coincide: (lam, chi) = ([2,2], (1,)) and (mu, nu) = ([2,2],
+[1]) are both valid and key the same evaluator memo.  The hash mixes ints
+only, so it is the same in every process; no output depends on hash order
+in any case, since every listing sorts by ``sort_key``.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product, zip_longest
+from operator import itemgetter
 
 from .errors import InvalidParam, InvariantViolation
 from .partitions import (
@@ -32,13 +44,31 @@ from .partitions import (
 # (lam, chi) parameters
 
 
-@dataclass(frozen=True)
-class OmegaParam:
+class _Param(tuple):
+    """Base of the parameter types: the tuple (tag, field, field).
+    Subclasses give the constructor, the tag and the field names."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the two-field constructor
+        return type(self), self[1:]
+
+
+class OmegaParam(_Param):
     """Pair (lam, chi); chi is stored as a vector aligned with the distinct
     parts of lam in decreasing order."""
 
-    lam: Partition
-    chi: tuple
+    __slots__ = ()
+
+    def __new__(cls, lam, chi):
+        return tuple.__new__(cls, (0, lam, chi))
+
+    lam = property(itemgetter(1))
+    chi = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"OmegaParam(lam={self.lam!r}, chi={self.chi!r})"
 
     @property
     def rank(self):
@@ -215,10 +245,19 @@ def phi(p):
 # Bipartitions
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    mu: Partition
-    nu: Partition
+class Bipartition(_Param):
+    """Ordered pair (mu, nu) of partitions."""
+
+    __slots__ = ()
+
+    def __new__(cls, mu, nu):
+        return tuple.__new__(cls, (1, mu, nu))
+
+    mu = property(itemgetter(1))
+    nu = property(itemgetter(2))
+
+    def __repr__(self):
+        return f"Bipartition(mu={self.mu!r}, nu={self.nu!r})"
 
     @property
     def rank(self):

@@ -248,6 +248,19 @@ def test_rejected_input_exits_2_with_its_message(capsys, line, message):
     assert out_of(capsys) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--theory", "sp2", "--param", "", "--q", "2"],
+        ["--theory", "exotic", "--mu", "[]", "--nu", "[]", "--q", "3"],
+    ],
+    ids=["sp2", "exotic"],
+)
+def test_rank_0_oracle_gives_the_oracles_rank_message(capsys, argv):
+    assert run(["oracle", *argv]) == 2
+    assert out_of(capsys) == ("", "error: oracle needs rank >= 1\n")
+
+
 @pytest.mark.parametrize("text", ["[a]", "[1,,2]", "[1.5]"])
 def test_a_part_that_is_not_an_integer_is_named_with_its_text(capsys, text):
     line = ["restrict", "--theory", "exotic", "--mu", text, "--nu", "[]"]

@@ -13,8 +13,9 @@ import springerbc.evaluator as evaluator
 import springerbc.restrict as restrict_module
 import springerbc.theory as theory
 from springerbc.errors import InvalidParam
-from springerbc.evaluator import value, value_table
+from springerbc.evaluator import GROUP_ELEMENTS, value, value_table
 from springerbc.params import (
+    Bipartition,
     OmegaParam,
     bipartition_from_text,
     check_rank,
@@ -255,6 +256,22 @@ def test_traced_counter_identities(monkeypatch, theory):
         assert counts["calls"] == counts["top"] + counts["miss_terms"]
     finally:
         evaluator.clear_cache()
+
+
+@pytest.mark.parametrize("w", GROUP_ELEMENTS)
+@pytest.mark.parametrize("sp2_first", [True, False], ids=["sp2-first", "exotic-first"])
+def test_the_theories_share_one_memo_without_mixing(w, sp2_first):
+    # the same field tuples in both theories: (lam, chi) = (mu, nu)
+    sp2 = OmegaParam(Partition([2, 2]), (1,))
+    exotic = Bipartition(Partition([2, 2]), Partition([1]))
+    cold = {}
+    for param in (sp2, exotic):
+        evaluator.clear_cache()
+        cold[param] = value(param, w)
+    assert cold[sp2] != cold[exotic]
+    evaluator.clear_cache()
+    for param in (sp2, exotic) if sp2_first else (exotic, sp2):
+        assert value(param, w) == cold[param]
 
 
 def test_table_size_is_checked_before_enumerating():

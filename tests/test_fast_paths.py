@@ -515,7 +515,8 @@ def same_charsum(got, expected):
     assert got.terms == expected.terms
     for param, coeff in got.terms.items():
         same(coeff, expected.terms[param])
-        for name, field in vars(param).items():  # lam, chi or mu, nu
+        for name in ("lam", "chi") if type(param) is OmegaParam else ("mu", "nu"):
+            field = getattr(param, name)
             assert type(field) is (tuple if name == "chi" else Partition)
             assert all(type(x) is int for x in field)
 

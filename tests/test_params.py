@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -411,3 +413,73 @@ def test_bipartition_text_round_trip():
         assert bipartition_from_text(bipartition_to_text(b)) == b
     with pytest.raises(ValueError):
         bipartition_from_text("mu=[1]")
+
+
+# --- parameters as values ----------------------------------------------------
+
+
+def test_parameters_built_by_every_route_are_equal_with_equal_hashes():
+    text = "4^1_2 1^2_0"
+    p = OmegaParam(Partition([4, 1, 1]), (2, 0))
+    b = iota(p)
+    [enumerated_p] = [x for x in enumerate_omega(3) if str(x) == text]
+    [enumerated_b] = [x for x in enumerate_bipartitions(3) if str(x) == str(b)]
+    omegas = [
+        p,
+        OmegaParam.make([4, 1, 1], {4: 2, 1: 0}),
+        om(text),
+        om(omega_to_text(p)),
+        enumerated_p,
+        iota_inv(b),
+    ]
+    biparts = [
+        b,
+        Bipartition(Partition(list(b.mu)), Partition(list(b.nu))),
+        bp(bipartition_to_text(b)),
+        enumerated_b,
+        iota(iota_inv(b)),
+    ]
+    for same in (omegas, biparts):
+        assert all(x == same[0] for x in same)
+        assert {hash(x) for x in same} == {hash(same[0])}
+        assert len(set(same)) == 1
+
+
+@pytest.mark.parametrize("sp2,exotic", [
+    (OmegaParam(Partition([2, 2]), (1,)), Bipartition(Partition([2, 2]), Partition([1]))),
+    (OmegaParam(EMPTY, ()), Bipartition(EMPTY, EMPTY)),
+])
+def test_sp2_and_exotic_parameters_with_the_same_fields_differ(sp2, exotic):
+    assert (sp2.lam, sp2.chi) == (exotic.mu, exotic.nu)
+    assert sp2 != exotic and exotic != sp2
+    keys = {sp2: "sp2", exotic: "exotic"}
+    assert len(keys) == 2
+    assert (keys[sp2], keys[exotic]) == ("sp2", "exotic")
+
+
+def test_parameters_are_immutable():
+    for param, names in ((EX1, ("lam", "chi")), (EXO1, ("mu", "nu"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(param, name, getattr(param, name))
+        with pytest.raises(AttributeError):
+            param.extra = 1
+
+
+def test_repr_text():
+    assert repr(om("2^2_1")) == "OmegaParam(lam=Partition([2, 2]), chi=(1,))"
+    assert repr(bp("mu=[2,2] nu=[1]")) == (
+        "Bipartition(mu=Partition([2, 2]), nu=Partition([1]))"
+    )
+
+
+def test_pickle_and_copy_round_trips():
+    for param in (EX1, EXO1, OmegaParam(EMPTY, ()), Bipartition(EMPTY, EMPTY)):
+        copies = [copy.copy(param), copy.deepcopy(param)] + [
+            pickle.loads(pickle.dumps(param, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for back in copies:
+            assert back == param and hash(back) == hash(param)
+            assert type(back) is type(param)
+            assert repr(back) == repr(param)
