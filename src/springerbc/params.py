@@ -17,19 +17,19 @@ code, not Python methods.  The leading tag keeps the theories apart where
 their fields coincide: (lam, chi) = ([2,2], (1,)) and (mu, nu) = ([2,2],
 [1]) are both valid and key the same evaluator memo.  The hash mixes ints
 only, so it is the same in every process; no output depends on hash order
-in any case, since every listing sorts by ``sort_key``.
+in any case, since every listing sorts by ``sort_key``.  A limit symbol is
+an untagged tuple subclass in the same way, (top, bottom, r, s, m), so it
+compares equal to the plain tuple of its fields.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from itertools import product, zip_longest
 from operator import itemgetter
 
 from .errors import InvalidParam, InvariantViolation
 from .partitions import (
     Partition,
+    _canonical,
     multiplicity,
     partition_from_text,
     partition_to_text,
@@ -143,6 +143,11 @@ def _violations(lam, und, vec):
     return bad
 
 
+# The most parts a parameter text or a limit-symbol row may expand to: a
+# few characters such as "1^100000000_0" or m = 10^8 would otherwise build
+# a list of that length.  Commands on 10^6 parts finish in about a second.
+MAX_PARTS = 10**6
+
 _OMEGA_TOKEN = re.compile(r"^(\d+)\^(\d+)_(\d+)$")
 
 
@@ -171,6 +176,8 @@ def omega_from_text(text):
         if last_r is not None and r >= last_r:
             raise InvalidParam(f"part values must be strictly decreasing: {text!r}")
         last_r = r
+        if len(parts) + mult > MAX_PARTS:
+            raise InvalidParam(f"parameter {text!r} has more than {MAX_PARTS} parts")
         parts.extend([r] * mult)
         chi[r] = c
     return OmegaParam.make(Partition(parts), chi)
@@ -297,7 +304,7 @@ def enumerate_omega(n):
     check_rank(n)
     out = []
     for parts in partitions_of(2 * n):
-        lam = Partition(parts)
+        lam = _canonical(parts)  # partitions_of yields them sorted
         und = underlying_set(lam)
         choices = [
             range(r // 2, -1, -1) if lam.count(r) % 2 == 0
@@ -333,12 +340,13 @@ def enumerate_bipartitions(n):
     """All (mu, nu) with |mu| + |nu| = n; |mu| descending, each side in
     descending lexicographic order."""
     check_rank(n)
-    out = []
-    for k in range(n, -1, -1):
-        for mu in partitions_of(k):
-            for nu in partitions_of(n - k):
-                out.append(Bipartition(Partition(mu), Partition(nu)))
-    return out
+    sized = [[_canonical(p) for p in partitions_of(k)] for k in range(n + 1)]
+    return [
+        Bipartition(mu, nu)
+        for k in range(n, -1, -1)
+        for mu in sized[k]
+        for nu in sized[n - k]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +426,30 @@ def iota_inv(b):
 # Limit symbols
 
 
-@dataclass(frozen=True)
-class LimitSymbol:
-    """A pair of strictly decreasing shifted rows encoding a bipartition."""
+class LimitSymbol(tuple):
+    """A pair of strictly decreasing shifted rows encoding a bipartition,
+    stored as the tuple (top, bottom, r, s, m)."""
 
-    top: tuple
-    bottom: tuple
-    r: int
-    s: int
-    m: int
+    __slots__ = ()
+
+    def __new__(cls, top, bottom, r, s, m):
+        return tuple.__new__(cls, (top, bottom, r, s, m))
+
+    top = property(itemgetter(0))
+    bottom = property(itemgetter(1))
+    r = property(itemgetter(2))
+    s = property(itemgetter(3))
+    m = property(itemgetter(4))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the five-field constructor
+        return type(self), tuple(self)
+
+    def __repr__(self):
+        return (
+            f"LimitSymbol(top={self.top!r}, bottom={self.bottom!r},"
+            f" r={self.r!r}, s={self.s!r}, m={self.m!r})"
+        )
 
     def recover(self):
         """The bipartition the symbol came from."""
@@ -442,6 +465,8 @@ class LimitSymbol:
 
 
 def _zeta(r, m):
+    if m + 1 > MAX_PARTS:
+        raise InvalidParam(f"m={m} makes symbol rows of more than {MAX_PARTS} parts")
     return [j * r for j in range(m, 0, -1)] + [0]
 
 

@@ -226,6 +226,11 @@ REJECTED = [
         "field size must be in [2, 64], got 65",
     ),
     ("oracle --theory exotic --mu [1] --nu [] --q 6", "6 is not a prime power"),
+    # refused before the 42 x 42 model is built
+    (
+        "oracle --theory exotic --mu [21] --nu [] --q 3",
+        "rank 21 is above the largest table rank, 20",
+    ),
     (
         "symbol --mu [1] --nu [] --r 2 --s 0 --m 0",
         "need r >= s + n >= 2n, got r=2, s=0, n=1",

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from springerbc import params
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
     Bipartition,
+    LimitSymbol,
     OmegaParam,
     bipartition_from_text,
     bipartition_to_text,
@@ -310,6 +312,71 @@ def test_limit_symbol_injective_per_m():
         assert key not in seen
         seen[key] = b
         assert sym.recover() == b
+
+
+def test_parts_cap_applies_to_parameter_text_and_symbol_rows(monkeypatch):
+    monkeypatch.setattr(params, "MAX_PARTS", 4)
+    assert om("1^4_0").lam == Partition([1] * 4)
+    assert om("2^2_1 1^2_0").lam.size == 6
+    with pytest.raises(InvalidParam, match=r"^parameter '2\^2_1 1\^4_0' has more"):
+        om("2^2_1 1^4_0")
+    with pytest.raises(InvalidParam, match="has more than 4 parts"):
+        om("1^5_0")
+    empty = bp("mu=[] nu=[]")
+    assert len(to_limit_symbol(empty, 1, 0, 3).top) == 4
+    with pytest.raises(InvalidParam, match="^m=4 makes symbol rows of more than 4 parts$"):
+        to_limit_symbol(empty, 1, 0, 4)
+    with pytest.raises(InvalidParam, match="^m=4 makes"):
+        LimitSymbol((4, 3, 2, 1, 0), (3, 2, 1, 0), 1, 0, 4).recover()
+
+
+SYMBOLS = [
+    to_limit_symbol(bp("mu=[1] nu=[1]"), 4, 2, 1),
+    to_limit_symbol(bp("mu=[2,1] nu=[1]"), 12, 6, 4),
+    to_limit_symbol(bp("mu=[] nu=[]"), 0, 0, 0),
+]
+
+
+def test_limit_symbol_pickle_and_copy_round_trips():
+    for sym in SYMBOLS:
+        copies = [copy.copy(sym), copy.deepcopy(sym)] + [
+            pickle.loads(pickle.dumps(sym, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for back in copies:
+            assert back == sym and hash(back) == hash(sym)
+            assert type(back) is LimitSymbol
+            assert (back.top, back.bottom, back.r, back.s, back.m) == (
+                sym.top, sym.bottom, sym.r, sym.s, sym.m
+            )
+            assert back.recover() == sym.recover()
+
+
+def test_limit_symbol_equality_and_hash_follow_the_fields():
+    a, b, _ = SYMBOLS
+    same = LimitSymbol(top=a.top, bottom=a.bottom, r=a.r, s=a.s, m=a.m)
+    assert same == a and hash(same) == hash(a) and not same != a
+    assert a != b and len({a, b, same}) == 2
+    for field in range(5):
+        fields = [a.top, a.bottom, a.r, a.s, a.m]
+        fields[field] = fields[field] + ((9,) if field < 2 else 1)
+        assert LimitSymbol(*fields) != a
+
+
+def test_limit_symbol_repr_text():
+    assert repr(SYMBOLS[0]) == "LimitSymbol(top=(5, 0), bottom=(3,), r=4, s=2, m=1)"
+    assert str(SYMBOLS[0]) == repr(SYMBOLS[0])
+
+
+def test_limit_symbols_are_immutable():
+    sym = SYMBOLS[0]
+    for name in ("top", "bottom", "r", "s", "m"):
+        with pytest.raises(AttributeError):
+            setattr(sym, name, getattr(sym, name))
+        with pytest.raises(AttributeError):
+            delattr(sym, name)
+    with pytest.raises(AttributeError):
+        sym.extra = 1
 
 
 # --- bookkeeping ---------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Run the scripts under scripts/ end to end, each in its own interpreter,
-and the command line too where the test is about the pipe it writes to."""
+and the command line too where the test is about the pipe it writes to or
+the memory an input could make it take."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +60,48 @@ def test_bad_input_exits_2_without_traceback(argv):
     done = run_script(*argv)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+# A few characters that once expanded to a list of 10^8 entries, or a
+# matrix model of dimension 800 or 6000, before any check ran.
+TOO_MANY_PARTS = "parameter '1^100000000_0' has more than 1000000 parts"
+OVERSIZED = [
+    ("iota --param 1^100000000_0", TOO_MANY_PARTS),
+    ("paving --param 1^100000000_0", TOO_MANY_PARTS),
+    ("restrict --theory sp2 --param 1^100000000_0", TOO_MANY_PARTS),
+    ("oracle --theory sp2 --param 1^100000000_0 --q 2", TOO_MANY_PARTS),
+    (
+        "symbol --mu [] --nu [] --r 100000000 --s 50000000 --m 50000000",
+        "m=50000000 makes symbol rows of more than 1000000 parts",
+    ),
+    (
+        "oracle --theory exotic --mu [400] --nu [] --q 3",
+        "rank 400 is above the largest table rank, 20",
+    ),
+    (
+        "oracle --theory exotic --mu [3000] --nu [] --q 3",
+        "rank 3000 is above the largest table rank, 20",
+    ),
+]
+
+
+@pytest.mark.parametrize("line,message", OVERSIZED, ids=[c[:40] for c, _ in OVERSIZED])
+def test_oversized_input_exits_2_quickly_in_bounded_memory(line, message):
+    # the child's address space is capped at 1 GiB, so a regression fails
+    # with a MemoryError or the timeout instead of filling the host's memory
+    done = subprocess.run(
+        [sys.executable, "-m", "springerbc.cli", *line.split()],
+        capture_output=True,
+        text=True,
+        env=ENV,
+        timeout=10,
+        preexec_fn=_cap_memory,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
