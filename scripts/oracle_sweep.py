@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--exotic-fields", type=int, nargs="*", default=[3, 5])
     args = ap.parse_args()
 
-    check_rank(args.max_n)  # the top rank, before the first rank runs
+    check_rank(args.max_n, "oracle")  # the top rank, before the first rank runs
     t0 = time.perf_counter()
     sweeps = [
         (SP2, [field(q) for q in args.sp2_fields]),

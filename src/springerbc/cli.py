@@ -71,10 +71,12 @@ def cmd_table(args):
     desc = not args.ascending
     doc, lines = [], []
     for p, vid, vs1 in value_table(args.n, args.theory):
-        t_id, t_s1 = (poly_to_text(v, descending=desc) for v in (vid, vs1))
-        doc.append(dict(param=str(p), id=list(vid), s1=list(vs1),
+        name = str(p)
+        t_id = poly_to_text(vid, desc)
+        t_s1 = poly_to_text(vs1, desc)
+        doc.append(dict(param=name, id=list(vid), s1=list(vs1),
                         id_poly=t_id, s1_poly=t_s1))
-        lines.append(f"{p}\t{t_id}\t{t_s1}")
+        lines.append(f"{name}\t{t_id}\t{t_s1}")
     return [doc], "\n".join(lines)
 
 

@@ -523,7 +523,7 @@ def _tally(param, fieldctx):
     distinct quotient (see the module docstring)."""
     if param.rank < 1:
         raise InvalidParam("oracle needs rank >= 1")
-    check_rank(param.rank)  # so the model below has dimension <= 40
+    check_rank(param.rank, "oracle")  # so the model below has dimension <= 40
     th = theory.of(param)
     model = th.standard_model(param, fieldctx)
     pack = fieldctx.rows.pack

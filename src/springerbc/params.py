@@ -153,9 +153,10 @@ _OMEGA_TOKEN = re.compile(r"^(\d+)\^(\d+)_(\d+)$")
 
 def omega_to_text(p):
     """Token form "r^m_c" per distinct part, decreasing, e.g. "4^1_2 1^2_0"."""
-    und = underlying_set(p.lam)
-    chi = p.chi_map()
-    return " ".join(f"{r}^{multiplicity(p.lam, r)}_{chi[r]}" for r in und)
+    lam = p.lam
+    return " ".join(
+        f"{r}^{lam.count(r)}_{c}" for r, c in zip(dict.fromkeys(lam), p.chi)
+    )
 
 
 def omega_from_text(text):
@@ -318,22 +319,21 @@ def enumerate_omega(n):
     return out
 
 
-# The largest rank one enumeration takes on.  The number of rank-n
-# parameters strictly increases with n: 24 842 at rank 20, 35 002 at
-# rank 21.  Rank 16 has 5 822, and its value table takes about 1.3 s on a
-# 2-vCPU host.
-MAX_TABLE_RANK = 20
+# The largest rank one enumeration, or one oracle model, takes on.  The
+# number of rank-n parameters strictly increases with n: 24 842 at rank 20,
+# 35 002 at rank 21.  Rank 16 has 5 822, and its value table takes about
+# 1.3 s on a 2-vCPU host.  An oracle model at rank 20 has dimension 40.
+MAX_RANK = 20
 
 
-def check_rank(n):
-    """Raise InvalidParam when n < 0 or n > MAX_TABLE_RANK, before any
-    parameter is enumerated."""
+def check_rank(n, bounded="table"):
+    """Raise InvalidParam when n < 0 or n > MAX_RANK, before any parameter
+    is enumerated or model built; ``bounded`` names, in the message, what
+    the rank is too large for."""
     if n < 0:
         raise InvalidParam(f"rank must be >= 0, got {n}")
-    if n > MAX_TABLE_RANK:
-        raise InvalidParam(
-            f"rank {n} is above the largest table rank, {MAX_TABLE_RANK}"
-        )
+    if n > MAX_RANK:
+        raise InvalidParam(f"rank {n} is above the largest {bounded} rank, {MAX_RANK}")
 
 
 def enumerate_bipartitions(n):

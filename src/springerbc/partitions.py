@@ -59,7 +59,7 @@ EMPTY = Partition()
 
 def partition_to_text(p):
     """Bracketed comma-separated text form, "[]" for the empty partition."""
-    return "[" + ",".join(str(x) for x in p) + "]"
+    return "[" + ",".join(map(str, p)) + "]"
 
 
 def partition_from_text(text):
@@ -215,13 +215,37 @@ def _shift(p, a, b, step):
     return _canonical(p[:a] + mid + p[b:])
 
 
-def partitions_of(n, max_part=None):
-    """Yield all partitions of n (as tuples) in descending lexicographic order."""
-    if max_part is None:
-        max_part = n
+def partitions_of(n):
+    """Yield all partitions of n (as tuples) in descending lexicographic order.
+
+    Zoghbi and Stojmenovic's algorithm ZS1 on one list: the first m entries
+    are the current partition, every entry after index h is 1, and the next
+    partition lowers the part at h by one and refills the rest greedily.
+    """
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    a = [1] * n
+    a[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while a[0] != 1:
+        if a[h] == 2:  # the 2 becomes 1 + 1
+            a[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = a[h] - 1
+            t = m - h  # what is left once a[h] is r: 1 plus the trailing 1s
+            a[h] = r
+            while t >= r:
+                h += 1
+                a[h] = r
+                t -= r
+            m = h + 1
+            if t:
+                m += 1
+                if t > 1:
+                    h += 1
+                    a[h] = t
+        yield tuple(a[:m])

@@ -162,26 +162,31 @@ def _step(a, b):
     return _canonical((0,) * b + (-1,) + (0,) * (a - b - 1) + (1,)) if a > b else ZERO
 
 
-def _term_text(c, e):
-    if e == 0:
-        return str(abs(c))
-    body = "q" if e == 1 else f"q^{e}"
-    if abs(c) == 1:
-        return body
-    return f"{abs(c)}{body}"
+# _POWERS[e] is the text of q^e.  A polynomial of higher degree binds a
+# longer list in its place, complete before it is bound, so a reader never
+# sees a partial one.
+_POWERS = ["", "q"]
 
 
 def poly_to_text(p, descending=True):
-    """Human-readable form, e.g. "q^4 + 2q^3 + 2q^2 + 2q + 1" or "-q + 1"."""
+    """Human-readable form, e.g. "q^4 + 2q^3 + 2q^2 + 2q + 1" or "-q + 1".
+
+    Each term is its sign as a separator, |c| (left out for a unit at
+    e > 0) and q^e; the first term's separator becomes a bare sign."""
+    global _POWERS
     if not p:
         return "0"
-    terms = [(c, e) for e, c in enumerate(p) if c]
+    powers = _POWERS
+    if len(p) > len(powers):
+        powers = _POWERS = ["", "q"] + [f"q^{e}" for e in range(2, len(p))]
+    terms = [
+        f"{' - ' if c < 0 else ' + '}"
+        f"{'' if e and (c == 1 or c == -1) else abs(c)}{powers[e]}"
+        for e, c in enumerate(p)
+        if c
+    ]
     if descending:
         terms.reverse()
-    out = []
-    for i, (c, e) in enumerate(terms):
-        if i == 0:
-            out.append(("-" if c < 0 else "") + _term_text(c, e))
-        else:
-            out.append((" - " if c < 0 else " + ") + _term_text(c, e))
-    return "".join(out)
+    first = terms[0]
+    terms[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(terms)

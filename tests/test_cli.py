@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,28 @@ def test_table(capsys):
     ]
 
 
+# sha256 of the rank-12 tables' stdout, pinned from the term-by-term
+# formatter; the default-order digests are the benchmark's TABLE_DIGESTS.
+# Rank 12 has multi-digit coefficients of both signs up to degree 72, which
+# the golden corpus (n <= 3) does not reach.
+RANK_12_DIGESTS = {
+    ("sp2", False): "a32783a5f97b783ba1f95ebea58d1f10f0d095c26c3807d958eb652fb4898f9c",
+    ("sp2", True): "ea9a97e43450860bfd2c4b8063f84d078212b0d0a57b71e1b3021f2e4f89e71a",
+    ("exotic", False): "8ec9fc84d614e773f672cdb760afc74713dbed5bcbc91b3c3886a84ea6a682a0",
+    ("exotic", True): "b6c9735a71e94b7e3baa3025f6874bdfae7180550da27a54db2551d7ebc40a44",
+}
+
+
+@pytest.mark.parametrize("theory,ascending", RANK_12_DIGESTS)
+def test_rank_12_table_text_is_pinned(capsys, theory, ascending):
+    argv = ["table", "--theory", theory, "--n", "12"]
+    assert run(argv + ["--ascending"] * ascending) == 0
+    out, err = out_of(capsys)
+    assert err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == RANK_12_DIGESTS[theory, ascending]
+
+
 def test_iota_both_ways(capsys):
     run(["iota", "--param", "2^2_1"])
     out, _ = out_of(capsys)
@@ -229,7 +252,7 @@ REJECTED = [
     # refused before the 42 x 42 model is built
     (
         "oracle --theory exotic --mu [21] --nu [] --q 3",
-        "rank 21 is above the largest table rank, 20",
+        "rank 21 is above the largest oracle rank, 20",
     ),
     (
         "symbol --mu [1] --nu [] --r 2 --s 0 --m 0",

@@ -8,6 +8,7 @@ from springerbc.partitions import (
     multiplicity,
     partition_from_text,
     partition_to_text,
+    partitions_of,
     shift,
     substitute,
     sum_partitions,
@@ -126,3 +127,22 @@ def test_text_round_trip():
         partition_from_text("[0]")
     with pytest.raises(ValueError):
         partition_from_text("3,1")
+
+
+def _reference_partitions(n, max_part):
+    """Partitions of n with parts <= max_part, descending lexicographic,
+    by recursion on the first part."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _reference_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_the_recursive_reference():
+    for n in range(31):
+        assert list(partitions_of(n)) == list(_reference_partitions(n, n))
+    assert list(partitions_of(0)) == [()]
+    assert sum(1 for _ in partitions_of(24)) == 1575
+    assert sum(1 for _ in partitions_of(36)) == 17977

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from springerbc.errors import InvalidParam
@@ -74,6 +74,48 @@ def test_poly_text():
     assert poly_to_text(ZERO) == "0"
     assert poly_to_text(QPoly((0, 1))) == "q"
     assert poly_to_text(QPoly((1, 2, 1)), descending=False) == "1 + 2q + q^2"
+
+
+def _reference_term_text(c, e):
+    if e == 0:
+        return str(abs(c))
+    body = "q" if e == 1 else f"q^{e}"
+    if abs(c) == 1:
+        return body
+    return f"{abs(c)}{body}"
+
+
+def reference_poly_to_text(p, descending=True):
+    """The term-by-term formatter that ``poly_to_text`` must match byte for
+    byte."""
+    if not p:
+        return "0"
+    terms = [(c, e) for e, c in enumerate(p) if c]
+    if descending:
+        terms.reverse()
+    out = []
+    for i, (c, e) in enumerate(terms):
+        if i == 0:
+            out.append(("-" if c < 0 else "") + _reference_term_text(c, e))
+        else:
+            out.append((" - " if c < 0 else " + ") + _reference_term_text(c, e))
+    return "".join(out)
+
+
+# zeros, units and 2 in either sign often; multi-digit and above 2^64 too
+text_coeff_st = st.one_of(
+    st.sampled_from((0, 0, 1, -1, 2, -2)),
+    st.integers(-1000, 1000),
+    st.integers(2**64, 2**80),
+    st.integers(-(2**80), -(2**64)),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(text_coeff_st, max_size=80).map(QPoly), st.booleans())
+def test_poly_text_matches_the_reference(p, descending):
+    assert poly_to_text(p, descending) == reference_poly_to_text(p, descending)
+    assert str(p) == reference_poly_to_text(p)
 
 
 @st.composite

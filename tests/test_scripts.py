@@ -62,6 +62,12 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
+def test_oracle_sweep_names_the_oracle_when_the_rank_is_too_large():
+    done = run_script("oracle_sweep.py", "--max-n", "21")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: rank 21 is above the largest oracle rank, 20\n"
+
+
 def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -80,11 +86,11 @@ OVERSIZED = [
     ),
     (
         "oracle --theory exotic --mu [400] --nu [] --q 3",
-        "rank 400 is above the largest table rank, 20",
+        "rank 400 is above the largest oracle rank, 20",
     ),
     (
         "oracle --theory exotic --mu [3000] --nu [] --q 3",
-        "rank 3000 is above the largest table rank, 20",
+        "rank 3000 is above the largest oracle rank, 20",
     ),
 ]
 
