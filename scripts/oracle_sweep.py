@@ -33,6 +33,10 @@ def main():
         (SP2, [field(q) for q in args.sp2_fields]),
         (EXOTIC, [field(q) for q in args.exotic_fields]),
     ]
+    # a field of the wrong characteristic is refused before the first report
+    for theory, fields in sweeps:
+        for F in fields:
+            theory.standard_model(theory.rank1[0], F)
     failed = 0
     for n in range(1, args.max_n + 1):
         for theory, fields in sweeps:

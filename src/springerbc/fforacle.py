@@ -14,8 +14,8 @@ and the chi invariant add rows by XOR; in odd characteristic a list per
 row.  The functions here have one body for both, and the split between
 them lies in the row primitives alone.  The builders write list matrices
 and pack them once, and one constructor makes every model from its rows.
-Rows are unpacked to lists only where lists are read: by ``check``, and
-once per tally for the kernel basis of N (``gf.nullspace``).
+Every computation after that, from ``check`` and the kernel basis of N to
+the invariants, reads rows; only ``repr`` unpacks them.
 
 A tally computes the invariant once per distinct quotient model within one
 call (many lines of one kernel give the same quotient matrices).  This is
@@ -46,13 +46,7 @@ import functools
 
 from . import theory  # which imports this module, so not ``from .theory``
 from .errors import InvalidParam, InvariantViolation
-from .gf import (
-    Echelon,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank,
-)
+from .gf import Echelon, nullspace
 from .params import (
     OmegaParam,
     check_rank,
@@ -83,67 +77,68 @@ LINE_CAP = 10**7
 class FieldModel:
     """Explicit matrix model: an alternating form, a nilpotent, a vector.
 
-    A model is its rows: ``gram_rows`` and ``n_rows``, the rows of the form
-    and of the nilpotent, and the vector ``v_row``, in the field's row
-    representation.  The oracle reads only these.  The lists ``gram``, ``N``
-    and ``v`` are a read-only view of them, unpacked when first read; a
-    change to a list is not written back to the rows.
+    A model is its rows: ``gram`` and ``N``, the rows of the form and of
+    the nilpotent, and the vector ``v``, all in the field's row
+    representation (lists of element codes in odd characteristic, ints
+    over GF(2^k)).
     """
 
-    def __init__(self, field, dim, gram_rows, n_rows, v_row, basis_index=None):
+    def __init__(self, field, dim, gram, N, v, basis_index=None):
         self.field, self.dim, self.basis_index = field, dim, basis_index
-        self.gram_rows, self.n_rows, self.v_row = gram_rows, n_rows, v_row
+        self.gram, self.N, self.v = gram, N, v
         self._pivot_bases = {}  # quotient_model's _pivot_base per pivot pair
-
-    @functools.cached_property
-    def gram(self):
-        return [self.field.rows.unpack(r, self.dim) for r in self.gram_rows]
-
-    @functools.cached_property
-    def N(self):
-        return [self.field.rows.unpack(r, self.dim) for r in self.n_rows]
-
-    @functools.cached_property
-    def v(self):
-        return self.field.rows.unpack(self.v_row, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, FieldModel):
             return NotImplemented
         mine, theirs = (
-            (m.field, m.dim, m.gram_rows, m.n_rows, m.v_row, m.basis_index)
-            for m in (self, other)
+            (m.field, m.dim, m.gram, m.N, m.v, m.basis_index) for m in (self, other)
         )
         return mine == theirs
 
     def __repr__(self):
+        unpack, dim = self.field.rows.unpack, self.dim
+        gram, N = ([unpack(row, dim) for row in rows] for rows in (self.gram, self.N))
         return (
-            f"FieldModel(field={self.field!r}, dim={self.dim}, gram={self.gram},"
-            f" N={self.N}, v={self.v}, basis_index={self.basis_index})"
+            f"FieldModel(field={self.field!r}, dim={dim}, gram={gram},"
+            f" N={N}, v={unpack(self.v, dim)}, basis_index={self.basis_index})"
         )
 
     @functools.cached_property
     def _form_multiples(self):
         """The form's rows, prepared for products with vectors."""
-        return self.field.rows.multiples(self.gram_rows)
+        return self.field.rows.multiples(self.gram)
 
     def check(self):
         """Check the structural invariants, raising InvariantViolation: the
         form is alternating and invertible, and the nilpotent is self-adjoint
-        for it (in both theories the nilpotent pairs as <Nx, y> = <x, Ny>)."""
-        F, G, N = self.field, self.gram, self.N
-        if any(G[i][i] for i in range(self.dim)):
+        for it (in both theories the nilpotent pairs as <Nx, y> = <x, Ny>).
+        The form G being skew, N^T G = G N holds exactly when G N is skew."""
+        F, G = self.field, self.gram
+        R = F.rows
+        if R.nonzero(R.diagonal(G)):
             raise InvariantViolation("form not alternating")
-        for i in range(self.dim):
-            for j in range(i):
-                if G[i][j] != F.neg(G[j][i]):
-                    raise InvariantViolation("form not skew-symmetric")
-        if rank(F, G) != self.dim:
+        if not _is_skew(F, G):
+            raise InvariantViolation("form not skew-symmetric")
+        ech = Echelon(F)
+        for row in G:
+            ech.add(row)
+        if ech.size != self.dim:
             raise InvariantViolation("form degenerate")
-        nt_g = mat_mul(F, [list(col) for col in zip(*N)], G)
-        if nt_g != mat_mul(F, G, N):
+        if not _is_skew(F, [R.combine(row, self.N) for row in G]):
             raise InvariantViolation("nilpotent not self-adjoint for the form")
         return self
+
+
+def _is_skew(F, rows):
+    """Whether the square matrix with these rows equals minus its
+    transpose."""
+    entry, neg = F.rows.entry, F.neg_table
+    return all(
+        entry(rows[i], j) == neg[entry(rows[j], i)]
+        for i in range(len(rows))
+        for j in range(i + 1)
+    )
 
 
 def _paired_strings(fieldctx, pairs):
@@ -221,18 +216,18 @@ def standard_model_exotic(b, fieldctx):
     return _packed_model(fieldctx, at, gram, nilp, v)
 
 
-def _jordan_chain(fieldctx, rows, dim):
-    """Jordan type of a nilpotent matrix, given by its rows in the field's
-    row representation, and the chain of its row spaces: chain[k - 1] is
-    an echelon basis of the row space of N^k, for k up to the largest part,
-    where it is 0.  That row space is the image of the one of N^(k-1) under
-    x -> xN, so no power of N is formed."""
-    if dim == 0:
+def jordan_type(fieldctx, rows):
+    """Jordan type of the nilpotent square matrix with these rows, in the
+    field's row representation, and the chain of its row spaces: chain[k - 1]
+    is an echelon basis of the row space of N^k, for k up to the largest
+    part, where it is 0.  That row space is the image of the one of N^(k-1)
+    under x -> xN, so no power of N is formed."""
+    if not rows:
         return Partition(), []
     combine = fieldctx.rows.combine
-    ranks = [dim]
+    ranks = [len(rows)]
     chain = []
-    ech = Echelon(fieldctx, dim)
+    ech = Echelon(fieldctx)
     for row in rows:
         ech.add(row)
     while True:
@@ -244,7 +239,7 @@ def _jordan_chain(fieldctx, rows, dim):
         if r == 0:
             break
         image = ech.rows
-        ech = Echelon(fieldctx, dim)
+        ech = Echelon(fieldctx)
         for row in image:
             ech.add(combine(row, rows))
     return _type_of_ranks(ranks), chain
@@ -261,17 +256,6 @@ def _type_of_ranks(ranks):
     jt = Partition(parts)
     if jt.size != ranks[0]:
         raise InvariantViolation(f"Jordan type {jt} does not have size {ranks[0]}")
-    return jt
-
-
-def jordan_type(fieldctx, mat, dim, chain=None):
-    """Jordan type of a nilpotent matrix (a list of rows) from its rank
-    sequence.  A list passed as ``chain`` is extended by the chain of row
-    spaces of its powers (``_jordan_chain``)."""
-    pack = fieldctx.rows.pack
-    jt, row_spaces = _jordan_chain(fieldctx, [pack(row) for row in mat], dim)
-    if chain is not None:
-        chain.extend(row_spaces)
     return jt
 
 
@@ -292,8 +276,8 @@ def chi_invariant(model):
     if F.p != 2:
         raise InvalidParam("invariant defined in characteristic 2")
     R = F.rows
-    gram, N = model.gram_rows, model.n_rows
-    lam, chain = _jordan_chain(F, N, model.dim)
+    gram, N = model.gram, model.N
+    lam, chain = jordan_type(F, N)
     if not lam:
         return OmegaParam.make(lam, {})
     top = lam.part_at(1)
@@ -324,39 +308,41 @@ def exotic_invariant(model, memo=None):
     type of N on V/S for the cyclic span S of v.  The rank of N^k on V/S
     is dim(N^k V + S) - dim S, and N^k V + S = N^k V + the span of v, Nv,
     ..., N^(k-1) v, as N^i v lies in N^k V for i >= k; the chain of row
-    spaces of N's transpose holds an echelon basis of each N^k V.
+    spaces of N's transpose N^T holds an echelon basis of each N^k V, and
+    Nx is the combination of the rows of N^T by x.
 
     ``memo`` is a dict shared by the invariants of one tally (see the
-    module docstring): it maps N's frozen rows to lam and that chain, and
-    each pair (lam, hat) to the bipartition recovered from it.
+    module docstring): it maps N's frozen rows to lam, that chain and the
+    rows of N^T, and each pair (lam, hat) to the bipartition recovered from
+    it.
     """
     F = model.field
     if F.p == 2:
         raise InvalidParam("invariant defined in odd characteristic")
     if memo is None:
         memo = {}
-    dim = model.dim
-    N, v = model.n_rows, model.v_row
-    n_key = F.rows.freeze(N)
+    R = F.rows
+    dim, N = model.dim, model.N
+    n_key = R.freeze(N)
     known = memo.get(n_key)
     if known is None:
-        chain = []
-        doubled = jordan_type(F, [list(col) for col in zip(*N)], dim, chain)
+        nt = list(map(list, zip(*N)))
+        doubled, chain = jordan_type(F, nt)
         halved = []
         for r in underlying_set(doubled):
             m_r = multiplicity(doubled, r)
             if m_r % 2:
                 raise InvalidParam(f"Jordan type {doubled} is not doubled")
             halved.extend([r] * (m_r // 2))
-        known = memo[n_key] = Partition(halved), chain
-    lam, chain = known
+        known = memo[n_key] = Partition(halved), chain, nt
+    lam, chain, nt = known
     sums = []  # dim(N^k V + S) for k = 1, 2, ...: the last is dim S
     powers = []
-    x = v
+    x = model.v
     for image in chain:  # N^k V
         powers.append(x)  # N^(k-1) v
-        x = mat_vec(F, N, x)
-        beyond = Echelon(F, dim)
+        x = R.combine(x, nt)
+        beyond = Echelon(F)
         sums.append(image.size + sum(beyond.add(image.reduce(y)) for y in powers))
     dim_s = sums[-1] if sums else 0
     hat = _type_of_ranks([dim - dim_s] + [size - dim_s for size in sums])
@@ -440,7 +426,7 @@ def quotient_model(model, line):
     R = F.rows
     w = line
     f = R.apply(model._form_multiples, w)
-    if R.dot(model.v_row, f):
+    if R.dot(model.v, f):
         return V_NOT_PERP
     jstar, f_j = R.first(f)
     istar, w_i = R.first(w)
@@ -483,8 +469,8 @@ def _pivot_base(model, istar, jstar):
     Raises InvariantViolation when G[j][j] != 0."""
     R = model.field.rows
     entry = R.entry
-    gram_rows, n_rows, v = model.gram_rows, model.n_rows, model.v_row
-    if entry(gram_rows[jstar], jstar):
+    G, N, v = model.gram, model.N, model.v
+    if entry(G[jstar], jstar):
         raise InvariantViolation("form not alternating")
     kept = [a for a in range(model.dim) if a != istar and a != jstar]
     sel = R.selector(kept)
@@ -494,13 +480,13 @@ def _pivot_base(model, istar, jstar):
 
     return (
         sel,
-        [R.take(gram_rows[a], sel) for a in kept],
-        [R.take(n_rows[a], sel) for a in kept],
-        column(gram_rows, jstar),
-        column(n_rows, jstar),
-        R.take(gram_rows[jstar], sel),
-        R.take(n_rows[istar], sel),
-        entry(n_rows[istar], jstar),
+        [R.take(G[a], sel) for a in kept],
+        [R.take(N[a], sel) for a in kept],
+        column(G, jstar),
+        column(N, jstar),
+        R.take(G[jstar], sel),
+        R.take(N[istar], sel),
+        entry(N[istar], jstar),
         R.take(v, sel),
         entry(v, istar),
     )
@@ -526,8 +512,7 @@ def _tally(param, fieldctx):
     check_rank(param.rank, "oracle")  # so the model below has dimension <= 40
     th = theory.of(param)
     model = th.standard_model(param, fieldctx)
-    pack = fieldctx.rows.pack
-    basis = [pack(b) for b in nullspace(fieldctx, model.N)]
+    basis = nullspace(fieldctx, model.N)
     lines = line_count(fieldctx.q, len(basis))
     if lines > LINE_CAP:
         raise InvalidParam(
@@ -546,7 +531,7 @@ def _tally(param, fieldctx):
             continue
         # every quotient here has dimension dim - 2, so its rows, frozen
         # together, determine (N, gram, v)
-        key = freeze((*qm.n_rows, *qm.gram_rows, qm.v_row))
+        key = freeze((*qm.N, *qm.gram, qm.v))
         sub = seen.get(key)
         if sub is None:
             sub = seen[key] = th.invariant(qm, memo)

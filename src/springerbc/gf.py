@@ -3,17 +3,16 @@
 Field elements are integers in [0, q) encoding base-p digit vectors, i.e.
 coefficients of the residue polynomial modulo a fixed irreducible.  All
 field operations are dense table lookups, built once per field; the
-inverse of a is read off a's row of the multiplication table.  Matrices
-are lists of row lists of element codes.
+inverse of a is read off a's row of the multiplication table.
 
-Elimination works on rows in the field's row representation,
+A matrix is the list of its rows, each in the field's row representation,
 ``FieldCtx.rows``.  In odd characteristic a row is a list of element
 codes.  Over GF(2^k) a row is one int with entry a in bits k*a ..
 k*a + k - 1, so that adding or subtracting two rows is one XOR and the
 first nonzero entry is the lowest set bit.  Both representations have the
-same primitives, and ``Echelon`` and everything built on it have one body
-for both.  Gaussian elimination pivots on the first nonzero entry, so
-every computation is reproducible.
+same primitives, and ``Echelon``, ``nullspace`` and everything built on
+them have one body for both.  Gaussian elimination pivots on the first
+nonzero entry, so every computation is reproducible.
 """
 
 import itertools
@@ -149,50 +148,7 @@ def field(q):
 
 
 # ---------------------------------------------------------------------------
-# Dense exact linear algebra
-
-
-def mat_vec(F, mat, vec):
-    add = F.add_table
-    mul = F.mul_table
-    terms = [(j, mul[x]) for j, x in enumerate(vec) if x]  # vec is often sparse
-    out = []
-    for row in mat:
-        acc = 0
-        for j, mx in terms:
-            a = row[j]
-            if a:
-                acc = add[acc][mx[a]]
-        out.append(acc)
-    return out
-
-
-def vec_mat(F, vec, mat):
-    """The row vector vec times mat: a combination of the rows of mat."""
-    add = F.add_table
-    mul = F.mul_table
-    out = [0] * len(mat[0])
-    for c, row in zip(vec, mat):
-        if c == 1:
-            out = [add[a][b] if b else a for a, b in zip(out, row)]
-        elif c:
-            mc = mul[c]
-            out = [add[a][mc[b]] if b else a for a, b in zip(out, row)]
-    return out
-
-
-def mat_mul(F, A, B):
-    return [vec_mat(F, row, B) for row in A]
-
-
-def vec_dot(F, x, y):
-    add = F.add_table
-    mul = F.mul_table
-    acc = 0
-    for a, b in zip(x, y):
-        if a and b:
-            acc = add[acc][mul[a][b]]
-    return acc
+# Rows and elimination
 
 
 class _ListRows:
@@ -200,7 +156,6 @@ class _ListRows:
     characteristic.  Every row made here is a new list."""
 
     def __init__(self, F):
-        self.F = F
         self.add_table, self.sub_table = F.add_table, F.sub_table
         self.mul_table, self.inv_table = F.mul_table, F.inv_table
 
@@ -260,10 +215,23 @@ class _ListRows:
 
     def combine(self, coeffs, rows):
         """The combination sum_b coeffs[b] * rows[b]."""
-        return vec_mat(self.F, coeffs, rows)
+        add, mul = self.add_table, self.mul_table
+        out = [0] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            if c == 1:
+                out = [add[a][b] if b else a for a, b in zip(out, row)]
+            elif c:
+                mc = mul[c]
+                out = [add[a][mc[b]] if b else a for a, b in zip(out, row)]
+        return out
 
     def dot(self, r, s):
-        return vec_dot(self.F, r, s)
+        add, mul = self.add_table, self.mul_table
+        acc = 0
+        for a, b in zip(r, s):
+            if a and b:
+                acc = add[acc][mul[a][b]]
+        return acc
 
     def multiples(self, rows):
         """The rows of a square matrix prepared for ``apply``: the nonzero
@@ -479,7 +447,7 @@ class _PackedRows:
 
 
 class Echelon:
-    """Incrementally built row-echelon basis of a subspace of F^dim.
+    """Incrementally built row-echelon basis of the span of the rows added.
 
     Rows are in the field's row representation (``F.rows``).  Each stored
     row has leading coefficient 1 at its pivot column and is reduced
@@ -488,9 +456,8 @@ class Echelon:
     of x modulo the subspace: zero at every pivot column.
     """
 
-    def __init__(self, F, dim):
+    def __init__(self, F):
         self.F = F
-        self.dim = dim
         self.rows = []
         self.pivots = []
 
@@ -525,41 +492,32 @@ class Echelon:
         return True
 
 
-def rank(F, mat):
-    if not mat:
-        return 0
-    ech = Echelon(F, len(mat[0]))
-    for row in mat:
-        ech.add(F.rows.pack(row))
-    return ech.size
-
-
-def nullspace(F, mat):
-    """Deterministic basis of the right kernel of mat: for each free column
-    c in increasing order, the kernel vector with 1 at c and 0 at every
-    other free column.  mat and the basis are lists."""
-    if not mat:
-        return []
+def nullspace(F, rows):
+    """Deterministic basis of the right kernel of the square matrix with
+    these rows: for each free column c in increasing order, the kernel
+    vector with 1 at c and 0 at every other free column.  The rows and the
+    basis are in the field's row representation."""
     R = F.rows
-    ech = Echelon(F, len(mat[0]))
-    for row in mat:
-        if any(row):  # most rows of a nilpotent's powers are zero
-            ech.add(R.pack(row))
+    ech = Echelon(F)
+    for row in rows:
+        if R.nonzero(row):  # most rows of a nilpotent's powers are zero
+            ech.add(row)
     # to reduced row-echelon form, last row first: a row is zero at the
     # pivots of the rows stored before it, so clearing it at those of the
     # rows after it leaves it zero at every pivot but its own
-    reduced = Echelon(F, ech.dim)
+    reduced = Echelon(F)
     for row, piv in zip(ech.rows[::-1], ech.pivots[::-1]):
         reduced.rows.append(reduced.reduce(row))
         reduced.pivots.append(piv)
     neg, entry = F.neg_table, R.entry
+    dim = len(rows)
     pivots = set(ech.pivots)
     basis = []
-    for c in range(ech.dim):
+    for c in range(dim):
         if c not in pivots:
-            v = [0] * ech.dim
+            v = [0] * dim
             v[c] = 1
             for row, piv in zip(reduced.rows, reduced.pivots):
                 v[piv] = neg[entry(row, c)]
-            basis.append(v)
+            basis.append(R.pack(v))
     return basis

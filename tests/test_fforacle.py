@@ -18,7 +18,7 @@ from springerbc.fforacle import (
     standard_model_symplectic,
     verify_against_formula,
 )
-from springerbc.gf import field, mat_mul, mat_vec, nullspace
+from springerbc.gf import field, nullspace
 from springerbc.params import (
     Bipartition,
     bipartition_from_text,
@@ -33,6 +33,8 @@ from springerbc.partitions import (
     sum_partitions,
     union_partitions,
 )
+
+from listmat import mat_mul, mat_vec, packed, unpacked
 
 GF2, GF3, GF4, GF5 = field(2), field(3), field(4), field(5)
 EXO1 = Bipartition(Partition([4, 3, 2, 2, 2, 2, 1]), Partition([3, 3, 3, 2, 1, 1]))
@@ -50,7 +52,7 @@ def kernel_lines(model):
     """The oracle's walk over the lines of ker N, in the field's row
     representation."""
     F = model.field
-    return _lines(F, [F.rows.pack(b) for b in nullspace(F, model.N)])
+    return _lines(F, nullspace(F, model.N))
 
 
 # --- models ------------------------------------------------------------------
@@ -61,23 +63,23 @@ def test_symplectic_model_with_correction():
     assert model.dim == 4
     i = model.basis_index
     # the first string turns at height chi(2)=1 into both strings
-    col = [model.N[row][i[(2, 1, 1)]] for row in range(4)]
+    col = [row[i[(2, 1, 1)]] for row in unpacked(GF2, model.N, 4)]
     assert col[i[(2, 1, 2)]] == 1 and col[i[(2, 2, 2)]] == 1
-    assert jordan_type(GF2, model.N, 4) == (2, 2)
+    assert jordan_type(GF2, model.N)[0] == (2, 2)
 
 
 def test_symplectic_model_trivial_nilpotent():
     model = standard_model_symplectic(om("1^2_0"), GF2)
     assert model.dim == 2
-    assert all(x == 0 for row in model.N for x in row)
+    assert all(x == 0 for row in unpacked(GF2, model.N, 2) for x in row)
 
 
 def test_symplectic_model_single_block_no_correction():
     model = standard_model_symplectic(om("4^1_2"), GF4)
     assert model.dim == 4
-    assert jordan_type(GF4, model.N, 4) == (4,)
+    assert jordan_type(GF4, model.N)[0] == (4,)
     # odd multiplicity: plain shift, one nonzero per column
-    for col in zip(*model.N):
+    for col in zip(*unpacked(GF4, model.N, 4)):
         assert sum(1 for x in col if x) <= 1
 
 
@@ -128,15 +130,16 @@ def test_model_check_rejects_bad_adjointness():
 
 def test_jordan_type_examples():
     zero = [[0] * 4 for _ in range(4)]
-    assert jordan_type(GF2, zero, 4) == (1, 1, 1, 1)
+    assert jordan_type(GF2, packed(GF2, zero))[0] == (1, 1, 1, 1)
     single = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
-    assert jordan_type(GF5, single, 3) == (3,)
-    assert jordan_type(GF3, [], 0) == ()
+    assert jordan_type(GF5, single)[0] == (3,)
+    assert jordan_type(GF4, packed(GF4, single))[0] == (3,)
+    assert jordan_type(GF3, []) == ((), [])
 
 
 def test_jordan_type_rejects_non_nilpotent():
     with pytest.raises(InvalidParam, match="^rank stabilized at 1 > 0$"):
-        jordan_type(GF3, [[1, 0], [0, 0]], 2)
+        jordan_type(GF3, [[1, 0], [0, 0]])
 
 
 # --- invariants ----------------------------------------------------------------
@@ -175,7 +178,8 @@ def test_exotic_invariant_rejects_unhalved():
 
 # sha256 of repr((dim, gram, N, v, basis_index items)) over every model of
 # rank n <= 5, in enumeration order: sp2 over GF(2) then GF(4), exotic over
-# GF(3) then GF(5).  Any change to any matrix or index changes it.
+# GF(3) then GF(5), with the rows unpacked to lists.  Any change to any
+# matrix or index changes it.
 MODELS_SHA256 = "335409b9fd6fad29bb094a2bbce517bd22cdfad64d53795dc244571ffc93a1be"
 
 
@@ -185,8 +189,11 @@ def test_standard_models_are_pinned():
         for q in qs:
             for n in range(6):
                 for param in th.enumerate(n):
-                    m = th.standard_model(param, field(q))
-                    entry = (m.dim, m.gram, m.N, m.v, list(m.basis_index.items()))
+                    F = field(q)
+                    m = th.standard_model(param, F)
+                    gram, N = unpacked(F, m.gram, m.dim), unpacked(F, m.N, m.dim)
+                    v = F.rows.unpack(m.v, m.dim)
+                    entry = (m.dim, gram, N, v, list(m.basis_index.items()))
                     digest.update(repr(entry).encode())
                     count += 1
     assert (count, digest.hexdigest()) == (296, MODELS_SHA256)
@@ -209,7 +216,7 @@ def test_enumerate_lines_counts():
         normalized = set()
         for vec in lines:
             assert any(vec)
-            assert mat_vec(F, model.N, vec) == [0] * model.dim
+            assert mat_vec(F, unpacked(F, model.N, model.dim), vec) == [0] * model.dim
             lead = F.inv(next(x for x in vec if x))
             normalized.add(tuple(F.mul(lead, x) for x in vec))
         assert len(normalized) == len(lines)
@@ -224,7 +231,7 @@ def test_quotient_classes_spec_example():
     types = []
     for line in kernel_lines(model):
         qm = quotient_model(model, line)
-        types.append(jordan_type(GF2, qm.N, qm.dim))
+        types.append(jordan_type(GF2, qm.N)[0])
     assert sorted(types) == [(1, 1), (2,), (2,)]
 
 
@@ -273,7 +280,7 @@ def test_quotient_types_obey_lemma():
                     qm = quotient_model(model, line)
                     key = repr(qm.N)
                     if key not in types:
-                        types[key] = lowered(p.lam, jordan_type(F, qm.N, qm.dim))
+                        types[key] = lowered(p.lam, jordan_type(F, qm.N)[0])
                     gone, new = types[key]
                     r = gone[0]
                     assert (gone, new) in {
@@ -304,7 +311,7 @@ def test_exotic_quotient_type_is_doubled_shrink():
                     continue
                 key = repr(qm.N)
                 if key not in types:
-                    types[key] = lowered(doubled, jordan_type(GF3, qm.N, qm.dim))
+                    types[key] = lowered(doubled, jordan_type(GF3, qm.N)[0])
                 gone, new = types[key]
                 r = gone[0]
                 assert (gone, new) == ((r, r), (r - 1, r - 1) if r > 1 else ()), b

@@ -6,16 +6,9 @@ from hypothesis import strategies as st
 
 import springerbc.gf as gf
 from springerbc.errors import InvariantViolation
-from springerbc.gf import (
-    Echelon,
-    FieldCtx,
-    field,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank,
-    vec_dot,
-)
+from springerbc.gf import Echelon, FieldCtx, field, nullspace
+
+from listmat import mat_mul, mat_vec, packed, rank, unpacked, vec_dot
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -143,6 +136,9 @@ def test_matrix_basics():
     assert mat_vec(F, A, [1, 1]) == [3, 2]
     assert vec_dot(F, [1, 2], [3, 4]) == 1  # 11 mod 5
     assert mat_mul(F, A, [[1, 0], [0, 1]]) == A
+    # the row primitives that took over the list kernels' bodies
+    assert [F.rows.combine(row, B) for row in A] == [[2, 1], [4, 3]]
+    assert F.rows.dot([1, 2], [3, 4]) == 1
 
 
 def test_rank_rref_nullspace():
@@ -154,12 +150,17 @@ def test_rank_rref_nullspace():
     assert mat_vec(F, M, ns[0]) == [0, 0, 0]
 
 
+def kernel(F, mat):
+    """nullspace of the square list matrix mat, as lists."""
+    return unpacked(F, nullspace(F, packed(F, mat)), len(mat))
+
+
 def test_nullspace_dimension_theorem():
     F = field(4)
-    M = [[1, 2, 3, 0], [2, 3, 1, 0]]
-    assert rank(F, M) + len(nullspace(F, M)) == 4
-    for v in nullspace(F, M):
-        assert mat_vec(F, M, v) == [0, 0]
+    M = [[1, 2, 3, 0], [2, 3, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    assert rank(F, M) + len(kernel(F, M)) == 4
+    for v in kernel(F, M):
+        assert mat_vec(F, M, v) == [0, 0, 0, 0]
 
 
 def reference_kernel(F, mat):
@@ -195,9 +196,11 @@ def reference_kernel(F, mat):
 def matrices(draw):
     F = field(draw(st.sampled_from([2, 3, 4, 5, 8, 9])))
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    # nullspace takes a square matrix: pad with zero rows or columns
+    d = max(rows, cols)
     shape = draw(st.sampled_from(["random", "zero", "full rank"]))
     if shape == "zero":
-        return F, [[0] * cols for _ in range(rows)]
+        return F, [[0] * d for _ in range(d)]
     entry = st.integers(0, F.q - 1)
     mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                         min_size=rows, max_size=rows))
@@ -207,20 +210,20 @@ def matrices(draw):
             mat[i][:i + 1] = [*mat[i][:i], 1]
             for k in range(i + 1, min(rows, cols)):
                 mat[i][k] = 0
-    return F, mat
+    return F, [row + [0] * (d - cols) for row in mat] + [[0] * d for _ in range(d - rows)]
 
 
 @given(matrices())
 def test_nullspace_equals_reference_kernel(case):
     F, mat = case
-    kernel = nullspace(F, mat)
-    assert kernel == reference_kernel(F, mat)
-    assert rank(F, mat) + len(kernel) == len(mat[0])
+    basis = kernel(F, mat)
+    assert basis == reference_kernel(F, mat)
+    assert rank(F, mat) + len(basis) == len(mat[0])
 
 
 def test_echelon_membership_and_reduce():
     F = field(5)
-    e = Echelon(F, 3)
+    e = Echelon(F)
     assert e.add([1, 2, 3])
     assert e.add([0, 1, 1])
     assert not e.add([1, 3, 4])  # dependent: sum of the two

@@ -36,16 +36,7 @@ from springerbc.fforacle import (
     standard_model_exotic,
     standard_model_symplectic,
 )
-from springerbc.gf import (
-    Echelon,
-    field,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank,
-    vec_dot,
-    vec_mat,
-)
+from springerbc.gf import Echelon, field, nullspace
 from springerbc.params import (
     OmegaParam,
     enumerate_bipartitions,
@@ -54,6 +45,8 @@ from springerbc.params import (
     underlying_set,
 )
 from springerbc.partitions import Partition
+
+from listmat import mat_mul, mat_vec, packed, rank, unpacked, vec_dot, vec_mat
 
 GF2, GF3, GF4, GF5 = field(2), field(3), field(4), field(5)
 # larger prime fields, and an odd extension field
@@ -86,20 +79,21 @@ def ref_jordan_type(F, mat, dim):
 def ref_chi_invariant(model):
     """The chi search over rebuilt powers N^1 .. N^(l+1), testing the form
     pairing of N^(2i+1)b against b for every kernel basis vector b."""
-    F = model.field
-    lam = ref_jordan_type(F, model.N, model.dim)
+    F, dim = model.field, model.dim
+    N, gram = unpacked(F, model.N, dim), unpacked(F, model.gram, dim)
+    lam = ref_jordan_type(F, N, dim)
     if not lam:
         return OmegaParam.make(lam, {})
-    powers = [model.N]
+    powers = [N]
     for _ in range(lam.part_at(1)):
-        powers.append(mat_mul(F, powers[-1], model.N))
+        powers.append(mat_mul(F, powers[-1], N))
     chi = {}
     for r in underlying_set(lam):
-        kernel = nullspace(F, powers[r - 1])
+        kernel = unpacked(F, nullspace(F, packed(F, powers[r - 1])), dim)
         for i in range(0, r // 2 + 1):
             odd = powers[2 * i]
             if not any(
-                vec_dot(F, mat_vec(F, odd, b), mat_vec(F, model.gram, b))
+                vec_dot(F, mat_vec(F, odd, b), mat_vec(F, gram, b))
                 for b in kernel
             ):
                 chi[r] = i
@@ -117,7 +111,7 @@ def ref_exotic_invariant(model):
     doubled = ref_jordan_type(F, model.N, dim)
     lam = Partition(r for r in doubled[::2])
     assert Partition(r for r in doubled[1::2]) == lam, doubled
-    span = Echelon(F, dim)
+    span = Echelon(F)
     x = list(model.v)
     while span.add(x):
         x = mat_vec(F, model.N, x)
@@ -135,9 +129,11 @@ def ref_quotient_model(model, line):
     e_a - alpha_a e_jstar is mapped by N, then reduced modulo the line."""
     F = model.field
     d = model.dim
+    gram, N = unpacked(F, model.gram, d), unpacked(F, model.N, d)
+    v = F.rows.unpack(model.v, d)
     w = list(line)
-    f = mat_vec(F, model.gram, w)
-    if vec_dot(F, model.v, f) != 0:
+    f = mat_vec(F, gram, w)
+    if vec_dot(F, v, f) != 0:
         return V_NOT_PERP
     jstar = next(i for i, x in enumerate(f) if x)
     istar = next(i for i, x in enumerate(w) if x and i != jstar)
@@ -155,16 +151,15 @@ def ref_quotient_model(model, line):
         return [F.sub(x[i], F.mul(c, w[i])) for i in keep]
 
     basis = [basis_vector(a) for a in keep]
-    gram2 = [[vec_dot(F, x, mat_vec(F, model.gram, y)) for y in basis] for x in basis]
-    cols = [project(mat_vec(F, model.N, x)) for x in basis]
+    gram2 = [[vec_dot(F, x, mat_vec(F, gram, y)) for y in basis] for x in basis]
+    cols = [project(mat_vec(F, N, x)) for x in basis]
     n2 = [list(row) for row in zip(*cols)] if cols else []
-    return model_of_lists(F, gram2, n2, project(model.v))
+    return model_of_lists(F, gram2, n2, project(v))
 
 
 def model_of_lists(F, gram, N, v):
     """The model with these list matrices, packed to the field's rows."""
-    pack = F.rows.pack
-    return FieldModel(F, len(v), list(map(pack, gram)), list(map(pack, N)), pack(v))
+    return FieldModel(F, len(v), packed(F, gram), packed(F, N), F.rows.pack(v))
 
 
 def ref_tally(model):
@@ -185,7 +180,7 @@ def kernel_lines(model):
     """The oracle's walk over the lines of ker N, in the field's row
     representation."""
     F = model.field
-    return _lines(F, [F.rows.pack(b) for b in nullspace(F, model.N)])
+    return _lines(F, nullspace(F, model.N))
 
 
 def as_list(model, row):
@@ -230,12 +225,10 @@ def lower_triangular(draw):
 @given(lower_triangular())
 def test_jordan_type_matches_power_ranks(case):
     F, mat, dim, _ = case
-    jt = jordan_type(F, mat, dim)
+    jt, chain = jordan_type(F, packed(F, mat))
     assert jt == ref_jordan_type(F, mat, dim)
     assert jt.size == dim
     # the row space of N^k has dimension rank(N^k), for k up to the largest part
-    chain = []
-    assert jordan_type(F, mat, dim, chain) == jt
     assert [ech.size for ech in chain] == [
         sum(max(r - k, 0) for r in jt) for k in range(1, max(jt, default=0) + 1)
     ]
@@ -253,7 +246,7 @@ def test_jordan_type_rejects_non_nilpotent_input(case, data):
     with pytest.raises(InvalidParam, match="^rank stabilized at"):
         ref_jordan_type(F, mat, dim)
     with pytest.raises(InvalidParam, match="^rank stabilized at"):
-        jordan_type(F, mat, dim)
+        jordan_type(F, packed(F, mat))
 
 
 # --- invariants and quotients --------------------------------------------------------
@@ -365,7 +358,7 @@ def test_line_walk_matches_plain_combinations_on_kernel_bases():
     bases = {}
     for _, model in _models(4, (GF2, GF4), (GF3, GF5)):
         F = model.field
-        basis = nullspace(F, model.N)
+        basis = unpacked(F, nullspace(F, model.N), model.dim)
         bases[F.q, repr(basis)] = F, basis
     for F, basis in bases.values():
         want = [
@@ -431,6 +424,43 @@ def test_model_check_rejects_odd_form():
     gram[0][0] = 1
     with pytest.raises(InvariantViolation):
         FieldModel(GF3, model.dim, gram, model.N, model.v).check()
+
+
+def split_form(F):
+    """The alternating form on e_0 .. e_3 that pairs e_0 with e_3 and e_1
+    with e_2."""
+    minus = F.neg(1)
+    return [[0, 0, 0, 1], [0, 0, 1, 0], [0, minus, 0, 0], [minus, 0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "q, broken, message",
+    [
+        (2, "diagonal", "form not alternating"),
+        (4, "diagonal", "form not alternating"),
+        (2, "degenerate", "form degenerate"),
+        (4, "degenerate", "form degenerate"),
+        (2, "adjoint", "nilpotent not self-adjoint for the form"),
+        (4, "adjoint", "nilpotent not self-adjoint for the form"),
+        (3, "skew", "form not skew-symmetric"),
+    ],
+)
+def test_model_check_rejections_on_the_field_rows(q, broken, message):
+    # each broken model differs from a valid one in one or two entries
+    F = field(q)
+    gram = split_form(F)
+    nilp = [[0] * 4 for _ in range(4)]
+    model_of_lists(F, gram, nilp, [0] * 4).check()
+    if broken == "diagonal":
+        gram[1][1] = q - 1
+    elif broken == "degenerate":
+        gram[0][3] = gram[3][0] = 0
+    elif broken == "adjoint":
+        nilp[1][0] = 1  # G N has an entry at (2, 0), N^T G one at (0, 2)
+    else:
+        gram[3][0] = 1
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        model_of_lists(F, gram, nilp, [0] * 4).check()
 
 
 def test_quotient_model_rejects_a_pivot_off_the_alternating_form():

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from springerbc.gf import Echelon, _ListRows, field, rank, vec_mat
+from springerbc.gf import Echelon, _ListRows, field
+
+from listmat import rank, vec_dot, vec_mat
 
 CHAR2 = [2, 4, 8, 16, 32, 64]
 
@@ -99,7 +101,8 @@ def test_packed_matrix_primitives_follow_the_field_tables(case, data):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 32, 64])
 def test_apply_combines_the_rows_like_vec_mat(q):
-    # apply on the rows' multiples is the row vector times the matrix, in
+    # apply on the rows' multiples and combine on the rows are the row
+    # vector times the matrix, and dot the list kernel's dot product, in
     # either row representation, for dense and sparse entries alike
     F = field(q)
     R = F.rows
@@ -111,11 +114,16 @@ def test_apply_combines_the_rows_like_vec_mat(q):
     for d in range(1, 9):
         for density in (0.3, 1.0):
             mat = [draw(d, density) for _ in range(d)]
-            multiples = R.multiples([R.pack(row) for row in mat])
+            rows = [R.pack(row) for row in mat]
+            multiples = R.multiples(rows)
             for _ in range(4):
                 coeffs = draw(d, density)
+                want = vec_mat(F, coeffs, mat)
                 got = R.unpack(R.apply(multiples, R.pack(coeffs)), d)
-                assert got == vec_mat(F, coeffs, mat), (d, mat, coeffs)
+                assert got == want, (d, mat, coeffs)
+                got = R.unpack(R.combine(R.pack(coeffs), rows), d)
+                assert got == want, (d, mat, coeffs)
+                assert R.dot(R.pack(coeffs), rows[0]) == vec_dot(F, coeffs, mat[0])
 
 
 def list_rows_of(F):
@@ -132,7 +140,7 @@ def test_packed_echelon_matches_the_list_echelon(case, size):
     F, d, rows = case
     L = list_rows_of(F)
     R = F.rows
-    packed, listed = Echelon(F, d), Echelon(L, d)
+    packed, listed = Echelon(F), Echelon(L)
     for row in rows[:size]:
         assert packed.add(R.pack(row)) == listed.add(list(row))
     assert packed.pivots == listed.pivots
