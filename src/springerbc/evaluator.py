@@ -24,10 +24,18 @@ reach 54 bits.
 The memo is a plain dict keyed by (parameter, w), shared across calls,
 and the packed restriction coefficients are kept in a second dict; both
 hold values at the current slot width only, and widening clears both.
+Every memo miss of rank >= 2 calls ``restrict_symplectic`` or
+``restrict_exotic`` through its module.  A table misses each parameter
+once at id and once at s1, so ``value_table`` opens the restriction store
+of ``restrict`` for its length: the id miss keeps the parameter's terms
+and the s1 miss takes them back, and each formula runs once per
+parameter.  A single ``value`` keeps nothing: it asks one w, and kept
+terms would only be garbage for the collector to trace.
 ``value`` is not thread-safe: nothing in the package starts a thread, and
 a call made while another widens could mix widths.
 """
 
+from . import restrict
 from .errors import InvalidParam
 from .qpoly import ONE, QPoly, _pack, _unpack
 from .theory import THEORIES, of
@@ -120,9 +128,15 @@ def value_table(n, theory):
     """Rows (parameter, value at id, value at s1) for every rank-n parameter,
     in enumeration order.  ``theory`` is a name in ``THEORIES``.  The
     enumeration refuses an oversized rank (``params.check_rank``) before any
-    value."""
+    value.  Each parameter's restriction is evaluated once for its id and
+    s1 misses (see the module docstring), and the store is closed on the
+    way out, also when a value raises."""
     if theory not in THEORIES:
         names = " or ".join(map(repr, THEORIES))
         raise InvalidParam(f"theory must be {names}, got {theory!r}")
     params = THEORIES[theory].enumerate(n)
-    return [(p, value(p, "id"), value(p, "s1")) for p in params]
+    restrict._kept = {}
+    try:
+        return [(p, value(p, "id"), value(p, "s1")) for p in params]
+    finally:
+        restrict._kept = None

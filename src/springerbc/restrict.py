@@ -5,6 +5,13 @@ relevant partition.  Each case emits finitely many terms: an integer
 polynomial coefficient in q times a rank n-1 parameter.  Terms whose
 coefficient is the zero polynomial are skipped before their target
 parameter is even constructed, and like terms are collected.
+
+A restriction depends on the parameter alone.  While ``_kept`` is a dict,
+which ``evaluator.value_table`` sets for the length of one table, each
+graded formula runs once for two calls of ``restrict_symplectic`` or
+``restrict_exotic``: the table restricts each parameter once at id and once
+at s1, and the second call returns the first call's CharSum.  Every other
+caller gets a fresh evaluation, and nothing is kept past the table.
 """
 
 from operator import sub
@@ -121,10 +128,27 @@ def _largest_j(pairs, r, first):
     raise InvariantViolation(f"no valid j for r={r}, first={first}")
 
 
-def restrict_symplectic(p):
-    """Graded restriction for a (lam, chi) parameter of rank n >= 1.
+_kept = None  # param -> CharSum, while evaluator.value_table runs
 
-    One scan of lam gives its runs; each target partition is lam with a
+
+def _reused(formula, p):
+    """``formula(p)`` for the first of two calls, kept in ``_kept`` until
+    the second takes it back.  In a value table the second call comes from
+    the same row's s1 pass, unless the slots widen in between; the table
+    drops whatever is left when it ends."""
+    out = _kept.pop(p, None)
+    if out is None:
+        out = _kept[p] = formula(p)
+    return out
+
+
+def restrict_symplectic(p):
+    """Graded restriction for a (lam, chi) parameter of rank n >= 1."""
+    return _symplectic(p) if _kept is None else _reused(_symplectic, p)
+
+
+def _symplectic(p):
+    """One scan of lam gives its runs; each target partition is lam with a
     part moved by slicing, each target's chi is ``psi`` of its point set,
     and each target is validated in one pass over its distinct parts."""
     n = p.rank
@@ -253,9 +277,12 @@ def restrict_symplectic_q1(p):
 
 
 def restrict_exotic(b):
-    """Graded restriction for a bipartition of rank n >= 1.
+    """Graded restriction for a bipartition of rank n >= 1."""
+    return _exotic(b) if _kept is None else _reused(_exotic, b)
 
-    Each target moves parts of mu and nu by slicing; every such move keeps
+
+def _exotic(b):
+    """Each target moves parts of mu and nu by slicing; every such move keeps
     the order by the case that emits it (see ``_shift``)."""
     n = b.rank
     if n < 1:

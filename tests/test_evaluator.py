@@ -12,8 +12,10 @@ from test_fast_paths import reference_value
 import springerbc.evaluator as evaluator
 import springerbc.restrict as restrict_module
 import springerbc.theory as theory
-from springerbc.errors import InvalidParam
+from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.evaluator import GROUP_ELEMENTS, value, value_table
+from springerbc.fforacle import verify_against_formula
+from springerbc.gf import field
 from springerbc.params import (
     Bipartition,
     OmegaParam,
@@ -158,6 +160,143 @@ def test_cold_table_restricts_once_per_memo_entry(monkeypatch, theory):
     assert len(calls) == len(memo) > 0
     evaluator.clear_cache()
     assert evaluator._memo is memo and not memo
+
+
+def _count_restrictions(monkeypatch):
+    """Count the calls of the module attributes ``restrict_*`` (the ones the
+    evaluator and the tracer see) and the evaluations of the formulas
+    behind them, each as the list of parameters it was given."""
+    calls, evaluated = [], []
+    for public, formula in (
+        ("restrict_symplectic", "_symplectic"),
+        ("restrict_exotic", "_exotic"),
+    ):
+        for name, log in ((public, calls), (formula, evaluated)):
+            original = getattr(restrict_module, name)
+
+            def counted(param, original=original, log=log):
+                log.append(param)
+                return original(param)
+
+            monkeypatch.setattr(restrict_module, name, counted)
+    return calls, evaluated
+
+
+@pytest.mark.parametrize("theory", ["sp2", "exotic"])
+def test_cold_table_evaluates_each_formula_once_per_parameter(monkeypatch, theory):
+    # a value table restricts each parameter at id and again at s1; the
+    # second call returns the first call's terms instead of evaluating
+    # again, and drops them, so that the store is empty after every row
+    memo = evaluator._memo
+    original_value = evaluator.value
+    for n in range(9):
+        kept_after_row = []
+
+        def row_value(param, w, **kwargs):
+            out = original_value(param, w, **kwargs)
+            if w == "s1" and not kwargs:
+                kept_after_row.append(len(restrict_module._kept))
+            return out
+
+        calls, evaluated = _count_restrictions(monkeypatch)
+        monkeypatch.setattr(evaluator, "value", row_value)
+        evaluator.clear_cache()
+        try:
+            rows = value_table(n, theory)
+            distinct = {param for param, _ in memo}
+            assert len(calls) == len(memo) == 2 * len(distinct)
+            assert len(evaluated) == len(set(evaluated)) == len(distinct)
+            assert set(evaluated) == distinct
+            assert kept_after_row == [0] * len(rows)
+            assert restrict_module._kept is None
+        finally:
+            monkeypatch.undo()
+            evaluator.clear_cache()
+
+
+def test_restrictions_outside_a_table_keep_nothing(monkeypatch):
+    calls, evaluated = _count_restrictions(monkeypatch)
+    evaluator.clear_cache()
+    try:
+        for n in range(2, 7):
+            for param in enumerate_omega(n) + enumerate_bipartitions(n):
+                value(param, "id")
+                value(param, "s1")
+        assert restrict_module._kept is None
+        assert restrict_module.check_equivalence(6).passed
+        assert restrict_module._kept is None
+        exotic = bipartition_from_text("mu=[1] nu=[1,1]")
+        assert verify_against_formula(exotic, field(3))["pass"]
+        for text in ("2^2_1", "2^1_1 1^2_0", "3^2_1"):
+            assert verify_against_formula(omega_from_text(text), field(2))["pass"]
+        assert restrict_module._kept is None
+        # every call evaluated its formula: nothing was kept for a later one
+        assert evaluated == calls and len(calls) > 0
+    finally:
+        evaluator.clear_cache()
+
+
+@pytest.mark.parametrize("theory", ["sp2", "exotic"])
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_a_failing_restriction_leaves_no_kept_terms(monkeypatch, theory, k):
+    evaluator.clear_cache()
+    expected = value_table(6, theory)
+    name = {"sp2": "_symplectic", "exotic": "_exotic"}[theory]
+    original = getattr(restrict_module, name)
+    seen = []
+
+    def failing(param):
+        seen.append(len(restrict_module._kept))
+        if len(seen) == k:
+            raise InvariantViolation(f"injected at {param}")
+        return original(param)
+
+    monkeypatch.setattr(restrict_module, name, failing)
+    evaluator.clear_cache()
+    try:
+        with pytest.raises(InvariantViolation, match="injected"):
+            value_table(6, theory)
+        assert (seen[-1] > 0) == (k > 1)  # terms were kept when it failed
+        assert restrict_module._kept is None
+        monkeypatch.undo()
+        # the memo the failed table left behind, then a cold one
+        assert value_table(6, theory) == expected
+        evaluator.clear_cache()
+        assert value_table(6, theory) == expected
+        assert restrict_module._kept is None
+    finally:
+        monkeypatch.undo()
+        evaluator.clear_cache()
+
+
+@pytest.mark.parametrize("theory", ["sp2", "exotic"])
+def test_table_slots_widen_mid_table_to_exact_values(monkeypatch, theory):
+    # 8-bit slots overflow within the rank-6 table: the slots widen and the
+    # memo is cleared while terms are kept for a row's s1 call
+    kept_at_widening = []
+    clear_cache = evaluator.clear_cache
+
+    def widening():
+        kept_at_widening.append(len(restrict_module._kept))
+        clear_cache()
+
+    monkeypatch.setattr(evaluator, "_slot", 8)
+    clear_cache()
+    monkeypatch.setattr(evaluator, "clear_cache", widening)
+    try:
+        rows = value_table(6, theory)
+        assert evaluator._slot > 8
+        assert max(kept_at_widening) > 0
+        assert restrict_module._kept is None
+    finally:
+        monkeypatch.undo()
+        evaluator.clear_cache()
+    for param, vid, vs1 in rows:
+        for w, got in (("id", vid), ("s1", vs1)):
+            evaluator.clear_cache()
+            assert type(got) is QPoly
+            assert got == value(param, w), (param, w)
+    evaluator.clear_cache()
 
 
 def _all_values(max_rank):
