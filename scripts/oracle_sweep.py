@@ -2,7 +2,8 @@
 """Sweep the finite-field oracle over every parameter of the given ranks.
 
 Prints one JSON report line per (parameter, field) pair and exits 3 if any
-comparison fails.
+comparison fails.  A summary on stderr gives the number of failures, the
+time taken, the kernel lines walked and the lines walked per second.
 
 Example:
     python3 scripts/oracle_sweep.py --max-n 3 --sp2-fields 2 4 --exotic-fields 3 5
@@ -37,16 +38,21 @@ def main():
     for theory, fields in sweeps:
         for F in fields:
             theory.standard_model(theory.rank1[0], F)
-    failed = 0
+    failed = lines = 0
     for n in range(1, args.max_n + 1):
         for theory, fields in sweeps:
             for F in fields:
                 for p in theory.enumerate(n):
                     rep = verify_against_formula(p, F)
                     failed += not rep["pass"]
+                    # every kernel line walked is tallied or has an empty fibre
+                    lines += sum(rep["tally"].values()) + rep["empty_fiber"]
                     print(json.dumps(rep))
+    seconds = time.perf_counter() - t0
     print(
-        f"# {failed} failures, {time.perf_counter() - t0:.1f}s", file=sys.stderr
+        f"# {failed} failures, {seconds:.1f}s, {lines} kernel lines,"
+        f" {lines / seconds:.0f} lines/s",
+        file=sys.stderr,
     )
     return 3 if failed else 0
 

@@ -24,7 +24,8 @@ two quotients with equal N, form and vector have equal Jordan types, kernel
 chains and cyclic spans, hence equal invariants.  The memo is keyed by the
 quotient's rows, frozen together (the ints themselves, or the bytes of the
 list rows), never by the line or the parameter; it lives for one call only
-and takes no formula input.
+and takes no formula input.  The tally keeps the frozen rows on the
+quotient, so a quotient that many lines share is frozen once.
 
 The exotic invariant shares two more results between the quotients of one
 tally, in a dict that the tally passes to each call: the halved Jordan
@@ -37,9 +38,15 @@ its key alone, and the dict has the memo's lifetime.
 
 Each model also caches, for the quotients taken from it, the multiples of
 the form's rows (made when first read) and, per pivot pair, the rows of G
-and N that every quotient with those pivots starts from.  They live as
-long as the model, which is one call for the models a tally builds.
-Nothing is cached across models or calls.
+and N that every quotient with those pivots starts from.  When the pivot
+pair zeroes every correction a line could make to those rows, the pair's
+entry is instead the quotient itself, built for its first line, and every
+line with those pivots returns that one model (half the kernel lines of
+the benchmark's sweeps).  The cached rows live as long as the model, which
+is one call for the models a tally builds.  Nothing is cached across
+models or calls.  Quotients share rows with the cache and with each other,
+and lines share whole quotients, so callers must not change a quotient's
+rows.
 """
 
 import functools
@@ -69,8 +76,10 @@ class VNotPerp:
 
 V_NOT_PERP = VNotPerp()
 
-# The most kernel lines one oracle call walks: at some 25k lines/s, 10^7
-# lines take several minutes.  A larger walk is refused before it starts.
+# The most kernel lines one oracle call walks: at the 55 000 lines/s of the
+# benchmark's oracle sweeps (ranks 3 to 5, a shared 2-vCPU x86-64 host),
+# 10^7 lines take three minutes, and longer at larger ranks, whose
+# quotients are larger.  A larger walk is refused before it starts.
 LINE_CAP = 10**7
 
 
@@ -82,6 +91,8 @@ class FieldModel:
     representation (lists of element codes in odd characteristic, ints
     over GF(2^k)).
     """
+
+    frozen = None  # the tally's memo key, once it has frozen the rows
 
     def __init__(self, field, dim, gram, N, v, basis_index=None):
         self.field, self.dim, self.basis_index = field, dim, basis_index
@@ -419,8 +430,13 @@ def quotient_model(model, line):
     same quotient.  Everything but alpha and w depends only on the pivot
     pair (i, j), so it is taken from the model once per pair
     (``_pivot_base``) and each line applies its rank-one corrections to
-    those rows.  The model's rows must not change once a quotient has been
-    taken.
+    those rows, skipping each one whose column and row factors are zero.
+    When G[a][j], G[j][b], N[a][j], N[i][b], N[i][j] and v_i all vanish
+    off the pivots, no correction is left: the quotient does not depend on
+    the line, and every line with those pivots gets the same model, built
+    once.  Either way the rows of a quotient are shared, with the model's
+    cache, with other quotients or whole, so neither they nor the model's
+    rows may change once a quotient has been taken.
     """
     F = model.field
     R = F.rows
@@ -439,6 +455,8 @@ def quotient_model(model, line):
     base = bases.get((istar, jstar))
     if base is None:
         base = bases[istar, jstar] = _pivot_base(model, istar, jstar)
+    if base.__class__ is FieldModel:  # the quotient of every line with these pivots
+        return base
     sel, g0, n0, g_col, n_col, g_row, n_row, n_ij, v0, v_i = base
 
     def over(row, c):  # row / c
@@ -446,16 +464,22 @@ def quotient_model(model, line):
 
     alpha = over(R.take(f, sel), f_j)
     w_kept = R.take(w, sel)
-    gram2 = list(g0)
-    R.sub_outer(gram2, g_col, alpha)
-    R.sub_outer(gram2, R.items(alpha), g_row)
-    if R.nonzero(R.diagonal(gram2)):
-        raise InvariantViolation("quotient form not alternating")
-    n2 = list(n0)
-    R.sub_outer(n2, n_col, alpha)
-    if n_ij:  # row istar of N less N[i][j] alpha
-        n_row = R.sub_mul(n_row, n_ij, alpha)
-    R.sub_outer(n2, R.items(over(w_kept, w_i)), n_row)
+    gram2 = g0  # its diagonal checked by _pivot_base, unless the form moves
+    if g_col or g_row is not None:
+        gram2 = list(g0)
+        R.sub_outer(gram2, g_col, alpha)
+        if g_row is not None:
+            R.sub_outer(gram2, R.items(alpha), g_row)
+        if R.nonzero(R.diagonal(gram2)):
+            raise InvariantViolation("quotient form not alternating")
+    n2 = n0
+    if n_col or n_row is not None:
+        n2 = list(n0)
+        R.sub_outer(n2, n_col, alpha)
+        if n_row is not None:
+            if n_ij:  # row istar of N less N[i][j] alpha
+                n_row = R.sub_mul(n_row, n_ij, alpha)
+            R.sub_outer(n2, R.items(over(w_kept, w_i)), n_row)
     v2 = R.sub_mul(v0, F.mul(v_i, F.inv(w_i)), w_kept) if v_i else v0
     return FieldModel(F, len(g0), gram2, n2, v2)
 
@@ -466,7 +490,15 @@ def _pivot_base(model, istar, jstar):
     the kept rows and columns, the nonzero entries of column jstar of G
     and of N on the kept rows, rows jstar of G and istar of N on the kept
     columns, N[i][j], the model vector on the kept indices and v[i].
-    Raises InvariantViolation when G[j][j] != 0."""
+    Row jstar of G is None when it is zero on the kept columns, and row
+    istar of N when it is and N[i][j] = 0, so that no line applies a
+    correction that is zero.  When no correction depends on the line
+    (both columns empty, both rows None and v[i] = 0), the quotient is
+    the same for every line with these pivots, and this returns that
+    quotient itself.  Raises InvariantViolation when G[j][j] != 0, and
+    when the form takes no correction and has a nonzero diagonal on the
+    kept indices; a raise leaves nothing cached for the pivot pair.
+    """
     R = model.field.rows
     entry = R.entry
     G, N, v = model.gram, model.N, model.v
@@ -478,18 +510,22 @@ def _pivot_base(model, istar, jstar):
     def column(rows, b):
         return [(k, x) for k, a in enumerate(kept) if (x := entry(rows[a], b))]
 
-    return (
-        sel,
-        [R.take(G[a], sel) for a in kept],
-        [R.take(N[a], sel) for a in kept],
-        column(G, jstar),
-        column(N, jstar),
-        R.take(G[jstar], sel),
-        R.take(N[istar], sel),
-        entry(N[istar], jstar),
-        R.take(v, sel),
-        entry(v, istar),
-    )
+    g0 = [R.take(G[a], sel) for a in kept]
+    n0 = [R.take(N[a], sel) for a in kept]
+    g_col, n_col = column(G, jstar), column(N, jstar)
+    g_row, n_row = R.take(G[jstar], sel), R.take(N[istar], sel)
+    n_ij = entry(N[istar], jstar)
+    v0, v_i = R.take(v, sel), entry(v, istar)
+    if not R.nonzero(g_row):
+        g_row = None
+    if not (n_ij or R.nonzero(n_row)):
+        n_row = None
+    if not g_col and g_row is None:  # every line's quotient has the form g0
+        if R.nonzero(R.diagonal(g0)):
+            raise InvariantViolation("quotient form not alternating")
+        if not n_col and n_row is None and not v_i:
+            return FieldModel(model.field, len(kept), g0, n0, v0)
+    return sel, g0, n0, g_col, n_col, g_row, n_row, n_ij, v0, v_i
 
 
 def brute_force_restriction(param, fieldctx):
@@ -529,9 +565,12 @@ def _tally(param, fieldctx):
         if qm is V_NOT_PERP:
             empty += 1
             continue
-        # every quotient here has dimension dim - 2, so its rows, frozen
-        # together, determine (N, gram, v)
-        key = freeze((*qm.N, *qm.gram, qm.v))
+        key = qm.frozen
+        if key is None:
+            # every quotient here has dimension dim - 2, so its rows, frozen
+            # together, determine (N, gram, v); kept on the quotient, so
+            # one that lines share is frozen once
+            key = qm.frozen = freeze((*qm.N, *qm.gram, qm.v))
         sub = seen.get(key)
         if sub is None:
             sub = seen[key] = th.invariant(qm, memo)

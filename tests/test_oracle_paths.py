@@ -311,6 +311,66 @@ def test_quotient_model_matches_columnwise_reference():
     assert checked > 0
 
 
+def ref_pivots(model, line):
+    """The pivot pair (istar, jstar) that ref_quotient_model takes for a
+    line, given as a list."""
+    F = model.field
+    f = mat_vec(F, unpacked(F, model.gram, model.dim), line)
+    jstar = next(i for i, x in enumerate(f) if x)
+    istar = next(i for i, x in enumerate(line) if x and i != jstar)
+    return istar, jstar
+
+
+def ref_pivots_fix_the_quotient(model, istar, jstar):
+    """Whether no line with these pivots corrects the rows it keeps: column
+    jstar of G and N and rows jstar of G and istar of N vanish off the
+    pivots, and so do N[istar][jstar] and v[istar]."""
+    F, d = model.field, model.dim
+    gram, N = unpacked(F, model.gram, d), unpacked(F, model.N, d)
+    keep = [a for a in range(d) if a not in (istar, jstar)]
+    return not (
+        any(gram[a][jstar] or N[a][jstar] or gram[jstar][a] or N[istar][a] for a in keep)
+        or N[istar][jstar]
+        or F.rows.unpack(model.v, d)[istar]
+    )
+
+
+def test_quotient_model_shares_the_quotient_its_pivots_fix():
+    # every line of such a pivot pair returns one quotient, which equals the
+    # reference on each of those lines; the quotients taken from it, the
+    # next step of a walk over quotients, equal the reference too
+    repeats = nested = 0  # lines after the first of their pivots; nested quotients
+    models = itertools.chain(
+        _models(3, (GF2, GF4), (GF3, GF5)), _models(2, (), (GF7, GF9, GF11, GF13))
+    )
+    for param, model in models:
+        shared = {}
+        for line in kernel_lines(model):
+            want = ref_quotient_model(model, as_list(model, line))
+            if want is V_NOT_PERP:
+                continue
+            pivots = ref_pivots(model, as_list(model, line))
+            if not ref_pivots_fix_the_quotient(model, *pivots):
+                continue
+            got = quotient_model(model, line)
+            assert got is shared.setdefault(pivots, got), (param, line)
+            assert (got.dim, got.gram, got.N, got.v) == (
+                want.dim,
+                want.gram,
+                want.N,
+                want.v,
+            ), (param, line)
+            repeats += 1
+        repeats -= len(shared)
+        for qm in shared.values():
+            for line in kernel_lines(qm):
+                got = quotient_model(qm, line)
+                want = ref_quotient_model(qm, as_list(qm, line))
+                assert got == want, (param, line)
+                nested += 1
+    assert repeats > 1000 and nested > 1000
+
+
 def test_chi_invariant_matches_reference_on_every_rank_4_quotient():
     # each distinct quotient of the rank-5 models over GF(2) once
     seen = set()
@@ -544,6 +604,28 @@ def test_quotient_checks_over_a_prime_field_raise_under_python_O():
         "raised:", "form", "not", "alternating",
         "raised:", "quotient", "form", "not", "alternating",
     ]
+
+
+@pytest.mark.parametrize("F", [GF4, GF7], ids=["packed_rows", "list_rows"])
+@pytest.mark.parametrize("moves", ["nothing", "nilpotent", "form"])
+def test_quotient_diagonal_check_runs_for_every_line_of_its_pivots(F, moves):
+    # G[1][1] != 0 and otherwise alternating; the lines e_3 and e_0 + e_3
+    # both have the pivots (3, 0), and each leaves G[1][1] on the quotient's
+    # diagonal: with N = 0 and v = 0 no correction depends on the line, the
+    # entry N[1][0] makes the nilpotent's column correction nonzero, and
+    # G[0][1] the form's; a check that failed must not be skipped for a
+    # later line of the same pivots
+    minus = F.neg(1)
+    gram = [[0, 0, 0, 1], [0, 2, 1, 0], [0, minus, 0, 0], [minus, 0, 0, 0]]
+    nilp = [[0] * 4 for _ in range(4)]
+    if moves == "nilpotent":
+        nilp[1][0] = 1
+    elif moves == "form":
+        gram[0][1], gram[1][0] = 1, minus
+    model = model_of_lists(F, gram, nilp, [0] * 4)
+    for line in ([0, 0, 0, 1], [1, 0, 0, 1], [0, 0, 0, 1]):
+        with pytest.raises(InvariantViolation, match="^quotient form not alternating$"):
+            quotient_model(model, F.rows.pack(line))
 
 
 def run_optimized(code):

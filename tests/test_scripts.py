@@ -4,6 +4,7 @@ the memory an input could make it take."""
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -42,6 +43,20 @@ def test_oracle_sweep():
     first = json.loads(done.stdout.splitlines()[0])
     assert (first["param"], first["q"], first["pass"]) == ("2^1_1", 2, True)
     assert done.stderr.startswith("# 0 failures")
+
+
+def test_oracle_sweep_summary_counts_the_lines_of_its_reports():
+    done = run_script("oracle_sweep.py", "--max-n", "3", "--exotic-fields", "3")
+    assert done.returncode == 0, done.stderr
+    reports = [json.loads(line) for line in done.stdout.splitlines()]
+    walked = sum(sum(r["tally"].values()) + r["empty_fiber"] for r in reports)
+    assert any(r["empty_fiber"] for r in reports)
+    match = re.fullmatch(
+        r"# 0 failures, [0-9.]+s, (\d+) kernel lines, (\d+) lines/s\n", done.stderr
+    )
+    assert match, done.stderr
+    assert int(match[1]) == walked
+    assert int(match[2]) > 0
 
 
 @pytest.mark.parametrize(
