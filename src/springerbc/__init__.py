@@ -4,9 +4,6 @@ brute-force oracle cross-checking the combinatorial formulas."""
 
 from .partitions import (
     Partition,
-    multiplicity,
-    shift,
-    substitute,
     sum_partitions,
     underlying_set,
     union_partitions,

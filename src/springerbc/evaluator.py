@@ -18,8 +18,10 @@ on its coefficients, the sum over its terms of the coefficient's l1 norm
 times the sub-value's bound, so that overflow is ruled out, not guessed.
 When the bound of a value about to be unpacked does not fit, the slot
 doubles, the memo is cleared and the value is computed again from the
-outermost call.  The slot starts at 64 bits; at rank 18 the bounds seen
-reach 54 bits.
+outermost call.  The slot starts at 64 bits, which a value table keeps up
+to rank 16 (bounds up to 61 bits, coefficients up to 55); at rank 18 the
+table's bounds reach 71 bits and its coefficients 65, so the slot widens
+once, to 128 bits.
 
 The memo is a plain dict keyed by (parameter, w), shared across calls,
 and the packed restriction coefficients are kept in a second dict; both

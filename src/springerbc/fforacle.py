@@ -63,7 +63,7 @@ from .params import (
     underlying_set,
     x_crit,
 )
-from .partitions import Partition, multiplicity, sum_partitions
+from .partitions import Partition, sum_partitions
 
 
 class VNotPerp:
@@ -199,13 +199,13 @@ def standard_model_symplectic(p, fieldctx):
     chi = p.chi_map()
     pairs = []
     for r in underlying_set(lam):
-        m_r = multiplicity(lam, r)
+        m_r = lam.count(r)
         if m_r % 2:
             pairs.append((r, 1, 1))
         pairs.extend((r, s, s + 1) for s in range(1 + m_r % 2, m_r, 2))
     at, gram, nilp = _paired_strings(fieldctx, pairs)
     for r, _ in x_crit(p):
-        if multiplicity(lam, r) % 2 == 0:
+        if lam.count(r) % 2 == 0:
             # correction on the first string at height chi(r)
             nilp[at[(r, 2, r + 1 - chi[r])]][at[(r, 1, chi[r])]] = 1
     return _packed_model(fieldctx, at, gram, nilp, [0] * len(at))
@@ -219,7 +219,7 @@ def standard_model_exotic(b, fieldctx):
     at, gram, nilp = _paired_strings(fieldctx, [
         (r, s, s + 1)
         for r in underlying_set(lam)
-        for s in range(1, 2 * multiplicity(lam, r), 2)
+        for s in range(1, 2 * lam.count(r), 2)
     ])
     v = [0] * len(at)
     for r in und_v(b):
@@ -341,7 +341,7 @@ def exotic_invariant(model, memo=None):
         doubled, chain = jordan_type(F, nt)
         halved = []
         for r in underlying_set(doubled):
-            m_r = multiplicity(doubled, r)
+            m_r = doubled.count(r)
             if m_r % 2:
                 raise InvalidParam(f"Jordan type {doubled} is not doubled")
             halved.extend([r] * (m_r // 2))

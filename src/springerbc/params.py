@@ -30,7 +30,6 @@ from .errors import InvalidParam, InvariantViolation
 from .partitions import (
     Partition,
     _canonical,
-    multiplicity,
     partition_from_text,
     partition_to_text,
     partitions_of,
@@ -148,7 +147,7 @@ def _violations(lam, und, vec):
 # a list of that length.  Commands on 10^6 parts finish in about a second.
 MAX_PARTS = 10**6
 
-_OMEGA_TOKEN = re.compile(r"^(\d+)\^(\d+)_(\d+)$")
+_OMEGA_TOKEN = re.compile(r"^([0-9]+)\^([0-9]+)_([0-9]+)$")
 
 
 def omega_to_text(p):
@@ -586,9 +585,7 @@ def paving_predicates(p):
         if not (below and above):
             cond1 = False
             break
-    cond2 = all(
-        multiplicity(lam, r) % 2 == 0 or multiplicity(lam, r) == 1 for r in und
-    )
+    cond2 = all(lam.count(r) % 2 == 0 or lam.count(r) == 1 for r in und)
     lemma_hypothesis = cond1 and cond2
     theorem_applies = lam.part_at(3) <= 1 or all(c == 0 for c in p.chi)
     return lemma_hypothesis, theorem_applies

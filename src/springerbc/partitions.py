@@ -3,8 +3,12 @@
 A partition is a weakly decreasing tuple of positive integers; the empty
 tuple is the unique partition of 0.  Indexing beyond the length reads as 0
 (use ``part_at``).  All operations return new, canonically sorted values.
+The restriction formulas move parts with the three slice moves below:
+lower copies of a part by 1, drop one copy by 2, and shift a run of
+indices up or down by 1.
 """
 
+import re
 from operator import add
 
 from .errors import InvalidParam, InvariantViolation
@@ -46,20 +50,15 @@ def _canonical(parts):
     return tuple.__new__(Partition, parts)
 
 
-def _sorted(parts):
-    """Partition from nonnegative ints in any order: sort, drop zeros."""
-    parts.sort(reverse=True)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return _canonical(parts)
-
-
 EMPTY = Partition()
 
 
 def partition_to_text(p):
     """Bracketed comma-separated text form, "[]" for the empty partition."""
     return "[" + ",".join(map(str, p)) + "]"
+
+
+_PART = re.compile(r"\s*[0-9]+\s*")  # ASCII digits only, unlike int()
 
 
 def partition_from_text(text):
@@ -69,27 +68,18 @@ def partition_from_text(text):
     body = text[1:-1].strip()
     if not body:
         return EMPTY
+    tokens = body.split(",")
     try:
-        parts = [int(tok) for tok in body.split(",")]
-    except ValueError:
-        raise InvalidParam(f"partition parts must be integers: {text!r}") from None
+        parts = [int(tok) for tok in tokens if _PART.fullmatch(tok)]
+    except ValueError:  # more digits than int() converts
+        parts = []
+    if len(parts) != len(tokens):
+        raise InvalidParam(f"partition parts must be integers: {text!r}")
     if any(x < 1 for x in parts):
         raise InvalidParam(f"partition parts must be positive: {text!r}")
     if parts != sorted(parts, reverse=True):
         raise InvalidParam(f"partition parts must be weakly decreasing: {text!r}")
     return Partition(parts)
-
-
-def multiplicity(p, r, mode="eq"):
-    """Number of parts of the partition p equal to r, or with ``mode="geq"``
-    at least r.  The parts are sorted, so the parts >= r form a prefix."""
-    if r < 1:
-        raise InvalidParam(f"part value must be >= 1, got {r}")
-    if mode == "eq":
-        return p.count(r)
-    if mode == "geq":
-        return next((i for i, x in enumerate(p) if x < r), len(p))
-    raise InvalidParam(f"unknown multiplicity mode {mode!r}")
 
 
 def underlying_set(p):
@@ -110,60 +100,14 @@ def sum_partitions(a, b):
     return _canonical(tuple(map(add, a, b)) + a[len(b):])
 
 
-def substitute(p, olds, news):
-    """Replace the multiset ``olds`` of parts by ``news`` (zeros dropped)."""
-    olds = list(olds)
-    news = list(news)
-    if len(olds) != len(news):
-        raise InvalidParam("olds and news must have the same cardinality")
-    if any(x < 0 for x in news):
-        raise InvalidParam(f"substitute target below zero: {news}")
-    rest = list(p)
-    try:
-        for x in olds:
-            rest.remove(x)
-    except ValueError:
-        raise InvalidParam(
-            f"{sorted(olds, reverse=True)} not contained in {p}"
-        ) from None
-    rest.extend(map(int, news))
-    return _sorted(rest)
-
-
-def shift(p, direction, a, b):
-    """Add or subtract 1 on the parts indexed a..b (1-based, inclusive).
-
-    ``direction`` is "up" or "down".  An empty interval (b < a) is the
-    identity.  Up-shifts may extend the partition with new parts equal
-    to 1; down-shifts must stay within the current length and may turn
-    parts equal to 1 into zeros, which are dropped.
-    """
-    if direction not in ("up", "down"):
-        raise InvalidParam(f"direction must be 'up' or 'down', got {direction!r}")
-    if a < 1:
-        raise InvalidParam(f"shift interval must start at >= 1, got {a}")
-    if b < a:
-        return p
-    if direction == "down" and b > len(p):
-        raise InvalidParam(f"down-shift [{a},{b}] exceeds length {len(p)} of {p}")
-    step = 1 if direction == "up" else -1
-    parts = list(p) + [0] * max(0, b - len(p))
-    for i in range(a - 1, b):
-        parts[i] += step
-        if parts[i] < 0:
-            raise InvalidParam(f"down-shift made part {i + 1} negative in {p}")
-    return _sorted(parts)
-
-
-# Slice-based part moves.  Each returns exactly what ``substitute`` or
-# ``shift`` returns for the same move, but keeps the sorted prefix and
-# suffix of p as they are instead of sorting again; the restriction
-# formulas only ask for moves whose result needs no re-sorting.
+# Part moves by slicing.  Each keeps the sorted prefix and suffix of p as
+# they are and rebuilds only the parts it moves, so the result is never
+# sorted again; a move whose result would be out of order raises instead.
 
 
 def _run_end(p, x, copies=1):
-    """Index one past the last copy of x in p; InvalidParam unless x
-    occurs at least ``copies`` times."""
+    """Index one past the last copy of x in p, which is the number of parts
+    >= x; InvalidParam unless x occurs at least ``copies`` times."""
     m = p.count(x)
     if m < copies:
         raise InvalidParam(f"{[x] * copies} not contained in {p}")
@@ -171,9 +115,8 @@ def _run_end(p, x, copies=1):
 
 
 def _lower(p, x, copies=1):
-    """The last ``copies`` copies of the part x become x - 1 (dropped at 0):
-    ``substitute(p, (x,) * copies, (x - 1,) * copies)``.  Every later part
-    is below x, so the result stays sorted."""
+    """The last ``copies`` copies of the part x become x - 1 (dropped at 0).
+    Every later part is below x, so the result stays sorted."""
     i = _run_end(p, x, copies)
     mid = (x - 1,) * copies if x > 1 else ()
     return _canonical(p[: i - copies] + mid + p[i:])
@@ -181,9 +124,9 @@ def _lower(p, x, copies=1):
 
 def _drop(p, x):
     """The last copy of the part x becomes x - 2, placed after the run of
-    x - 1 (dropped at 0): ``substitute(p, (x,), (x - 2,))``."""
+    x - 1 (dropped at 0)."""
     if x < 2:
-        raise InvalidParam(f"substitute target below zero: {[x - 2]}")
+        raise InvalidParam(f"cannot drop the part {x} by 2: {x - 2} is below zero")
     i = _run_end(p, x)
     e = i + p.count(x - 1)  # the run of x - 1, if any, starts at i
     mid = (x - 2,) if x > 2 else ()
@@ -191,12 +134,14 @@ def _drop(p, x):
 
 
 def _shift(p, a, b, step):
-    """``shift(p, "up" if step > 0 else "down", a + 1, b)``: step +1 or -1
-    on the parts at 0-based indices a..b-1, by slicing.  The caller
-    guarantees the order: before an up-shift the part at a - 1 exceeds the
-    part at a, after a down-shift the part at b - 1 exceeds the part at b
-    (beyond the length a part is 0).  A move that would break the order
-    raises InvariantViolation instead of being sorted."""
+    """Add ``step``, +1 or -1, to the parts at the 0-based indices a..b-1;
+    an empty interval (b <= a) is the identity.  An up-shift past the
+    length appends parts equal to 1; a down-shift must stay within the
+    length, and turns parts equal to 1 into zeros, which are dropped.  The
+    caller guarantees the order: before an up-shift the part at a - 1
+    exceeds the part at a, after a down-shift the part at b - 1 exceeds the
+    part at b (beyond the length a part is 0).  A move that would break the
+    order raises InvariantViolation."""
     if b <= a:
         return p
     n = len(p)

@@ -36,9 +36,6 @@ from .partitions import (
     _lower,
     _run_end,
     _shift,
-    multiplicity,
-    shift,
-    substitute,
     sum_partitions,
     underlying_set,
 )
@@ -252,11 +249,11 @@ def restrict_symplectic_q1(p):
         m_r = m_ge - m_gt
         c = chi[r]
         if r not in crit:
-            pair = substitute(lam, (r, r), (r - 1, r - 1))
+            pair = _lower(lam, r, 2)
             emit(m_r, pair, crit_pts)
             continue
         if 2 * c != r:
-            pair = substitute(lam, (r, r), (r - 1, r - 1))
+            pair = _lower(lam, r, 2)
             star = (crit_pts | {(r - 1, c - 1)}) - {(r, c)}
             emit(1, pair, crit_pts | {(r - 1, c)})
             emit(m_r - 2, pair, crit_pts)
@@ -264,12 +261,12 @@ def restrict_symplectic_q1(p):
         elif m_r % 2 == 1:
             dstar = (crit_pts | {(r - 2, (r - 2) // 2)}) - {(r, c)}
             if m_r > 1:
-                emit(m_r - 1, substitute(lam, (r, r), (r - 1, r - 1)), crit_pts)
-            emit(1, substitute(lam, (r,), (r - 2,)), dstar)
+                emit(m_r - 1, _lower(lam, r, 2), crit_pts)
+            emit(1, _drop(lam, r), dstar)
         else:
             tstar = (crit_pts | {(r - 1, (r - 2) // 2)}) - {(r, c)}
-            drop = substitute(lam, (r,), (r - 2,))
-            pair = substitute(lam, (r, r), (r - 1, r - 1))
+            drop = _drop(lam, r)
+            pair = _lower(lam, r, 2)
             emit(1, drop, crit_pts | {(r - 2, (r - 2) // 2)})
             emit(m_r - 2, pair, crit_pts)
             emit(1, pair, tstar)
@@ -373,19 +370,19 @@ def restrict_exotic_q1(b):
         case4 = any(m == nab for m, _ in above)
         above.append((nab, delt))
         if r not in marked:
-            emit(2 * m_r, mu, substitute(nu, (delt,), (delt - 1,)))
+            emit(2 * m_r, mu, _lower(nu, delt))
             continue
         if case3:
-            emit(2 * m_r, substitute(mu, (nab,), (nab - 1,)), nu)
+            emit(2 * m_r, _lower(mu, nab), nu)
             continue
         if delt > 0:
-            m_nu = multiplicity(nu, delt, "geq")
-            emit(1, shift(mu, "up", m_ge + 1, m_nu), shift(nu, "down", m_ge, m_nu))
-        emit(2 * m_r - 2, substitute(mu, (nab,), (nab - 1,)), nu)
-        m_mu = multiplicity(mu, nab, "geq")
+            m_nu = _run_end(nu, delt)
+            emit(1, _shift(mu, m_ge, m_nu, 1), _shift(nu, m_ge - 1, m_nu, -1))
+        emit(2 * m_r - 2, _lower(mu, nab), nu)
+        m_mu = _run_end(mu, nab)
         j = _largest_j(comps.items(), r, nab) if case4 else r
-        m_j = counts[j][0] + 1
-        emit(1, shift(mu, "down", m_j, m_mu), shift(nu, "up", m_j, m_mu - 1))
+        m_gt_j = counts[j][0]
+        emit(1, _shift(mu, m_gt_j, m_mu, -1), _shift(nu, m_gt_j, m_mu - 1, 1))
     return out
 
 

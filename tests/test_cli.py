@@ -262,6 +262,20 @@ REJECTED = [
         "restrict --theory exotic --mu [1,0] --nu []",
         "partition parts must be positive: '[1,0]'",
     ),
+    # int() reads "1_0" as 10 and a full-width digit as its ASCII twin
+    (
+        "value --theory exotic --mu [1_0] --nu [] --at id",
+        "partition parts must be integers: '[1_0]'",
+    ),
+    (
+        "iota --inverse --mu [1_0] --nu [+1]",
+        "partition parts must be integers: '[1_0]'",
+    ),
+    (
+        "restrict --theory exotic --mu [３,1] --nu []",
+        "partition parts must be integers: '[３,1]'",
+    ),
+    ("restrict --theory sp2 --param ２^２_１", "bad parameter token '２^２_１'"),
     # int() refuses a string of more than 4300 digits
     (
         f"oracle --theory sp2 --param {'1' * 5000}^1_1 --q 2",

@@ -6,8 +6,8 @@ returns on the same data, of exactly the same type.  The evaluator
 accumulates its weighted sums as big ints, packed at q = 2^slot; it must
 agree with a plain recursion through public QPoly arithmetic.  The restriction kernels
 move parts by slicing and validate their targets in one pass; they must
-agree with the plain formulas kept below, and their helpers with the
-public partition operations and the pairwise definitions.  The one-pass
+agree with the plain formulas kept below, and their helpers with naive
+part moves through the constructor and the pairwise definitions.  The one-pass
 validation compares adjacent distinct parts only, so it must find a
 violation exactly when the pairwise definition does, with the same
 messages save the condition-3 ones at non-adjacent parts.
@@ -41,10 +41,8 @@ from springerbc.partitions import (
     Partition,
     _drop,
     _lower,
+    _run_end,
     _shift,
-    multiplicity,
-    shift,
-    substitute,
     sum_partitions,
     underlying_set,
 )
@@ -61,44 +59,39 @@ def same(result, reference):
     assert tuple(result) == tuple(reference)
 
 
+def substitute(p, olds, news):
+    """Naive reference: replace the multiset ``olds`` of parts of p by
+    ``news`` through the constructor, which sorts and drops zeros."""
+    rest = Counter(p)
+    rest.subtract(olds)
+    assert min(rest.values(), default=0) >= 0, (p, olds)
+    return Partition(list(rest.elements()) + list(news))
+
+
+def shift(p, step, a, b):
+    """Naive reference: add ``step`` to the parts a..b of p, 1-based and
+    inclusive, a part beyond the length reading as 0, through the
+    constructor."""
+    parts = list(p) + [0] * max(0, b - len(p))
+    for i in range(a - 1, b):
+        parts[i] += step
+    assert min(parts, default=0) >= 0, (p, step, a, b)
+    return Partition(parts)
+
+
 @given(parts_st, st.integers(1, 10))
 def test_multiplicity_matches_naive_count(p, r):
-    naive = {
-        "eq": sum(1 for x in p if x == r),
-        "geq": sum(1 for x in p if x >= r),
-    }
-    for mode, count in naive.items():
-        assert multiplicity(p, r, mode) == count, mode
+    # m(>= r) is where the run of r ends, read only at a part of p
+    if r in p:
+        assert _run_end(p, r) == sum(x >= r for x in p)
+    else:
+        with pytest.raises(InvalidParam, match="not contained in"):
+            _run_end(p, r)
 
 
 @given(parts_st)
 def test_underlying_set_matches_sorted_set(p):
     assert underlying_set(p) == tuple(sorted(set(p), reverse=True))
-
-
-@given(st.data())
-def test_substitute_matches_constructor(data):
-    p = data.draw(parts_st)
-    picked = data.draw(st.sets(st.integers(0, len(p) - 1))) if p else set()
-    olds = [p[i] for i in sorted(picked)]
-    news = data.draw(st.lists(st.integers(0, 9), min_size=len(olds), max_size=len(olds)))
-    rest = Counter(p)
-    rest.subtract(olds)
-    same(substitute(p, olds, news), Partition(list(rest.elements()) + news))
-
-
-@given(st.data())
-def test_shift_matches_constructor(data):
-    p = data.draw(parts_st)
-    direction = data.draw(st.sampled_from(("up", "down")))
-    a = data.draw(st.integers(1, len(p) + 2))
-    hi = len(p) if direction == "down" else len(p) + 3
-    b = data.draw(st.integers(a - 1, max(a - 1, hi)))
-    step = 1 if direction == "up" else -1
-    parts = list(p) + [0] * max(0, b - len(p))
-    for i in range(a - 1, b):
-        parts[i] += step
-    same(shift(p, direction, a, b), Partition(parts))
 
 
 @given(parts_st, parts_st)
@@ -184,7 +177,7 @@ def test_value_accumulates_any_coefficient(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Slice-based part moves against substitute and shift
+# Slice-based part moves against the naive substitute and shift above
 
 
 @given(parts_st, st.integers(1, 10), st.integers(1, 3))
@@ -196,10 +189,28 @@ def test_lower_matches_substitute(p, x, copies):
     same(_lower(p, x, copies), substitute(p, (x,) * copies, (x - 1,) * copies))
 
 
+@given(st.data())
+def test_substitute_matches_constructor(data):
+    # a chain of slice moves is one multiset substitution through the constructor
+    p = q = data.draw(parts_st)
+    counts = Counter(p)
+    for _ in range(data.draw(st.integers(0, 6))):
+        if not q:
+            break
+        x = data.draw(st.sampled_from(sorted(set(q))))
+        moves = [(1, 1)] + [(1, 2)] * (q.count(x) >= 2) + [(2, 1)] * (x >= 2)
+        by, copies = data.draw(st.sampled_from(moves))
+        q = _lower(q, x, copies) if by == 1 else _drop(q, x)
+        counts[x] -= copies
+        counts[x - by] += copies
+    del counts[0]
+    same(q, Partition(list(counts.elements())))
+
+
 @given(parts_st, st.integers(1, 10))
 def test_drop_matches_substitute(p, x):
     if x < 2:
-        with pytest.raises(InvalidParam, match="^substitute target below zero"):
+        with pytest.raises(InvalidParam, match="^cannot drop the part 1 by 2"):
             _drop(p, x)
     elif x not in p:
         with pytest.raises(InvalidParam, match="not contained in"):
@@ -219,16 +230,34 @@ def test_shift_by_slicing_matches_shift(data):
     a = data.draw(st.integers(0, len(p) + 1))
     hi = len(p) if step < 0 else len(p) + 3
     b = data.draw(st.integers(max(0, a - 1), max(a - 1, hi, 0)))
-    direction = "up" if step > 0 else "down"
     # the order condition the callers guarantee
     keeps_order = b <= a or (
         (a == 0 or _at(p, a - 1) > _at(p, a)) if step > 0 else _at(p, b - 1) > _at(p, b)
     )
     if keeps_order:
-        same(_shift(p, a, b, step), shift(p, direction, a + 1, b))
+        same(_shift(p, a, b, step), shift(p, step, a + 1, b))
     else:
         with pytest.raises(InvariantViolation):
             _shift(p, a, b, step)
+
+
+@given(st.data())
+def test_shift_matches_constructor(data):
+    # 1-based a..b as the formulas write it; a result the constructor would
+    # have to re-sort must raise instead
+    p = data.draw(parts_st)
+    step = data.draw(st.sampled_from((1, -1)))
+    a = data.draw(st.integers(1, len(p) + 2))
+    hi = len(p) if step < 0 else len(p) + 3
+    b = data.draw(st.integers(a - 1, max(a - 1, hi)))
+    parts = list(p) + [0] * max(0, b - len(p))
+    for i in range(a - 1, b):
+        parts[i] += step
+    if all(x >= y for x, y in zip(parts, parts[1:])):
+        same(_shift(p, a - 1, b, step), Partition(parts))
+    else:
+        with pytest.raises(InvariantViolation):
+            _shift(p, a - 1, b, step)
 
 
 def test_shift_by_slicing_rejects_down_past_the_end():
@@ -466,8 +495,8 @@ def ref_restrict_exotic(b):
             continue
         assert not (case3 and case4)
         if delt > 0:
-            m_nu = multiplicity(nu, delt, "geq")
-            grown = (shift(mu, "up", m_ge + 1, m_nu), shift(nu, "down", m_ge, m_nu))
+            m_nu = sum(x >= delt for x in nu)
+            grown = (shift(mu, 1, m_ge + 1, m_nu), shift(nu, -1, m_ge, m_nu))
             if case3:
                 emit(monomial(2 * m_ge - 1) - monomial(2 * m_gt - 1), *grown)
             else:
@@ -484,14 +513,14 @@ def ref_restrict_exotic(b):
             substitute(mu, (nab,), (nab - 1,)),
             nu,
         )
-        m_mu = multiplicity(mu, nab, "geq")
+        m_mu = sum(x >= nab for x in mu)
         if case4:
             j = largest_j(r)
             m_gt_j = counts[j][0]
             emit(
                 monomial(2 * m_gt_j),
-                shift(mu, "down", m_gt_j + 1, m_mu),
-                shift(nu, "up", m_gt_j + 1, m_mu - 1),
+                shift(mu, -1, m_gt_j + 1, m_mu),
+                shift(nu, 1, m_gt_j + 1, m_mu - 1),
             )
             for k in comps:
                 if not (r < k <= j):
@@ -499,14 +528,14 @@ def ref_restrict_exotic(b):
                 m_gt_k, m_ge_k = counts[k]
                 emit(
                     monomial(2 * m_ge_k) - monomial(2 * m_gt_k),
-                    shift(mu, "down", m_ge_k + 1, m_mu),
-                    shift(nu, "up", m_ge_k + 1, m_mu - 1),
+                    shift(mu, -1, m_ge_k + 1, m_mu),
+                    shift(nu, 1, m_ge_k + 1, m_mu - 1),
                 )
         else:
             emit(
                 monomial(2 * m_gt),
-                shift(mu, "down", m_gt + 1, m_mu),
-                shift(nu, "up", m_gt + 1, m_mu - 1),
+                shift(mu, -1, m_gt + 1, m_mu),
+                shift(nu, 1, m_gt + 1, m_mu - 1),
             )
     return out
 

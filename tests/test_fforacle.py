@@ -29,7 +29,6 @@ from springerbc.params import (
 )
 from springerbc.partitions import (
     Partition,
-    multiplicity,
     sum_partitions,
     union_partitions,
 )
@@ -262,8 +261,9 @@ def lowered(lam, jt):
 def depth_lines(lam, r, q):
     """The number of lines of ker N at depth r: in the image of N^(r-1) but
     not of N^r.  That image meets ker N in one dimension per part >= r."""
-    above = multiplicity(lam, r, "geq"), multiplicity(lam, r + 1, "geq")
-    return (q ** above[0] - q ** above[1]) // (q - 1)
+    ge_r = sum(x >= r for x in lam)
+    gt_r = sum(x > r for x in lam)
+    return (q**ge_r - q**gt_r) // (q - 1)
 
 
 def test_quotient_types_obey_lemma():

@@ -2,15 +2,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from springerbc.errors import InvalidParam
+from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.partitions import (
     Partition,
-    multiplicity,
+    _drop,
+    _lower,
+    _run_end,
+    _shift,
     partition_from_text,
     partition_to_text,
     partitions_of,
-    shift,
-    substitute,
     sum_partitions,
     underlying_set,
     union_partitions,
@@ -28,19 +29,24 @@ def test_constructor_normalizes():
 
 
 def test_multiplicity_examples():
+    # m(r) is a count, m(>= r) the end of the run of r
     p = Partition([6, 4, 4, 3])
-    assert multiplicity(p, 4, "eq") == 2
-    assert multiplicity(p, 4, "geq") == 3
-    assert multiplicity(Partition(), 1, "geq") == 0
-    with pytest.raises(ValueError):
-        multiplicity(p, 4, "gt")
+    assert p.count(4) == 2
+    assert _run_end(p, 4) == 3
+    assert _run_end(p, 4, 2) == 3
+    assert _run_end(p, 3) == len(p)
+    with pytest.raises(InvalidParam, match="not contained in"):
+        _run_end(p, 4, 3)
+    with pytest.raises(InvalidParam, match="not contained in"):
+        _run_end(Partition(), 1)
 
 
-@given(parts_st, st.integers(1, 10))
-def test_multiplicity_additivity(p, r):
-    assert multiplicity(p, r, "geq") == multiplicity(p, r, "eq") + multiplicity(
-        p, r + 1, "geq"
-    )
+@given(parts_st)
+def test_multiplicity_additivity(p):
+    # m(>= s) = m(>= r) + m(s) for adjacent distinct parts r > s
+    und = underlying_set(p)
+    for r, s in zip(und, und[1:]):
+        assert _run_end(p, s) == _run_end(p, r) + p.count(s)
 
 
 def test_underlying_set_examples():
@@ -69,41 +75,41 @@ def test_sum_example():
     assert sum_partitions(Partition([1, 1]), Partition([1, 1])) == (2, 2)
 
 
-def test_substitute_examples():
+def test_lower_and_drop_examples():
     p = Partition([6, 4, 4, 3])
-    assert substitute(p, (4, 3), (2, 2)) == (6, 4, 2, 2)
-    assert substitute(p, (4, 4), (2, 0)) == (6, 3, 2)
-    assert substitute(Partition([2, 2]), (2, 2), (1, 1)) == (1, 1)
+    assert _lower(p, 4, 2) == (6, 3, 3, 3)
+    assert _lower(p, 4) == (6, 4, 3, 3)
+    assert _lower(Partition([2, 1, 1]), 1, 2) == (2,)  # 1 -> 0 dropped
+    assert _drop(p, 4) == (6, 4, 3, 2)
+    assert _drop(Partition([3, 2, 2]), 3) == (2, 2, 1)  # after the run of 2
+    assert _drop(Partition([2, 2]), 2) == (2,)  # 2 -> 0 dropped
     with pytest.raises(InvalidParam, match="not contained in"):
-        substitute(p, (5,), (1,))
+        _lower(p, 5)
     with pytest.raises(InvalidParam, match="not contained in"):
-        substitute(p, (6, 6), (1, 1))
-
-
-@given(parts_st, st.data())
-def test_substitute_identity(p, data):
-    k = data.draw(st.integers(0, len(p)))
-    idx = data.draw(
-        st.lists(st.integers(0, max(len(p) - 1, 0)), min_size=k, max_size=k, unique=True)
-        if p
-        else st.just([])
-    )
-    sub = [p[i] for i in idx]
-    assert substitute(p, sub, sub) == p
+        _lower(p, 6, 2)
+    with pytest.raises(InvalidParam, match="not contained in"):
+        _drop(p, 5)
+    with pytest.raises(InvalidParam, match="below zero"):
+        _drop(Partition([1]), 1)
 
 
 def test_shift_examples():
-    assert shift(Partition([4, 4, 3, 2]), "up", 2, 6) == (5, 4, 4, 3, 1, 1)
-    assert shift(Partition([5, 4, 3, 2]), "down", 2, 4) == (5, 3, 2, 1)
-    assert shift(Partition([3, 3, 3, 3]), "down", 2, 3) == (3, 3, 2, 2)
-    assert shift(Partition([1]), "up", 2, 1) == (1,)  # empty interval
+    assert _shift(Partition([5, 4, 3, 2]), 1, 6, 1) == (5, 5, 4, 3, 1, 1)
+    assert _shift(Partition([5, 4, 3, 2]), 1, 4, -1) == (5, 3, 2, 1)
+    assert _shift(Partition([3, 3, 2, 2]), 0, 2, -1) == (2, 2, 2, 2)
+    assert _shift(Partition([1]), 1, 1, 1) == (1,)  # empty interval
 
 
 def test_shift_edge_cases():
-    assert shift(Partition([2, 1]), "down", 2, 2) == (2,)  # 1 -> 0 dropped
+    assert _shift(Partition([2, 1]), 1, 2, -1) == (2,)  # 1 -> 0 dropped
     with pytest.raises(InvalidParam, match="exceeds length 2"):
-        shift(Partition([2, 1]), "down", 1, 3)  # interval past the length
-    assert shift(Partition(), "up", 1, 2) == (1, 1)
+        _shift(Partition([2, 1]), 0, 3, -1)  # interval past the length
+    assert _shift(Partition(), 0, 2, 1) == (1, 1)
+    # a move that would unsort the parts raises instead of sorting them
+    with pytest.raises(InvariantViolation, match="unsorts"):
+        _shift(Partition([4, 4, 3, 2]), 1, 3, 1)
+    with pytest.raises(InvariantViolation, match="unsorts"):
+        _shift(Partition([3, 3, 3, 3]), 1, 3, -1)
 
 
 @given(st.data())
@@ -111,9 +117,9 @@ def test_shift_round_trip_on_strict_partitions(data):
     # strictly decreasing parts keep indices stable under a +1 shift
     raw = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=6, unique=True))
     p = Partition(raw)
-    a = data.draw(st.integers(1, len(p)))
-    b = data.draw(st.integers(a, len(p)))
-    assert shift(shift(p, "up", a, b), "down", a, b) == p
+    a = data.draw(st.integers(0, len(p) - 1))
+    b = data.draw(st.integers(a + 1, len(p)))
+    assert _shift(_shift(p, a, b, 1), a, b, -1) == p
 
 
 def test_text_round_trip():

@@ -122,7 +122,7 @@ def test_coefficients_positive_at_prime_powers():
 
 
 def test_q1_matches_graded():
-    for n in range(1, 7):
+    for n in range(1, 13):
         for p in enumerate_omega(n):
             assert restrict_symplectic(p).at_q1() == restrict_symplectic_q1(p), p
         for b in enumerate_bipartitions(n):
