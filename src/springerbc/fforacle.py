@@ -36,9 +36,19 @@ frozen rows (the benchmark's exotic sweeps have 1 464 distinct N among
 round-trip check so runs once per distinct pair.  Each is a function of
 its key alone, and the dict has the memo's lifetime.
 
+The invariants eliminate as little as they can.  A Jordan chain passes
+only nonzero rows to ``Echelon.add``: in the benchmark's oracle sweeps,
+half the rows it was given were zero, rows of a nilpotent or images that
+vanish.  The exotic invariant reads hat from one walk along v, Nv,
+N^2 v, ..., testing each vector's membership in the chain's images of
+the powers of N, and builds no echelon basis of its own (see
+``exotic_invariant``).
+
 Each model also caches, for the quotients taken from it, the multiples of
-the form's rows (made when first read) and, per pivot pair, the rows of G
-and N that every quotient with those pivots starts from.  When the pivot
+the form's rows and the row v^T G (each made when first read) and, per
+pivot pair, the rows of G and N that every quotient with those pivots
+starts from.  The dot of a line with v^T G is the empty-fibre test, so a
+line with an empty fibre forms no other product.  When the pivot
 pair zeroes every correction a line could make to those rows, the pair's
 entry is instead the quotient itself, built for its first line, and every
 line with those pivots returns that one model (half the kernel lines of
@@ -63,7 +73,7 @@ from .params import (
     underlying_set,
     x_crit,
 )
-from .partitions import Partition, sum_partitions
+from .partitions import Partition, _canonical, sum_partitions
 
 
 class VNotPerp:
@@ -76,9 +86,9 @@ class VNotPerp:
 
 V_NOT_PERP = VNotPerp()
 
-# The most kernel lines one oracle call walks: at the 55 000 lines/s of the
+# The most kernel lines one oracle call walks: at the 70 000 lines/s of the
 # benchmark's oracle sweeps (ranks 3 to 5, a shared 2-vCPU x86-64 host),
-# 10^7 lines take three minutes, and longer at larger ranks, whose
+# 10^7 lines take two and a half minutes, and longer at larger ranks, whose
 # quotients are larger.  A larger walk is refused before it starts.
 LINE_CAP = 10**7
 
@@ -119,6 +129,12 @@ class FieldModel:
     def _form_multiples(self):
         """The form's rows, prepared for products with vectors."""
         return self.field.rows.multiples(self.gram)
+
+    @functools.cached_property
+    def _v_form(self):
+        """v^T G, the combination of the form's rows by the vector: its dot
+        with a line w is v^T G w, the form's pairing of v with w."""
+        return self.field.rows.apply(self._form_multiples, self.v)
 
     def check(self):
         """Check the structural invariants, raising InvariantViolation: the
@@ -232,14 +248,17 @@ def jordan_type(fieldctx, rows):
     field's row representation, and the chain of its row spaces: chain[k - 1]
     is an echelon basis of the row space of N^k, for k up to the largest
     part, where it is 0.  That row space is the image of the one of N^(k-1)
-    under x -> xN, so no power of N is formed."""
+    under x -> xN, so no power of N is formed.  Only nonzero rows are
+    eliminated: a nilpotent's rows and their images are often zero, and a
+    zero row adds nothing to a span."""
     if not rows:
         return Partition(), []
-    combine = fieldctx.rows.combine
+    R = fieldctx.rows
+    combine, nonzero = R.combine, R.nonzero
     ranks = [len(rows)]
     chain = []
     ech = Echelon(fieldctx)
-    for row in rows:
+    for row in filter(nonzero, rows):
         ech.add(row)
     while True:
         r = ech.size
@@ -249,22 +268,28 @@ def jordan_type(fieldctx, rows):
         chain.append(ech)
         if r == 0:
             break
-        image = ech.rows
+        image = [combine(row, rows) for row in ech.rows]
         ech = Echelon(fieldctx)
-        for row in image:
-            ech.add(combine(row, rows))
+        for row in filter(nonzero, image):
+            ech.add(row)
     return _type_of_ranks(ranks), chain
 
 
 def _type_of_ranks(ranks):
     """The Jordan type of a nilpotent map whose k-th power has rank
-    ranks[k], for k from 0 (the dimension) to the first k where it is 0."""
-    at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
+    ranks[k], for k from 0 (the dimension) to the first k where it is 0.
+
+    ranks[i - 1] - ranks[i] parts are at least i, so the parts equal to i
+    are the difference of two such drops; they are emitted largest first,
+    which is the partition's own order.  Drops that increase somewhere
+    give a negative count there, which emits nothing, and then the parts
+    add up to more than ranks[0]: the size check rejects them.
+    """
+    at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))] + [0]
     parts = []
-    for i, cnt in enumerate(at_least, start=1):
-        nxt = at_least[i] if i < len(at_least) else 0
-        parts.extend([i] * (cnt - nxt))
-    jt = Partition(parts)
+    for i in range(len(at_least) - 1, 0, -1):
+        parts.extend([i] * (at_least[i - 1] - at_least[i]))
+    jt = _canonical(parts)
     if jt.size != ranks[0]:
         raise InvariantViolation(f"Jordan type {jt} does not have size {ranks[0]}")
     return jt
@@ -317,8 +342,11 @@ def exotic_invariant(model, memo=None):
 
     The model gives lam, the halved Jordan type of N, and hat, the Jordan
     type of N on V/S for the cyclic span S of v.  The rank of N^k on V/S
-    is dim(N^k V + S) - dim S, and N^k V + S = N^k V + the span of v, Nv,
-    ..., N^(k-1) v, as N^i v lies in N^k V for i >= k; the chain of row
+    is dim(N^k V + S) - dim S.  N^k V meets S in an N-stable subspace of
+    the cyclic space S, which is N^j S for the least j with N^j v in
+    N^k V (N^(dim S) v = 0), so dim(N^k V + S) = dim N^k V + j.  As N^k V
+    shrinks with k, j never decreases, and one walk along v, Nv, N^2 v,
+    ... finds j for every k by membership tests alone.  The chain of row
     spaces of N's transpose N^T holds an echelon basis of each N^k V, and
     Nx is the combination of the rows of N^T by x.
 
@@ -347,14 +375,13 @@ def exotic_invariant(model, memo=None):
             halved.extend([r] * (m_r // 2))
         known = memo[n_key] = Partition(halved), chain, nt
     lam, chain, nt = known
-    sums = []  # dim(N^k V + S) for k = 1, 2, ...: the last is dim S
-    powers = []
-    x = model.v
+    sums = []  # dim(N^k V + S) for k = 1, 2, ...: the last, N^k V = 0, is dim S
+    x, j = model.v, 0  # x = N^j v
     for image in chain:  # N^k V
-        powers.append(x)  # N^(k-1) v
-        x = R.combine(x, nt)
-        beyond = Echelon(F)
-        sums.append(image.size + sum(beyond.add(image.reduce(y)) for y in powers))
+        while not image.contains(x):
+            x = R.combine(x, nt)
+            j += 1
+        sums.append(image.size + j)
     dim_s = sums[-1] if sums else 0
     hat = _type_of_ranks([dim - dim_s] + [size - dim_s for size in sums])
     b = memo.get((lam, hat))
@@ -423,14 +450,17 @@ def quotient_model(model, line):
         n2[a][b] = N[a][b] - N[a][j] alpha_b - w_a / w_i (N[i][b] - N[i][j] alpha_b)
 
     (the term alpha_a G[j][j] alpha_b is absent: G[j][j] = 0 on an
-    alternating form).  The form being alternating, f = -Gw = -<-, w>; f
-    enters only through the zero test of <v, f>, the index jstar and alpha,
-    and none of them sees its sign.  So the line enters only through alpha,
-    w / w_i and that zero test, and every nonzero multiple of it gives the
-    same quotient.  Everything but alpha and w depends only on the pivot
-    pair (i, j), so it is taken from the model once per pair
-    (``_pivot_base``) and each line applies its rank-one corrections to
-    those rows, skipping each one whose column and row factors are zero.
+    alternating form).  The fibre is empty when <v, w> = v^T G w is
+    nonzero, the dot of w with the model's cached row v^T G; that test
+    comes first, so an empty-fibre line never forms f.  The form being
+    skew, the dot is -<v, f>, and f = -Gw = -<-, w> enters only through
+    the index jstar and alpha, and neither sees its sign.  So the line
+    enters only through alpha, w / w_i and that zero test, and every
+    nonzero multiple of it gives the same quotient.  Everything but alpha
+    and w depends only on the pivot pair (i, j), so it is taken from the
+    model once per pair (``_pivot_base``) and each line applies its
+    rank-one corrections to those rows, skipping each one whose column and
+    row factors are zero.
     When G[a][j], G[j][b], N[a][j], N[i][b], N[i][j] and v_i all vanish
     off the pivots, no correction is left: the quotient does not depend on
     the line, and every line with those pivots gets the same model, built
@@ -441,9 +471,9 @@ def quotient_model(model, line):
     F = model.field
     R = F.rows
     w = line
-    f = R.apply(model._form_multiples, w)
-    if R.dot(model.v, f):
+    if R.dot(w, model._v_form):
         return V_NOT_PERP
+    f = R.apply(model._form_multiples, w)
     jstar, f_j = R.first(f)
     istar, w_i = R.first(w)
     if istar == jstar:

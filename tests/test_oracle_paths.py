@@ -27,6 +27,7 @@ from springerbc.fforacle import (
     V_NOT_PERP,
     FieldModel,
     _lines,
+    _type_of_ranks,
     brute_force_restriction,
     chi_invariant,
     exotic_invariant,
@@ -35,16 +36,19 @@ from springerbc.fforacle import (
     quotient_model,
     standard_model_exotic,
     standard_model_symplectic,
+    verify_against_formula,
 )
 from springerbc.gf import Echelon, field, nullspace
 from springerbc.params import (
     OmegaParam,
+    bipartition_from_text,
     enumerate_bipartitions,
     enumerate_omega,
+    omega_from_text,
     recover_bipartition,
     underlying_set,
 )
-from springerbc.partitions import Partition
+from springerbc.partitions import Partition, partitions_of
 
 from listmat import mat_mul, mat_vec, packed, rank, unpacked, vec_dot, vec_mat
 
@@ -208,14 +212,18 @@ def _models(max_n, sp2_fields, exotic_fields):
 
 @st.composite
 def lower_triangular(draw):
-    """A strictly lower-triangular matrix (nilpotent), conjugated by a
-    permutation so that it need not stay triangular."""
+    """A strictly lower-triangular matrix (nilpotent) with a drawn set of
+    its rows zero, conjugated by a permutation so that it need not stay
+    triangular and its zero rows fall among the others.  GF(2) and GF(4)
+    have packed rows, GF(3) and GF(5) lists."""
     F = draw(st.sampled_from([GF2, GF3, GF4, GF5]))
     dim = draw(st.integers(0, 8))
+    zero = draw(st.sets(st.integers(0, max(dim - 1, 0))))
     mat = [[0] * dim for _ in range(dim)]
     for i in range(dim):
-        for j in range(i):
-            mat[i][j] = draw(st.integers(0, F.q - 1))
+        if i not in zero:
+            for j in range(i):
+                mat[i][j] = draw(st.integers(0, F.q - 1))
     perm = draw(st.permutations(range(dim)))
     mat = [[mat[perm[i]][perm[j]] for j in range(dim)] for i in range(dim)]
     return F, mat, dim, perm
@@ -232,6 +240,12 @@ def test_jordan_type_matches_power_ranks(case):
     assert [ech.size for ech in chain] == [
         sum(max(r - k, 0) for r in jt) for k in range(1, max(jt, default=0) + 1)
     ]
+    # and chain[k - 1] spans the row space of N^k, the power built by mat_mul
+    power = mat
+    for ech in chain:
+        assert ech.size == rank(F, power)
+        assert all(ech.contains(row) for row in packed(F, power))
+        power = mat_mul(F, power, mat)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,6 +263,55 @@ def test_jordan_type_rejects_non_nilpotent_input(case, data):
         jordan_type(F, packed(F, mat))
 
 
+def test_type_of_ranks_gives_back_every_partition():
+    # the ranks of the powers of a nilpotent of type lam are
+    # sum_i max(lam_i - k, 0), for k from 0 to the largest part
+    for n in range(13):
+        for parts in partitions_of(n):
+            lam = Partition(parts)
+            ranks = [sum(max(r - k, 0) for r in lam) for k in range(lam.part_at(1) + 1)]
+            jt = _type_of_ranks(ranks)
+            assert type(jt) is Partition and jt == lam, ranks
+
+
+@pytest.mark.parametrize("ranks", [[4, 3, 1, 0], [3, 2, 0], [5, 4, 2, 1, 0]])
+def test_type_of_ranks_rejects_drops_that_increase(ranks):
+    # a nilpotent's rank drops never increase; a sequence whose drops do is
+    # no nilpotent's
+    with pytest.raises(InvariantViolation, match="does not have size"):
+        _type_of_ranks(ranks)
+
+
+@pytest.mark.parametrize("F", [GF2, GF4, GF3, GF5])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_jordan_type_of_the_zero_matrix(F, dim):
+    zero = [[0] * dim for _ in range(dim)]
+    jt, chain = jordan_type(F, packed(F, zero))
+    assert jt == Partition([1] * dim)
+    assert [ech.size for ech in chain] == [0]
+
+
+@pytest.mark.parametrize(
+    "param, F",
+    [(omega_from_text("2^2_1 1^2_0"), GF4), (bipartition_from_text("mu=[1,1] nu=[1]"), GF3)],
+    ids=["sp2", "exotic"],
+)
+def test_no_zero_row_reaches_echelon_add(monkeypatch, param, F):
+    # the Jordan chains of a whole oracle call eliminate nonzero rows only
+    add = Echelon.add
+    rows = zeros = 0
+
+    def counted(self, vec):
+        nonlocal rows, zeros
+        rows += 1
+        zeros += not self.F.rows.nonzero(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    assert verify_against_formula(param, F)["pass"]
+    assert rows and not zeros
+
+
 # --- invariants and quotients --------------------------------------------------------
 
 
@@ -264,10 +327,14 @@ def test_chi_invariant_matches_reference_on_every_quotient():
 
 
 def test_exotic_invariant_matches_reference_on_every_quotient():
-    # each model's distinct quotients share one memo, as in a tally
+    # each model's distinct quotients share one memo, as in a tally; the
+    # models run up to exotic n = 4 over GF(3), the benchmark's largest
+    # exotic sweep
     checked = 0
     models = itertools.chain(
-        _models(3, (), (GF3, GF5)), _models(2, (), (GF7, GF9, GF13))
+        _models(3, (), (GF3, GF5)),
+        _models(2, (), (GF7, GF9, GF13)),
+        ((b, standard_model_exotic(b, GF3)) for b in enumerate_bipartitions(4)),
     )
     for param, model in models:
         memo, seen = {}, set()
@@ -309,6 +376,35 @@ def test_quotient_model_matches_columnwise_reference():
             ), (param, line)
             checked += 1
     assert checked > 0
+
+
+def test_quotient_model_finds_exactly_the_empty_fibres():
+    # the fibre over a kernel line w is empty when <v, w^T G> != 0, here
+    # from list matrices; quotient_model tests w against its cached v^T G,
+    # on the models and on the kernel lines of a quotient that lines share
+    def check(model):
+        F, d = model.field, model.dim
+        gram, v = unpacked(F, model.gram, d), F.rows.unpack(model.v, d)
+        empty = 0
+        for line in kernel_lines(model):
+            want = vec_dot(F, v, vec_mat(F, as_list(model, line), gram)) != 0
+            assert (quotient_model(model, line) is V_NOT_PERP) == want, line
+            empty += want
+        return empty
+
+    empty, shared = 0, None
+    for param, model in _models(3, (), (GF3, GF5, GF9)):
+        empty += check(model)
+        taken = {}  # id -> quotient, kept alive so that no id is reused
+        for line in kernel_lines(model) if shared is None else ():
+            qm = quotient_model(model, line)
+            if qm is V_NOT_PERP:
+                continue
+            if id(qm) in taken and check(qm):  # shared, with an empty fibre
+                shared = qm
+                break
+            taken[id(qm)] = qm
+    assert empty > 1000 and shared is not None
 
 
 def ref_pivots(model, line):
