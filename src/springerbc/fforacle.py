@@ -27,14 +27,22 @@ list rows), never by the line or the parameter; it lives for one call only
 and takes no formula input.  The tally keeps the frozen rows on the
 quotient, so a quotient that many lines share is frozen once.
 
-The exotic invariant shares two more results between the quotients of one
-tally, in a dict that the tally passes to each call: the halved Jordan
-type of N with echelon bases of the images of its powers, keyed by N's
-frozen rows (the benchmark's exotic sweeps have 1 464 distinct N among
-2 863 distinct quotients), and the bipartition recovered from a pair
-(halved type, Jordan type on V modulo the cyclic span of v), whose
-round-trip check so runs once per distinct pair.  Each is a function of
-its key alone, and the dict has the memo's lifetime.
+The invariants share smaller results between the quotients of one tally,
+in a dict that the tally passes to each call.  Both keep there the Jordan
+type of each sequence of ranks, keyed by the sequence, so its size check
+runs once per distinct sequence (the benchmark's oracle sweeps ask for
+6 147 types of 183 sequences, counted per tally).  The chi invariant keeps
+the checked parameter of each (lam, chi), keyed by lam and chi's values,
+so the parameter's validation runs 113 times instead of 1 820.  The exotic
+invariant keeps the halved Jordan type of N with echelon bases of the
+images of its powers, keyed by N's frozen rows (the exotic sweeps have
+1 464 distinct N among 2 863 distinct quotients), and the bipartition
+recovered from a pair (halved type, Jordan type on V modulo the cyclic
+span of v), whose round-trip check so runs once per distinct pair.  Each
+result is a function of its key alone, keys of different kinds never
+compare equal (a tuple of ints, a pair led by a partition, bytes), and a
+key whose check fails is never stored, so it raises again on every call.
+The dict has the memo's lifetime.
 
 The invariants eliminate as little as they can.  A Jordan chain passes
 only nonzero rows to ``Echelon.add``: in the benchmark's oracle sweeps,
@@ -45,18 +53,20 @@ the powers of N, and builds no echelon basis of its own (see
 ``exotic_invariant``).
 
 Each model also caches, for the quotients taken from it, the multiples of
-the form's rows and the row v^T G (each made when first read) and, per
-pivot pair, the rows of G and N that every quotient with those pivots
-starts from.  The dot of a line with v^T G is the empty-fibre test, so a
-line with an empty fibre forms no other product.  When the pivot
-pair zeroes every correction a line could make to those rows, the pair's
-entry is instead the quotient itself, built for its first line, and every
-line with those pivots returns that one model (half the kernel lines of
-the benchmark's sweeps).  The cached rows live as long as the model, which
-is one call for the models a tally builds.  Nothing is cached across
-models or calls.  Quotients share rows with the cache and with each other,
-and lines share whole quotients, so callers must not change a quotient's
-rows.
+the form's rows and the nonzero entries of v^T G (each made when first
+read) and, per pivot pair, the rows of G and N that every quotient with
+those pivots starts from.  The empty-fibre test sums a line against those
+entries alone, and a line with an empty fibre forms no other product.
+v^T G has at most two nonzero entries on the benchmark's exotic models
+(of dimension 7.3 on average), and none on an sp2 model, whose vector is
+zero, so there a line takes no test at all.  When the pivot pair zeroes
+every correction a line could make to those rows, the pair's entry is
+instead the quotient itself, built for its first line, and every line with
+those pivots returns that one model (half the kernel lines of the
+benchmark's sweeps).  The cached rows live as long as the model, which is
+one call for the models a tally builds.  Nothing is cached across models
+or calls.  Quotients share rows with the cache and with each other, and
+lines share whole quotients, so callers must not change a quotient's rows.
 """
 
 import functools
@@ -86,9 +96,9 @@ class VNotPerp:
 
 V_NOT_PERP = VNotPerp()
 
-# The most kernel lines one oracle call walks: at the 70 000 lines/s of the
+# The most kernel lines one oracle call walks: at the 80 000 lines/s of the
 # benchmark's oracle sweeps (ranks 3 to 5, a shared 2-vCPU x86-64 host),
-# 10^7 lines take two and a half minutes, and longer at larger ranks, whose
+# 10^7 lines take about two minutes, and longer at larger ranks, whose
 # quotients are larger.  A larger walk is refused before it starts.
 LINE_CAP = 10**7
 
@@ -132,9 +142,11 @@ class FieldModel:
 
     @functools.cached_property
     def _v_form(self):
-        """v^T G, the combination of the form's rows by the vector: its dot
-        with a line w is v^T G w, the form's pairing of v with w."""
-        return self.field.rows.apply(self._form_multiples, self.v)
+        """The (index, entry) of every nonzero entry of v^T G, the
+        combination of the form's rows by the vector: their sum against a
+        line w is v^T G w, the form's pairing of v with w."""
+        R = self.field.rows
+        return R.items(R.apply(self._form_multiples, self.v))
 
     def check(self):
         """Check the structural invariants, raising InvariantViolation: the
@@ -243,14 +255,15 @@ def standard_model_exotic(b, fieldctx):
     return _packed_model(fieldctx, at, gram, nilp, v)
 
 
-def jordan_type(fieldctx, rows):
+def jordan_type(fieldctx, rows, memo=None):
     """Jordan type of the nilpotent square matrix with these rows, in the
     field's row representation, and the chain of its row spaces: chain[k - 1]
     is an echelon basis of the row space of N^k, for k up to the largest
     part, where it is 0.  That row space is the image of the one of N^(k-1)
     under x -> xN, so no power of N is formed.  Only nonzero rows are
     eliminated: a nilpotent's rows and their images are often zero, and a
-    zero row adds nothing to a span."""
+    zero row adds nothing to a span.  ``memo`` is passed on to
+    ``_type_of_ranks``."""
     if not rows:
         return Partition(), []
     R = fieldctx.rows
@@ -272,10 +285,10 @@ def jordan_type(fieldctx, rows):
         ech = Echelon(fieldctx)
         for row in filter(nonzero, image):
             ech.add(row)
-    return _type_of_ranks(ranks), chain
+    return _type_of_ranks(ranks, memo), chain
 
 
-def _type_of_ranks(ranks):
+def _type_of_ranks(ranks, memo=None):
     """The Jordan type of a nilpotent map whose k-th power has rank
     ranks[k], for k from 0 (the dimension) to the first k where it is 0.
 
@@ -284,7 +297,18 @@ def _type_of_ranks(ranks):
     which is the partition's own order.  Drops that increase somewhere
     give a negative count there, which emits nothing, and then the parts
     add up to more than ranks[0]: the size check rejects them.
+
+    ``memo``, a dict, keeps each checked type under the tuple of its
+    ranks, so a sequence seen before is looked up, not rebuilt.  A
+    sequence that fails the check is never stored and raises on every
+    call.
     """
+    if memo is None:
+        memo = {}
+    key = tuple(ranks)
+    jt = memo.get(key)
+    if jt is not None:
+        return jt
     at_least = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))] + [0]
     parts = []
     for i in range(len(at_least) - 1, 0, -1):
@@ -292,10 +316,11 @@ def _type_of_ranks(ranks):
     jt = _canonical(parts)
     if jt.size != ranks[0]:
         raise InvariantViolation(f"Jordan type {jt} does not have size {ranks[0]}")
+    memo[key] = jt
     return jt
 
 
-def chi_invariant(model):
+def chi_invariant(model, memo=None):
     """Recover the (lam, chi) parameter of a characteristic-2 model.
 
     chi(r) is the least i >= 0 such that <N^(2i+1)x, x> vanishes on ker N^r.
@@ -307,13 +332,20 @@ def chi_invariant(model):
     on, N^(2i+1) = 0 and so is the pairing.  In characteristic 2, G is
     symmetric, so the diagonal of P is the sum over b of the entrywise
     products of row b of N^(2i+1) and row b of G.
+
+    ``memo`` is a dict shared by the invariants of one tally (see the
+    module docstring): ``jordan_type`` keeps the Jordan type of each rank
+    sequence in it, and this the checked parameter of each (lam, chi),
+    under lam and the values of chi in lam's order.
     """
     F = model.field
     if F.p != 2:
         raise InvalidParam("invariant defined in characteristic 2")
+    if memo is None:
+        memo = {}
     R = F.rows
     gram, N = model.gram, model.N
-    lam, chain = jordan_type(F, N)
+    lam, chain = jordan_type(F, N, memo)
     if not lam:
         return OmegaParam.make(lam, {})
     top = lam.part_at(1)
@@ -333,7 +365,11 @@ def chi_invariant(model):
                 break
         else:
             raise InvariantViolation(f"chi search exceeded r/2 at r={r}")
-    return OmegaParam.make(lam, chi)
+    key = (lam, tuple(chi.values()))
+    p = memo.get(key)
+    if p is None:
+        p = memo[key] = OmegaParam.make(lam, chi)
+    return p
 
 
 def exotic_invariant(model, memo=None):
@@ -352,8 +388,9 @@ def exotic_invariant(model, memo=None):
 
     ``memo`` is a dict shared by the invariants of one tally (see the
     module docstring): it maps N's frozen rows to lam, that chain and the
-    rows of N^T, and each pair (lam, hat) to the bipartition recovered from
-    it.
+    rows of N^T, each pair (lam, hat) to the bipartition recovered from
+    it, and, through ``_type_of_ranks``, each rank sequence to its Jordan
+    type.
     """
     F = model.field
     if F.p == 2:
@@ -366,7 +403,7 @@ def exotic_invariant(model, memo=None):
     known = memo.get(n_key)
     if known is None:
         nt = list(map(list, zip(*N)))
-        doubled, chain = jordan_type(F, nt)
+        doubled, chain = jordan_type(F, nt, memo)
         halved = []
         for r in underlying_set(doubled):
             m_r = doubled.count(r)
@@ -383,7 +420,7 @@ def exotic_invariant(model, memo=None):
             j += 1
         sums.append(image.size + j)
     dim_s = sums[-1] if sums else 0
-    hat = _type_of_ranks([dim - dim_s] + [size - dim_s for size in sums])
+    hat = _type_of_ranks([dim - dim_s] + [size - dim_s for size in sums], memo)
     b = memo.get((lam, hat))
     if b is None:
         b = memo[lam, hat] = recover_bipartition(lam, hat, lam.size)
@@ -451,9 +488,11 @@ def quotient_model(model, line):
 
     (the term alpha_a G[j][j] alpha_b is absent: G[j][j] = 0 on an
     alternating form).  The fibre is empty when <v, w> = v^T G w is
-    nonzero, the dot of w with the model's cached row v^T G; that test
-    comes first, so an empty-fibre line never forms f.  The form being
-    skew, the dot is -<v, f>, and f = -Gw = -<-, w> enters only through
+    nonzero: the sum of w_a x over the model's cached nonzero entries
+    (a, x) of v^T G, added by the field's tables.  That test comes first,
+    so an empty-fibre line never forms f, and a model with no such entry,
+    as every sp2 model is, takes no test.  The form being skew, the
+    pairing is -<v, f>, and f = -Gw = -<-, w> enters only through
     the index jstar and alpha, and neither sees its sign.  So the line
     enters only through alpha, w / w_i and that zero test, and every
     nonzero multiple of it gives the same quotient.  Everything but alpha
@@ -471,8 +510,14 @@ def quotient_model(model, line):
     F = model.field
     R = F.rows
     w = line
-    if R.dot(w, model._v_form):
-        return V_NOT_PERP
+    v_form = model._v_form
+    if v_form:
+        add, mul, entry = F.add_table, F.mul_table, R.entry
+        pairing = 0
+        for a, x in v_form:
+            pairing = add[pairing][mul[x][entry(w, a)]]
+        if pairing:
+            return V_NOT_PERP
     f = R.apply(model._form_multiples, w)
     jstar, f_j = R.first(f)
     istar, w_i = R.first(w)

@@ -225,14 +225,6 @@ class _ListRows:
                 out = [add[a][mc[b]] if b else a for a, b in zip(out, row)]
         return out
 
-    def dot(self, r, s):
-        add, mul = self.add_table, self.mul_table
-        acc = 0
-        for a, b in zip(r, s):
-            if a and b:
-                acc = add[acc][mul[a][b]]
-        return acc
-
     def multiples(self, rows):
         """The rows of a square matrix prepared for ``apply``: the nonzero
         entries of each."""
@@ -414,12 +406,6 @@ class _PackedRows:
             vec ^= c << k * b
             acc ^= multiples[b][c]
         return acc
-
-    def dot(self, r, s):
-        # bit j of the sum of the slots is the parity of their bits j
-        p = self.mul_slots(r, s) if r and s else 0
-        ones = self.ones
-        return sum(((p >> j) & ones).bit_count() % 2 << j for j in range(self.k))
 
     def selector(self, kept):
         """take's argument for the entries at the increasing indices kept:

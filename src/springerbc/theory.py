@@ -32,7 +32,9 @@ class Theory(SimpleNamespace):
     restrictions, ``standard_model(param, field)`` is the oracle's matrix
     model and ``invariant(model, memo)`` recovers the parameter of a
     model; a tally passes one dict as ``memo`` to all its calls, which
-    the invariant may fill with work its quotients share.
+    both invariants fill with work their quotients share (see
+    ``fforacle``): ``chi_invariant`` and ``exotic_invariant`` alike keep
+    Jordan types and checked parameters there.
     ``rank1`` holds the rank-1 parameter whose values are 1 at id and s1,
     then the one whose values are 1 + q at id and 1 - q at s1.
     ``empty_lines(param, q)`` is the number of kernel lines over GF(q) whose
@@ -70,7 +72,7 @@ SP2 = Theory(
     restrict=lambda p: restrict.restrict_symplectic(p),
     restrict_q1=lambda p: restrict.restrict_symplectic_q1(p),
     standard_model=lambda p, field: fforacle.standard_model_symplectic(p, field),
-    invariant=lambda model, memo=None: fforacle.chi_invariant(model),
+    invariant=lambda model, memo=None: fforacle.chi_invariant(model, memo),
     rank1=(omega_from_text("2^1_1"), omega_from_text("1^2_0")),
     empty_lines=lambda p, q: 0,  # the model vector is zero
 )

@@ -265,21 +265,33 @@ def test_jordan_type_rejects_non_nilpotent_input(case, data):
 
 def test_type_of_ranks_gives_back_every_partition():
     # the ranks of the powers of a nilpotent of type lam are
-    # sum_i max(lam_i - k, 0), for k from 0 to the largest part
+    # sum_i max(lam_i - k, 0), for k from 0 to the largest part; one memo
+    # is shared by every call, as in a tally, and gives back what a fresh
+    # call gives
+    memo = {}
     for n in range(13):
         for parts in partitions_of(n):
             lam = Partition(parts)
             ranks = [sum(max(r - k, 0) for r in lam) for k in range(lam.part_at(1) + 1)]
             jt = _type_of_ranks(ranks)
             assert type(jt) is Partition and jt == lam, ranks
+            for _ in range(2):  # the call that fills the memo, then one that reads it
+                kept = _type_of_ranks(ranks, memo)
+                assert type(kept) is Partition and kept == lam, ranks
+    assert len(memo) == sum(1 for n in range(13) for _ in partitions_of(n))
 
 
 @pytest.mark.parametrize("ranks", [[4, 3, 1, 0], [3, 2, 0], [5, 4, 2, 1, 0]])
 def test_type_of_ranks_rejects_drops_that_increase(ranks):
     # a nilpotent's rank drops never increase; a sequence whose drops do is
-    # no nilpotent's
+    # no nilpotent's, and a memo never keeps it, so it raises on every call
     with pytest.raises(InvariantViolation, match="does not have size"):
         _type_of_ranks(ranks)
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="does not have size"):
+            _type_of_ranks(ranks, memo)
+    assert memo == {}
 
 
 @pytest.mark.parametrize("F", [GF2, GF4, GF3, GF5])
@@ -316,11 +328,16 @@ def test_no_zero_row_reaches_echelon_add(monkeypatch, param, F):
 
 
 def test_chi_invariant_matches_reference_on_every_quotient():
+    # each model's quotients share one memo, as in a tally, and each
+    # quotient's invariant is also recovered without one
     checked = 0
     for _, model in _models(3, (GF2, GF4), ()):
+        memo = {}
         for line in kernel_lines(model):
             qm = quotient_model(model, line)
-            assert chi_invariant(qm) == ref_chi_invariant(qm), line
+            want = ref_chi_invariant(qm)
+            assert chi_invariant(qm) == want, line
+            assert chi_invariant(qm, memo) == want, line
             checked += 1
         assert chi_invariant(model) == ref_chi_invariant(model)
     assert checked > 0
@@ -405,6 +422,21 @@ def test_quotient_model_finds_exactly_the_empty_fibres():
                 break
             taken[id(qm)] = qm
     assert empty > 1000 and shared is not None
+
+    # v^T G with two nonzero entries, so that the pairing is a sum that
+    # cancels on a hyperplane of lines: with N = 0 every line of GF(q)^4 is
+    # a kernel line, and the q^3 lines off that hyperplane have empty fibres
+    for F in (GF3, GF9):
+        minus = F.neg(1)
+        gram = [[0, 0, 0, 1], [0, 0, 1, 0], [0, minus, 0, 0], [minus, 0, 0, 0]]
+        v = [1, F.q - 1, 0, 0]  # v^T G = (0, 0, v[1], 1)
+        model = model_of_lists(F, gram, [[0] * 4 for _ in range(4)], v).check()
+        assert check(model) == F.q**3, F
+
+    # every sp2 model vector is zero, so no line has an empty fibre
+    for param, model in _models(4, (GF2, GF4), ()):
+        for line in kernel_lines(model):
+            assert quotient_model(model, line) is not V_NOT_PERP, (param, line)
 
 
 def ref_pivots(model, line):
@@ -548,6 +580,25 @@ def test_quotient_model_ignores_the_scale_of_the_line():
 
 
 # --- checks under python -O --------------------------------------------------------------
+
+
+def test_type_of_ranks_raises_again_through_its_memo_under_python_O():
+    code = textwrap.dedent(
+        """
+        from springerbc.errors import InvariantViolation
+        from springerbc.fforacle import _type_of_ranks
+
+        assert False, "asserts must be stripped"
+        memo = {}
+        for _ in range(2):
+            try:
+                _type_of_ranks([4, 3, 1, 0], memo)
+            except InvariantViolation:
+                print("raised")
+        print(len(memo))
+        """
+    )
+    assert run_optimized(code) == ["raised", "raised", "0"]
 
 
 def test_model_check_raises_under_python_O():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from springerbc.gf import Echelon, _ListRows, field
 
-from listmat import rank, vec_dot, vec_mat
+from listmat import rank, vec_mat
 
 CHAR2 = [2, 4, 8, 16, 32, 64]
 
@@ -58,10 +58,6 @@ def test_packed_primitives_follow_the_field_tables(case):
     assert R.nonzero(pr) == any(r)
     assert R.unpack(R.mul_slots(pr, ps), d) == [mul[a][b] for a, b in zip(r, s)]
     assert R.unpack(R.sqrt(pr), d) == [F.sqrt_table[x] for x in r]
-    dot = 0
-    for a, b in zip(r, s):
-        dot = add[dot][mul[a][b]]
-    assert R.dot(pr, ps) == dot
     lead = list_first(r)
     if lead is None:
         assert R.monic(pr) is None
@@ -102,8 +98,8 @@ def test_packed_matrix_primitives_follow_the_field_tables(case, data):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 32, 64])
 def test_apply_combines_the_rows_like_vec_mat(q):
     # apply on the rows' multiples and combine on the rows are the row
-    # vector times the matrix, and dot the list kernel's dot product, in
-    # either row representation, for dense and sparse entries alike
+    # vector times the matrix, in either row representation, for dense and
+    # sparse entries alike
     F = field(q)
     R = F.rows
     rng = random.Random(q)
@@ -123,7 +119,6 @@ def test_apply_combines_the_rows_like_vec_mat(q):
                 assert got == want, (d, mat, coeffs)
                 got = R.unpack(R.combine(R.pack(coeffs), rows), d)
                 assert got == want, (d, mat, coeffs)
-                assert R.dot(R.pack(coeffs), rows[0]) == vec_dot(F, coeffs, mat[0])
 
 
 def list_rows_of(F):
