@@ -228,7 +228,9 @@ def psi(lam, points):
 
 
 def _psi_vec(und, points):
-    """``psi`` as a tuple aligned with the distinct parts ``und``."""
+    """``psi`` as a tuple aligned with the distinct parts ``und``.  The
+    graded sp2 restriction writes the same rule out again in
+    ``restrict._checked_chi``, which checks each value as it reads it off."""
     out = []
     for r in und:
         best = 0

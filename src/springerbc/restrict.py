@@ -4,7 +4,10 @@ Both theories restrict by a case analysis over the distinct parts r of the
 relevant partition.  Each case emits finitely many terms: an integer
 polynomial coefficient in q times a rank n-1 parameter.  Terms whose
 coefficient is the zero polynomial are skipped before their target
-parameter is even constructed, and like terms are collected.
+parameter is even constructed, and like terms are collected.  An sp2
+target's chi is ``psi`` of a point set; one pass over the target's
+distinct parts reads each value off the points and checks it against the
+defining conditions, so every target is validated as it is built.
 
 A restriction depends on the parameter alone.  While ``_kept`` is a dict,
 which ``evaluator.value_table`` sets for the length of one table, each
@@ -139,6 +142,38 @@ def _reused(formula, p):
     return out
 
 
+def _checked_chi(lam, und, points):
+    """``_psi_vec(und, points)`` once lam with those values passes the
+    defining conditions, read off in one pass over the distinct parts
+    ``und`` (decreasing): each value is psi's max over the points, checked
+    at once against the value at the next larger part.  On the first
+    failure it raises InvalidParam with every message of ``_violations``.
+
+    psi of any point set meets condition 3 (the value does not rise, nor
+    the slack, from a part to a smaller one) and is never negative; the
+    check is kept all the same, as a guard on the rule written out here.
+    """
+    out = []
+    prev = slack = und[0] if und else 0  # no bound at the largest part
+    for r in und:
+        c = 0
+        for a, b in points:
+            cand = r - (a - b) if a >= r else b
+            if cand > c:
+                c = cand
+        if (
+            c > prev
+            or r - c > slack
+            or 2 * c > r
+            or (2 * c != r and lam.count(r) % 2)
+        ):
+            bad = _violations(lam, und, _psi_vec(und, points))
+            raise InvalidParam("; ".join(bad))
+        out.append(c)
+        prev, slack = c, r - c
+    return tuple(out)
+
+
 def restrict_symplectic(p):
     """Graded restriction for a (lam, chi) parameter of rank n >= 1."""
     return _symplectic(p) if _kept is None else _reused(_symplectic, p)
@@ -146,8 +181,8 @@ def restrict_symplectic(p):
 
 def _symplectic(p):
     """One scan of lam gives its runs; each target partition is lam with a
-    part moved by slicing, each target's chi is ``psi`` of its point set,
-    and each target is validated in one pass over its distinct parts."""
+    part moved by slicing, and each target's chi is ``psi`` of its point
+    set, computed and validated together by ``_checked_chi``."""
     n = p.rank
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
@@ -170,11 +205,7 @@ def _symplectic(p):
         if not coeff:
             return
         lam_new, und_new = tgt
-        chi_new = _psi_vec(und_new, points)
-        bad = _violations(lam_new, und_new, chi_new)
-        if bad:
-            raise InvalidParam("; ".join(bad))
-        out.add(OmegaParam(lam_new, chi_new), coeff)
+        out.add(OmegaParam(lam_new, _checked_chi(lam_new, und_new, points)), coeff)
 
     def step(k):  # q^m(>=k) - q^m(>k)
         m_gt_k, m_ge_k = runs[k]

@@ -1,10 +1,13 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import springerbc.restrict as restrict_module
 from golden_data import (
@@ -16,6 +19,9 @@ from golden_data import (
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
     Bipartition,
+    OmegaParam,
+    _psi_vec,
+    _violations,
     bipartition_from_text,
     bipartition_to_text,
     enumerate_bipartitions,
@@ -25,7 +31,7 @@ from springerbc.params import (
     omega_from_text,
     validate_omega,
 )
-from springerbc.partitions import Partition
+from springerbc.partitions import Partition, underlying_set
 from springerbc.qpoly import QPoly, ZERO
 from springerbc.restrict import (
     CharSum,
@@ -211,13 +217,108 @@ def test_wrong_rank_target_raises(monkeypatch):
         restrict_symplectic(omega_from_text("1^2_0"))
 
 
+def reference_chi(lam, und, points):
+    """The two-walk reference for ``_checked_chi``: psi of the points, then
+    every defining condition of the target."""
+    chi = _psi_vec(und, points)
+    bad = _violations(lam, und, chi)
+    if bad:
+        raise InvalidParam("; ".join(bad))
+    return chi
+
+
+def sp2_sample():
+    """Every sp2 parameter of rank <= 12, then 40 seeded ones of each rank
+    14-18."""
+    params = [p for n in range(1, 13) for p in enumerate_omega(n)]
+    rng = random.Random(14)
+    for n in range(14, 19):
+        params += rng.sample(enumerate_omega(n), 40)
+    return params
+
+
+def test_one_pass_chi_gives_the_reference_terms_in_order(monkeypatch):
+    params = sp2_sample()
+    got = [list(restrict_symplectic(p).terms.items()) for p in params]
+    monkeypatch.setattr(restrict_module, "_checked_chi", reference_chi)
+    for p, terms in zip(params, got):
+        assert terms == list(restrict_symplectic(p).terms.items()), p
+
+
+# A target that breaks a defining condition, the parameter it is restricted
+# from, the corners the patched scan returns for it (None: unpatched), and
+# the target's partition and point set.  Condition 1 concerns lam alone,
+# and a target's odd parts keep the parity of their multiplicity, so only
+# a source built unchecked reaches it.  No point set breaks condition 3:
+# psi never rises, nor its slack, from a part to a smaller one (pinned by
+# the property test below).
+BROKEN_TARGETS = {
+    "condition 1": (
+        OmegaParam(Partition((4, 3, 1)), (2, 0, 0)), None, (3, 2, 1), [(2, 1)]
+    ),
+    "condition 2": (omega_from_text("2^2_1"), [], (1, 1), [(1, 1)]),
+    "condition 2, odd multiplicity": (
+        omega_from_text("6^1_3 2^1_1"), [(6, 3)], (4, 2), [(4, 2)]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_TARGETS))
+def test_broken_target_raises_its_violations(monkeypatch, case):
+    source, corners, lam, points = BROKEN_TARGETS[case]
+    if corners is not None:
+        monkeypatch.setattr(restrict_module, "_corners", lambda und, vec: corners)
+    lam = Partition(lam)
+    und = underlying_set(lam)
+    expected = "; ".join(_violations(lam, und, _psi_vec(und, points)))
+    assert expected.startswith(case.split(",")[0])
+    with pytest.raises(InvalidParam) as info:
+        restrict_symplectic(source)
+    assert str(info.value) == expected
+
+
+@st.composite
+def parts_and_points(draw):
+    """A partition of 2n for n <= 20 (every multiplicity even in half the
+    draws) and up to six points (a, b), mostly with 2b <= a like corners."""
+    n = draw(st.integers(0, 20))
+    doubled = draw(st.booleans())
+    rest, parts = (n if doubled else 2 * n), []
+    while rest:
+        parts.append(draw(st.integers(1, rest)))
+        rest -= parts[-1]
+    lam = Partition(parts * 2 if doubled else parts)
+    point = st.integers(0, 41).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, a // 2 + 1))
+    )
+    return lam, draw(st.lists(point, max_size=6))
+
+
+@given(parts_and_points())
+def test_checked_chi_is_psi_exactly_where_the_conditions_hold(data):
+    lam, points = data
+    und = underlying_set(lam)
+    chi = _psi_vec(und, points)
+    bad = _violations(lam, und, chi)
+    assert not any(msg.startswith("condition 3") for msg in bad)
+    if bad:
+        with pytest.raises(InvalidParam) as info:
+            restrict_module._checked_chi(lam, und, points)
+        assert str(info.value) == "; ".join(bad)
+    else:
+        assert restrict_module._checked_chi(lam, und, points) == chi
+
+
 def test_wrong_rank_target_raises_under_python_O():
     code = textwrap.dedent(
         """
         import springerbc.restrict as r
-        from springerbc.errors import InvariantViolation
-        from springerbc.params import Bipartition, bipartition_from_text, omega_from_text
-        from springerbc.partitions import Partition
+        from springerbc.errors import InvalidParam, InvariantViolation
+        from springerbc.params import (
+            Bipartition, OmegaParam, _psi_vec, _violations,
+            bipartition_from_text, omega_from_text,
+        )
+        from springerbc.partitions import Partition, underlying_set
 
         def attempt(fn, *args):
             try:
@@ -225,10 +326,25 @@ def test_wrong_rank_target_raises_under_python_O():
             except InvariantViolation:
                 print("raised")
 
+        def refused(source, lam, points):
+            und = underlying_set(Partition(lam))
+            expected = "; ".join(_violations(Partition(lam), und, _psi_vec(und, points)))
+            try:
+                r.restrict_symplectic(source)
+            except InvalidParam as e:
+                if str(e) == expected:
+                    print("raised")
+
         assert False, "asserts must be stripped"
         unsorted = tuple.__new__(Partition, (1, 2, 1))
         attempt(r.restrict_exotic, Bipartition(unsorted, Partition([2])))  # cases 3, 4
         attempt(r._largest_j, ((4, (2, 2)), (2, (1, 1))), 4, 1)
+        # targets breaking conditions 1 and 2 (see BROKEN_TARGETS)
+        refused(OmegaParam(Partition((4, 3, 1)), (2, 0, 0)), (3, 2, 1), [(2, 1)])
+        corners = r._corners
+        r._corners = lambda und, vec: []
+        refused(omega_from_text("2^2_1"), (1, 1), [(1, 1)])
+        r._corners = corners
         r._lower = lambda p, x, copies=1: p
         attempt(r.restrict_exotic, bipartition_from_text("mu=[] nu=[1]"))
         attempt(r.restrict_symplectic, omega_from_text("1^2_0"))
@@ -243,4 +359,4 @@ def test_wrong_rank_target_raises_under_python_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"] * 4
+    assert done.stdout.split() == ["raised"] * 6

@@ -59,6 +59,19 @@ def test_oracle_sweep_summary_counts_the_lines_of_its_reports():
     assert int(match[2]) > 0
 
 
+def test_restrict_pairs_times_both_sides_on_the_same_calls():
+    src = str(ROOT / "src")
+    done = run_script("restrict_pairs.py", src, src, "--pairs", "1")
+    assert done.returncode == 0, done.stderr
+    row, summary = map(json.loads, done.stdout.splitlines())
+    assert (row["pair"], row["first"]) == (1, "parent")
+    assert summary["pairs"] == 1 and summary["restrict_calls"] > 0
+    for metric in ("point_sp2_s", "restrict_s"):
+        assert set(row[metric]) == {"parent", "change"}
+        assert all(t > 0 for t in row[metric].values())
+        assert summary[metric]["change_won"] in ("0 of 1", "1 of 1")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
