@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
-"""Time the sp2 restriction layer of two source trees in one process, in
-alternating pairs.
+"""Time one theory's restriction layer (``--theory``, sp2 by default) of
+two source trees in one process, in alternating pairs.
 
 Each tree's ``springerbc`` is loaded under a module name of its own.  A
 pair times each side once, the side that goes first alternating from pair
 to pair:
 
-- ``point_sp2_s``: the sp2 queries of the first pass of the benchmark's
-  ``point`` workload at seed 1 (bench/workloads.py), each cold, after
-  ``clear_cache()``;
-- ``restrict_s``: ``restrict_symplectic`` on every parameter those queries
-  restrict, in the order they restrict them, recorded in an untimed run.
+- ``point_<theory>_s``: the theory's queries of the first pass of the
+  benchmark's ``point`` workload at seed 1 (bench/workloads.py), each
+  cold, after ``clear_cache()``;
+- ``restrict_s``: the theory's graded restriction (``restrict_symplectic``
+  or ``restrict_exotic``) on every parameter those queries restrict, in
+  the order they restrict them, recorded in an untimed run.
 
 It prints one JSON line per pair, then a summary line with each side's
 median and the pairs the change won (its time lower).
 
 Example:
     python3 scripts/restrict_pairs.py PARENT/src src --pairs 30
+    python3 scripts/restrict_pairs.py PARENT/src src --theory exotic
 """
 
 import argparse
@@ -32,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import Point  # noqa: E402
 
 SIDES = ("parent", "change")
-METRICS = ("point_sp2_s", "restrict_s")
+GRADED = {"sp2": "restrict_symplectic", "exotic": "restrict_exotic"}
 
 
 def load(src, name):
@@ -48,24 +50,24 @@ def load(src, name):
 
 
 class Side:
-    def __init__(self, sb):
-        self.sb = sb
+    def __init__(self, sb, theory):
+        self.sb, self.formula = sb, GRADED[theory]
         self.queries = [
-            (p, w) for theory, p, w in Point(sb, 1).pass_input(0) if theory == "sp2"
+            (p, w) for th, p, w in Point(sb, 1).pass_input(0) if th == theory
         ]
         restrict = sb.restrict
-        graded = restrict.restrict_symplectic
+        graded = getattr(restrict, self.formula)
         self.nodes = []
 
         def recorded(p):
             self.nodes.append(p)
             return graded(p)
 
-        restrict.restrict_symplectic = recorded  # the evaluator reads it per miss
+        setattr(restrict, self.formula, recorded)  # the evaluator reads it per miss
         try:
             self.point()
         finally:
-            restrict.restrict_symplectic = graded
+            setattr(restrict, self.formula, graded)
 
     def point(self):
         ev = self.sb.evaluator
@@ -78,7 +80,7 @@ class Side:
         return total
 
     def restrict(self):
-        graded = self.sb.restrict.restrict_symplectic
+        graded = getattr(self.sb.restrict, self.formula)
         t0 = time.perf_counter()
         for p in self.nodes:
             graded(p)
@@ -88,7 +90,7 @@ class Side:
         gc.collect()
         point = self.point()
         gc.collect()
-        return {"point_sp2_s": point, "restrict_s": self.restrict()}
+        return point, self.restrict()
 
 
 def main():
@@ -96,23 +98,25 @@ def main():
     ap.add_argument("parent", help="the src/ directory of the parent tree")
     ap.add_argument("change", help="the src/ directory of the changed tree")
     ap.add_argument("--pairs", type=int, default=30)
+    ap.add_argument("--theory", choices=sorted(GRADED), default="sp2")
     args = ap.parse_args()
 
+    metrics = (f"point_{args.theory}_s", "restrict_s")
     sides = {
-        side: Side(load(getattr(args, side), f"springerbc_{side}"))
+        side: Side(load(getattr(args, side), f"springerbc_{side}"), args.theory)
         for side in SIDES
     }
     counts = {side: len(s.nodes) for side, s in sides.items()}
     if counts["parent"] != counts["change"]:
         sys.exit(f"the two trees make different numbers of restrictions: {counts}")
-    times = {m: {side: [] for side in SIDES} for m in METRICS}
+    times = {m: {side: [] for side in SIDES} for m in metrics}
     for k in range(args.pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         row = {"pair": k + 1, "first": order[0]}
         for side in order:
-            for m, t in sides[side].measure().items():
+            for m, t in zip(metrics, sides[side].measure()):
                 times[m][side].append(t)
-        for m in METRICS:
+        for m in metrics:
             row[m] = {side: times[m][side][-1] for side in SIDES}
         print(json.dumps(row), flush=True)
     summary = {"pairs": args.pairs, "restrict_calls": counts["change"]}

@@ -17,15 +17,16 @@ and pack them once, and one constructor makes every model from its rows.
 Every computation after that, from ``check`` and the kernel basis of N to
 the invariants, reads rows; only ``repr`` unpacks them.
 
-A tally computes the invariant once per distinct quotient model within one
-call (many lines of one kernel give the same quotient matrices).  This is
-sound because the invariant is a function of the model's matrices alone:
-two quotients with equal N, form and vector have equal Jordan types, kernel
-chains and cyclic spans, hence equal invariants.  The memo is keyed by the
-quotient's rows, frozen together (the ints themselves, or the bytes of the
-list rows), never by the line or the parameter; it lives for one call only
-and takes no formula input.  The tally keeps the frozen rows on the
-quotient, so a quotient that many lines share is frozen once.
+A tally computes the invariant once per quotient object within one call:
+lines that share a quotient (see below) share its invariant, which the
+tally keeps on the quotient.  This is sound because the invariant is a
+function of the model's matrices alone: two quotients with equal N, form
+and vector have equal Jordan types, kernel chains and cyclic spans, hence
+equal invariants, and a quotient's rows never change.  Nothing is keyed
+by the line or the parameter, and nothing takes formula input.  Quotients
+that are equal but not shared are few (in the benchmark's oracle sweeps,
+172 of 4 855 per pass), and their invariants reuse the smaller results
+below instead of a key made of every row.
 
 The invariants share smaller results between the quotients of one tally,
 in a dict that the tally passes to each call.  Both keep there the Jordan
@@ -112,7 +113,7 @@ class FieldModel:
     over GF(2^k)).
     """
 
-    frozen = None  # the tally's memo key, once it has frozen the rows
+    invariant = None  # the tally's invariant of this quotient, once computed
 
     def __init__(self, field, dim, gram, N, v, basis_index=None):
         self.field, self.dim, self.basis_index = field, dim, basis_index
@@ -630,8 +631,6 @@ def _tally(param, fieldctx):
             f"{param} over GF({fieldctx.q}) has {lines} kernel lines,"
             f" above the oracle's cap of {LINE_CAP}"
         )
-    freeze = fieldctx.rows.freeze
-    seen = {}
     memo = {}
     tally = {}
     empty = 0
@@ -640,15 +639,9 @@ def _tally(param, fieldctx):
         if qm is V_NOT_PERP:
             empty += 1
             continue
-        key = qm.frozen
-        if key is None:
-            # every quotient here has dimension dim - 2, so its rows, frozen
-            # together, determine (N, gram, v); kept on the quotient, so
-            # one that lines share is frozen once
-            key = qm.frozen = freeze((*qm.N, *qm.gram, qm.v))
-        sub = seen.get(key)
-        if sub is None:
-            sub = seen[key] = th.invariant(qm, memo)
+        sub = qm.invariant
+        if sub is None:  # kept on the quotient, for the lines that share it
+            sub = qm.invariant = th.invariant(qm, memo)
         tally[sub] = tally.get(sub, 0) + 1
     return tally, empty, lines
 
@@ -668,11 +661,12 @@ def verify_against_formula(param, fieldctx):
     totals_match = sum(formula.values()) + empty == lines
     ok = tally == formula and totals_match and empty == th.empty_lines(param, q)
     ordered = sorted(set(tally) | set(formula), key=lambda k: k.sort_key())
+    keyed = [(str(k), k) for k in ordered]  # each key's text made once
     return {
         "param": str(param),
         "q": q,
-        "tally": {str(k): tally.get(k, 0) for k in ordered},
-        "formula": {str(k): formula.get(k, 0) for k in ordered},
+        "tally": {text: tally.get(k, 0) for text, k in keyed},
+        "formula": {text: formula.get(k, 0) for text, k in keyed},
         "empty_fiber": empty,
         "totals_match": totals_match,
         "pass": ok,

@@ -284,7 +284,6 @@ class _PackedRows:
         self._widen(64)
 
     add = staticmethod(operator.xor)
-    freeze = staticmethod(tuple)
     nonzero = staticmethod(bool)
 
     def _widen(self, width):

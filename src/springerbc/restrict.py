@@ -7,7 +7,10 @@ coefficient is the zero polynomial are skipped before their target
 parameter is even constructed, and like terms are collected.  An sp2
 target's chi is ``psi`` of a point set; one pass over the target's
 distinct parts reads each value off the points and checks it against the
-defining conditions, so every target is validated as it is built.
+defining conditions, so every target is validated as it is built.  An
+exotic source (mu, nu) is read in one walk of its columns, which gives the
+rank and, for each distinct part of mu + nu, its components, its run and
+its mark, and where each component value's run ends in mu and in nu.
 
 A restriction depends on the parameter alone.  While ``_kept`` is a dict,
 which ``evaluator.value_table`` sets for the length of one table, each
@@ -17,6 +20,7 @@ at s1, and the second call returns the first call's CharSum.  Every other
 caller gets a fresh evaluation, and nothing is kept past the table.
 """
 
+from itertools import chain, zip_longest
 from operator import sub
 
 from .errors import InvalidParam, InvariantViolation
@@ -25,7 +29,6 @@ from .params import (
     OmegaParam,
     _components,
     _corners,
-    _marked,
     _psi_vec,
     _violations,
     enumerate_omega,
@@ -309,16 +312,35 @@ def restrict_exotic(b):
     return _exotic(b) if _kept is None else _reused(_exotic, b)
 
 
+_LAST = ((0, 0),)  # a column past every part: it closes the last run
+
+
 def _exotic(b):
-    """Each target moves parts of mu and nu by slicing; every such move keeps
-    the order by the case that emits it (see ``_shift``)."""
-    n = b.rank
+    """One walk of the columns (mu_i, nu_i) reads off everything the case
+    analysis needs.  For each distinct part r of mu + nu, decreasing, it
+    records r's components (nab, delt) and its run [m(> r), m(>= r)), and
+    marks r when nab exceeds the next smaller part's nab (0 past the last
+    part).  The same walk sums the rank and records, for each component
+    value, the end of its run in mu and in nu.  Each target moves parts of
+    mu and nu by slicing; every such move keeps the order by the case that
+    emits it (see ``_shift``)."""
+    mu, nu = b.mu, b.nu
+    comps, runs, marked = {}, {}, set()
+    mu_end, nu_end = {}, {}  # value -> one past its last index, read if > 0
+    n = r = nab = delt = start = 0
+    for i, (a, c) in enumerate(chain(zip_longest(mu, nu, fillvalue=0), _LAST)):
+        s = a + c
+        if s != r:
+            if r:  # close the run of r
+                comps[r] = nab, delt
+                runs[r] = start, i
+                n += r * (i - start)
+                mu_end[nab] = nu_end[delt] = i
+                if nab > a:
+                    marked.add(r)
+            r, nab, delt, start = s, a, c, i
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
-    mu, nu = b.mu, b.nu
-    comps = _components(b)
-    runs = _runs(sum_partitions(mu, nu))
-    marked = set(_marked(comps))
     out = CharSum()
 
     def emit(coeff, mu2, nu2):
@@ -345,7 +367,7 @@ def _exotic(b):
             raise InvariantViolation(f"cases 3 and 4 both hold at r={r} in {b}")
         if delt > 0:
             # growth term; dropped when the nu-component is 0 (empty fiber)
-            m_nu = _run_end(nu, delt)
+            m_nu = nu_end[delt]
             grown = (_shift(mu, m_ge, m_nu, 1), _shift(nu, m_ge - 1, m_nu, -1))
             if case3:
                 emit(_step(2 * m_ge - 1, 2 * m_gt - 1), *grown)
@@ -359,7 +381,7 @@ def _exotic(b):
         # the chain: a term at j, then one for each part k with r < k <= j;
         # outside case 4 it is the term at j = r alone
         j = _largest_j(comps.items(), r, nab) if case4 else r
-        m_mu = _run_end(mu, nab)
+        m_mu = mu_end[nab]
         m_gt_j = runs[j][0]
         emit(
             monomial(2 * m_gt_j),

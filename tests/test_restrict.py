@@ -20,6 +20,8 @@ from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
     Bipartition,
     OmegaParam,
+    _components,
+    _marked,
     _psi_vec,
     _violations,
     bipartition_from_text,
@@ -31,8 +33,15 @@ from springerbc.params import (
     omega_from_text,
     validate_omega,
 )
-from springerbc.partitions import Partition, underlying_set
-from springerbc.qpoly import QPoly, ZERO
+from springerbc.partitions import (
+    Partition,
+    _lower,
+    _run_end,
+    _shift,
+    sum_partitions,
+    underlying_set,
+)
+from springerbc.qpoly import QPoly, ZERO, _step, geometric_sum, monomial
 from springerbc.restrict import (
     CharSum,
     check_equivalence,
@@ -360,3 +369,133 @@ def test_wrong_rank_target_raises_under_python_O():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["raised"] * 6
+
+
+def reference_exotic(b):
+    """The five-walk reference for ``_exotic``: the rank, the components,
+    the sum's runs and the marks each from a walk of their own, and each
+    run end in mu or nu from ``_run_end``."""
+    n = b.rank
+    if n < 1:
+        raise InvalidParam("restriction needs rank >= 1")
+    mu, nu = b.mu, b.nu
+    comps = _components(b)
+    runs = restrict_module._runs(sum_partitions(mu, nu))
+    marked = set(_marked(comps))
+    out = CharSum()
+
+    def emit(coeff, mu2, nu2):
+        if not coeff:
+            return
+        if sum(mu2) + sum(nu2) != n - 1:
+            raise InvariantViolation(
+                f"restriction of {b} (rank {n}) emitted mu={mu2} nu={nu2}"
+            )
+        out.add(Bipartition(mu2, nu2), coeff)
+
+    mus_above, nus_above = set(), set()
+    for r, (nab, delt) in comps.items():
+        m_gt, m_ge = runs[r]
+        case3 = delt in nus_above
+        case4 = nab in mus_above
+        mus_above.add(nab)
+        nus_above.add(delt)
+        if r not in marked:
+            emit(geometric_sum(2 * m_ge, 2 * m_gt), mu, _lower(nu, delt))
+            continue
+        if case3 and case4:
+            raise InvariantViolation(f"cases 3 and 4 both hold at r={r} in {b}")
+        if delt > 0:
+            m_nu = _run_end(nu, delt)
+            grown = (_shift(mu, m_ge, m_nu, 1), _shift(nu, m_ge - 1, m_nu, -1))
+            if case3:
+                emit(_step(2 * m_ge - 1, 2 * m_gt - 1), *grown)
+            else:
+                emit(monomial(2 * m_ge - 1), *grown)
+        lowered = _lower(mu, nab)
+        if case3:
+            emit(geometric_sum(2 * m_ge - 1, 2 * m_gt - 1), lowered, nu)
+            continue
+        emit(geometric_sum(2 * m_ge - 1, 2 * m_gt + 1), lowered, nu)
+        j = restrict_module._largest_j(comps.items(), r, nab) if case4 else r
+        m_mu = _run_end(mu, nab)
+        m_gt_j = runs[j][0]
+        emit(
+            monomial(2 * m_gt_j),
+            _shift(mu, m_gt_j, m_mu, -1),
+            _shift(nu, m_gt_j, m_mu - 1, 1),
+        )
+        for k in comps if j > r else ():
+            if r < k <= j:
+                m_gt_k, m_ge_k = runs[k]
+                emit(
+                    _step(2 * m_ge_k, 2 * m_gt_k),
+                    _shift(mu, m_ge_k, m_mu, -1),
+                    _shift(nu, m_ge_k, m_mu - 1, 1),
+                )
+    return out
+
+
+def exotic_sample():
+    """Every bipartition of rank <= 12, then 40 seeded ones of each rank
+    14-18."""
+    params = [b for n in range(1, 13) for b in enumerate_bipartitions(n)]
+    rng = random.Random(14)
+    for n in range(14, 19):
+        params += rng.sample(enumerate_bipartitions(n), 40)
+    return params
+
+
+def test_one_scan_gives_the_reference_exotic_terms_in_order():
+    for b in exotic_sample():
+        got = list(restrict_exotic(b).terms.items())
+        assert got == list(reference_exotic(b).terms.items()), b
+
+
+# A bipartition whose first shifted term is a growth term (mu up, nu down),
+# and one with no growth term, whose first is a chain term (mu down, nu up).
+SHIFTED_FIRST = {"growth": ("mu=[1] nu=[1]", [1, -1]), "chain": ("mu=[1] nu=[]", [-1, 1])}
+
+
+@pytest.mark.parametrize("term", sorted(SHIFTED_FIRST))
+def test_broken_shift_raises(monkeypatch, term):
+    text, steps = SHIFTED_FIRST[term]
+    called = []
+
+    def keep_parts(p, a, b, step):
+        # a broken part move: it shifts nothing, so the target keeps the rank
+        called.append(step)
+        return p
+
+    monkeypatch.setattr(restrict_module, "_shift", keep_parts)
+    with pytest.raises(InvariantViolation, match="emitted"):
+        restrict_exotic(bipartition_from_text(text))
+    assert called == steps
+
+
+def test_broken_shift_raises_under_python_O():
+    code = textwrap.dedent(
+        """
+        import springerbc.restrict as r
+        from springerbc.errors import InvariantViolation
+        from springerbc.params import bipartition_from_text
+
+        assert False, "asserts must be stripped"
+        r._shift = lambda p, a, b, step: p
+        for text in ("mu=[1] nu=[1]", "mu=[1] nu=[]"):  # growth, then chain
+            try:
+                r.restrict_exotic(bipartition_from_text(text))
+            except InvariantViolation:
+                print("raised")
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised"] * 2

@@ -72,6 +72,17 @@ def test_restrict_pairs_times_both_sides_on_the_same_calls():
         assert summary[metric]["change_won"] in ("0 of 1", "1 of 1")
 
 
+def test_restrict_pairs_times_the_exotic_kernel():
+    src = str(ROOT / "src")
+    done = run_script("restrict_pairs.py", src, src, "--theory", "exotic", "--pairs", "1")
+    assert done.returncode == 0, done.stderr
+    row, summary = map(json.loads, done.stdout.splitlines())
+    assert set(row) == {"pair", "first", "point_exotic_s", "restrict_s"}
+    assert summary["restrict_calls"] > 0
+    for metric in ("point_exotic_s", "restrict_s"):
+        assert all(t > 0 for t in row[metric].values())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
