@@ -17,13 +17,11 @@ from .params import (
     hat_lambda,
     iota,
     iota_inv,
-    nabla_delta,
     paving_predicates,
     phi,
     psi,
     recover_bipartition,
     to_limit_symbol,
-    und_v,
     validate_omega,
     x_crit,
 )

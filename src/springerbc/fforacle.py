@@ -77,14 +77,13 @@ from .errors import InvalidParam, InvariantViolation
 from .gf import Echelon, nullspace
 from .params import (
     OmegaParam,
+    _scan,
     check_rank,
-    nabla_delta,
     recover_bipartition,
-    und_v,
     underlying_set,
     x_crit,
 )
-from .partitions import Partition, _canonical, sum_partitions
+from .partitions import Partition, _canonical
 
 
 class VNotPerp:
@@ -244,15 +243,15 @@ def standard_model_exotic(b, fieldctx):
     """Matrix model over an odd-characteristic field for a bipartition."""
     if fieldctx.p == 2:
         raise InvalidParam("need odd characteristic")
-    lam = sum_partitions(b.mu, b.nu)
+    _, comps, runs, marked, _, _ = _scan(b)
     at, gram, nilp = _paired_strings(fieldctx, [
         (r, s, s + 1)
-        for r in underlying_set(lam)
-        for s in range(1, 2 * lam.count(r), 2)
+        for r, (m_gt, m_ge) in runs.items()
+        for s in range(1, 2 * (m_ge - m_gt), 2)
     ])
     v = [0] * len(at)
-    for r in und_v(b):
-        v[at[(r, 1, nabla_delta(b, r)[1] + 1)]] = 1
+    for r in marked:
+        v[at[(r, 1, comps[r][1] + 1)]] = 1
     return _packed_model(fieldctx, at, gram, nilp, v)
 
 

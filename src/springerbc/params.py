@@ -5,8 +5,9 @@ partition of 2n and chi is a bounded monotone function on the distinct
 parts; the second by ordered pairs of partitions of total size n.  This
 module also provides the critical-value machinery that compresses chi to
 a finite point set and recovers it, the explicit block bijection between
-the two parameter sets, limit symbols, the bookkeeping functions for the
-bipartition theory, and the affine-paving predicates.
+the two parameter sets, limit symbols, the bipartition bookkeeping (one
+scan of the columns gives every formula on a bipartition its components,
+runs, marks and run ends), and the affine-paving predicates.
 
 A parameter is an immutable tuple subclass with no instance dict:
 ``OmegaParam(lam, chi)`` is the tuple (0, lam, chi) and
@@ -23,7 +24,7 @@ compares equal to the plain tuple of its fields.
 """
 
 import re
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 from operator import itemgetter
 
 from .errors import InvalidParam, InvariantViolation
@@ -525,41 +526,39 @@ def recover_bipartition(lam, hat, n):
     return b
 
 
-def nabla_delta(b, r):
-    """The (mu-part, nu-part) sitting at part value r of mu + nu; (0, 0) at r=0."""
-    if r == 0:
-        return (0, 0)
-    pair = _components(b).get(r)
-    if pair is None:
-        raise InvalidParam(f"{r} is not a part of {sum_partitions(b.mu, b.nu)}")
-    return pair
+_LAST = ((0, 0),)  # a column past every part: it closes the last run
 
 
-def _components(b):
-    """``nabla_delta`` at every distinct part of mu + nu at once: a dict
-    from each part value r, in decreasing order, to its (mu-part, nu-part)."""
-    out = {}
-    for pair in zip_longest(b.mu, b.nu, fillvalue=0):
-        out.setdefault(pair[0] + pair[1], pair)
-    return out
+def _scan(b):
+    """The bookkeeping of a bipartition (mu, nu), from one walk of its
+    columns (mu_i, nu_i): ``(n, comps, runs, marked, mu_end, nu_end)``.
 
-
-def und_v(b):
-    """Marked parts: values r of mu + nu whose mu-component strictly exceeds
-    the mu-component of every smaller part, including the sentinel 0 (so the
-    mu-component must be at least 1).  Decreasing order."""
-    return tuple(reversed(_marked(_components(b))))
-
-
-def _marked(comps):
-    """The marked parts of a ``_components`` table, in increasing order."""
-    out = []
-    best = 0
-    for r, (nab, _) in reversed(comps.items()):
-        if nab > best:
-            out.append(r)
-            best = nab
-    return out
+    For each distinct part r of mu + nu, decreasing, ``comps[r]`` is r's
+    components (nab, delt), the column that opens its run, and ``runs[r]``
+    that run [m(> r), m(>= r)) of indices.  ``marked`` holds the marked
+    parts: r is marked when nab exceeds the next smaller part's nab (0 past
+    the last part), so the nab of every smaller part.  The same walk sums
+    the rank n and records, for each component value, the end of its run
+    in mu and in nu (``mu_end``, ``nu_end``; read only for values > 0).
+    Nothing is sorted or checked: columns out of order are read as they
+    stand, and the formulas' own guards catch them.
+    """
+    mu, nu = b.mu, b.nu
+    comps, runs, marked = {}, {}, set()
+    mu_end, nu_end = {}, {}  # value -> one past its last index
+    n = r = nab = delt = start = 0
+    for i, (a, c) in enumerate(chain(zip_longest(mu, nu, fillvalue=0), _LAST)):
+        s = a + c
+        if s != r:
+            if r:  # close the run of r
+                comps[r] = nab, delt
+                runs[r] = start, i
+                n += r * (i - start)
+                mu_end[nab] = nu_end[delt] = i
+                if nab > a:
+                    marked.add(r)
+            r, nab, delt, start = s, a, c, i
+    return n, comps, runs, marked, mu_end, nu_end
 
 
 # ---------------------------------------------------------------------------

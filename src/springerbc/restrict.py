@@ -8,9 +8,10 @@ parameter is even constructed, and like terms are collected.  An sp2
 target's chi is ``psi`` of a point set; one pass over the target's
 distinct parts reads each value off the points and checks it against the
 defining conditions, so every target is validated as it is built.  An
-exotic source (mu, nu) is read in one walk of its columns, which gives the
-rank and, for each distinct part of mu + nu, its components, its run and
-its mark, and where each component value's run ends in mu and in nu.
+exotic source (mu, nu) is read by one ``params._scan`` of its columns,
+which gives both exotic formulas the rank and, for each distinct part of
+mu + nu, its components, its run and its mark, and where each component
+value's run ends in mu and in nu.
 
 A restriction depends on the parameter alone.  While ``_kept`` is a dict,
 which ``evaluator.value_table`` sets for the length of one table, each
@@ -20,31 +21,22 @@ at s1, and the second call returns the first call's CharSum.  Every other
 caller gets a fresh evaluation, and nothing is kept past the table.
 """
 
-from itertools import chain, zip_longest
 from operator import sub
 
 from .errors import InvalidParam, InvariantViolation
 from .params import (
     Bipartition,
     OmegaParam,
-    _components,
     _corners,
     _psi_vec,
+    _scan,
     _violations,
     enumerate_omega,
     iota,
     psi,
-    und_v,
     x_crit,
 )
-from .partitions import (
-    _drop,
-    _lower,
-    _run_end,
-    _shift,
-    sum_partitions,
-    underlying_set,
-)
+from .partitions import _drop, _lower, _shift, underlying_set
 from .qpoly import QPoly, ZERO, _step, geometric_sum, monomial
 
 
@@ -312,35 +304,15 @@ def restrict_exotic(b):
     return _exotic(b) if _kept is None else _reused(_exotic, b)
 
 
-_LAST = ((0, 0),)  # a column past every part: it closes the last run
-
-
 def _exotic(b):
-    """One walk of the columns (mu_i, nu_i) reads off everything the case
-    analysis needs.  For each distinct part r of mu + nu, decreasing, it
-    records r's components (nab, delt) and its run [m(> r), m(>= r)), and
-    marks r when nab exceeds the next smaller part's nab (0 past the last
-    part).  The same walk sums the rank and records, for each component
-    value, the end of its run in mu and in nu.  Each target moves parts of
-    mu and nu by slicing; every such move keeps the order by the case that
-    emits it (see ``_shift``)."""
-    mu, nu = b.mu, b.nu
-    comps, runs, marked = {}, {}, set()
-    mu_end, nu_end = {}, {}  # value -> one past its last index, read if > 0
-    n = r = nab = delt = start = 0
-    for i, (a, c) in enumerate(chain(zip_longest(mu, nu, fillvalue=0), _LAST)):
-        s = a + c
-        if s != r:
-            if r:  # close the run of r
-                comps[r] = nab, delt
-                runs[r] = start, i
-                n += r * (i - start)
-                mu_end[nab] = nu_end[delt] = i
-                if nab > a:
-                    marked.add(r)
-            r, nab, delt, start = s, a, c, i
+    """The case analysis over the distinct parts r of mu + nu, on the
+    bookkeeping of one ``_scan`` of b (see there).  Each target moves parts
+    of mu and nu by slicing; every such move keeps the order by the case
+    that emits it (see ``_shift``)."""
+    n, comps, runs, marked, mu_end, nu_end = _scan(b)
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
+    mu, nu = b.mu, b.nu
     out = CharSum()
 
     def emit(coeff, mu2, nu2):
@@ -373,11 +345,12 @@ def _exotic(b):
                 emit(_step(2 * m_ge - 1, 2 * m_gt - 1), *grown)
             else:
                 emit(monomial(2 * m_ge - 1), *grown)
-        lowered = _lower(mu, nab)
         if case3:
-            emit(geometric_sum(2 * m_ge - 1, 2 * m_gt - 1), lowered, nu)
+            emit(geometric_sum(2 * m_ge - 1, 2 * m_gt - 1), _lower(mu, nab), nu)
             continue
-        emit(geometric_sum(2 * m_ge - 1, 2 * m_gt + 1), lowered, nu)
+        coeff = geometric_sum(2 * m_ge - 1, 2 * m_gt + 1)
+        if coeff:  # zero exactly when the part occurs once
+            emit(coeff, _lower(mu, nab), nu)
         # the chain: a term at j, then one for each part k with r < k <= j;
         # outside case 4 it is the term at j = r alone
         j = _largest_j(comps.items(), r, nab) if case4 else r
@@ -401,13 +374,10 @@ def _exotic(b):
 
 def restrict_exotic_q1(b):
     """Ungraded (q = 1) restriction, computed by its own closed formula."""
-    n = b.rank
+    n, comps, runs, marked, mu_end, nu_end = _scan(b)
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
     mu, nu = b.mu, b.nu
-    comps = _components(b)
-    counts = _runs(sum_partitions(mu, nu))
-    marked = set(und_v(b))
     out = CharSum()
 
     def emit(const, mu2, nu2):
@@ -417,7 +387,7 @@ def restrict_exotic_q1(b):
 
     above = []  # (mu-component, nu-component) of the parts above r
     for r, (nab, delt) in comps.items():
-        m_gt, m_ge = counts[r]
+        m_gt, m_ge = runs[r]
         m_r = m_ge - m_gt
         case3 = any(d == delt for _, d in above)
         case4 = any(m == nab for m, _ in above)
@@ -429,12 +399,12 @@ def restrict_exotic_q1(b):
             emit(2 * m_r, _lower(mu, nab), nu)
             continue
         if delt > 0:
-            m_nu = _run_end(nu, delt)
+            m_nu = nu_end[delt]
             emit(1, _shift(mu, m_ge, m_nu, 1), _shift(nu, m_ge - 1, m_nu, -1))
         emit(2 * m_r - 2, _lower(mu, nab), nu)
-        m_mu = _run_end(mu, nab)
+        m_mu = mu_end[nab]
         j = _largest_j(comps.items(), r, nab) if case4 else r
-        m_gt_j = counts[j][0]
+        m_gt_j = runs[j][0]
         emit(1, _shift(mu, m_gt_j, m_mu, -1), _shift(nu, m_gt_j, m_mu - 1, 1))
     return out
 

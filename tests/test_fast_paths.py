@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import springerbc.evaluator as evaluator
 import springerbc.restrict as restrict_module
 import springerbc.theory as theory
+from bipartition_ref import components, marks, run_end, runs
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.evaluator import GROUP_ELEMENTS, value
 from springerbc.params import (
@@ -32,8 +33,6 @@ from springerbc.params import (
     bipartition_from_text,
     enumerate_bipartitions,
     enumerate_omega,
-    nabla_delta,
-    und_v,
     validate_omega,
     x_crit,
 )
@@ -457,10 +456,9 @@ def ref_restrict_symplectic(p):
 def ref_restrict_exotic(b):
     n = b.rank
     mu, nu = b.mu, b.nu
-    lam = sum_partitions(mu, nu)
-    counts = ref_counts(lam)
-    comps = {r: nabla_delta(b, r) for r in counts}
-    marked = set(und_v(b))
+    counts = runs(b)
+    comps = components(b)
+    marked = set(marks(b))
     out = CharSum()
 
     def emit(coeff, mu2, nu2):
@@ -495,7 +493,7 @@ def ref_restrict_exotic(b):
             continue
         assert not (case3 and case4)
         if delt > 0:
-            m_nu = sum(x >= delt for x in nu)
+            m_nu = run_end(nu, delt)
             grown = (shift(mu, 1, m_ge + 1, m_nu), shift(nu, -1, m_ge, m_nu))
             if case3:
                 emit(monomial(2 * m_ge - 1) - monomial(2 * m_gt - 1), *grown)
@@ -513,7 +511,7 @@ def ref_restrict_exotic(b):
             substitute(mu, (nab,), (nab - 1,)),
             nu,
         )
-        m_mu = sum(x >= nab for x in mu)
+        m_mu = run_end(mu, nab)
         if case4:
             j = largest_j(r)
             m_gt_j = counts[j][0]

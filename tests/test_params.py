@@ -2,6 +2,7 @@ import copy
 import hashlib
 import os
 import pickle
+import random
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from bipartition_ref import components, marks, run_end, runs
 from springerbc import params
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
@@ -22,7 +24,6 @@ from springerbc.params import (
     hat_lambda,
     iota,
     iota_inv,
-    nabla_delta,
     omega_from_text,
     omega_to_text,
     paving_predicates,
@@ -30,11 +31,11 @@ from springerbc.params import (
     psi,
     recover_bipartition,
     to_limit_symbol,
-    und_v,
     validate_omega,
     x_crit,
 )
 from springerbc.partitions import EMPTY, Partition, sum_partitions
+from springerbc.restrict import restrict_exotic
 
 # the running example: a rank-28 parameter with four corner points
 EX1_LAM = Partition([10, 10, 8, 8, 6, 5, 5, 4, 4, 2, 2, 1, 1])
@@ -411,35 +412,65 @@ def test_recover_round_trips():
             assert recover_bipartition(lam, hat_lambda(b), n) == b
 
 
+# The paper's (nabla, Delta) and Und_v are read from their definitions in
+# ``bipartition_ref``; the formulas read them from ``params._scan``.
+
+
 def test_nabla_delta_examples():
-    assert nabla_delta(EXO1, 3) == (2, 1)
-    assert nabla_delta(EXO1, 7) == (4, 3)
-    assert nabla_delta(EXO1, 0) == (0, 0)
-    with pytest.raises(InvalidParam, match="^2 is not a part of"):
-        nabla_delta(EXO1, 2)
+    comps = components(EXO1)
+    assert comps[3] == (2, 1)
+    assert comps[7] == (4, 3)
+    assert 2 not in comps
 
 
 def test_und_v_examples():
-    assert und_v(EXO1) == (7, 6, 3, 1)
-    assert und_v(bp("mu=[] nu=[1]")) == ()
-    assert und_v(bp("mu=[1] nu=[1]")) == (2,)
+    assert marks(EXO1) == (7, 6, 3, 1)
+    assert marks(bp("mu=[] nu=[1]")) == ()
+    assert marks(bp("mu=[1] nu=[1]")) == (2,)
 
 
 def test_marked_case_classification_exclusive():
     # every marked part falls in exactly one of the three classes
     for b in all_biparts(8):
-        lam = sum_partitions(b.mu, b.nu)
-        und = sorted(set(lam), reverse=True)
-        for r in und_v(b):
-            nab, delt = nabla_delta(b, r)
-            bigger = [rp for rp in und if rp > r]
-            case3 = any(nabla_delta(b, rp)[1] == delt for rp in bigger)
-            case4 = any(nabla_delta(b, rp)[0] == nab for rp in bigger)
-            case2 = all(
-                nabla_delta(b, rp)[0] > nab and nabla_delta(b, rp)[1] > delt
-                for rp in bigger
-            )
+        comps = components(b)
+        for r in marks(b):
+            nab, delt = comps[r]
+            bigger = [pair for rp, pair in comps.items() if rp > r]
+            case3 = any(d == delt for _, d in bigger)
+            case4 = any(m == nab for m, _ in bigger)
+            case2 = all(m > nab and d > delt for m, d in bigger)
             assert [case2, case3, case4].count(True) == 1, (b, r)
+
+
+# mu out of order, as only tuple.__new__ builds it: the scan reads it as it
+# stands, and restricting it reaches the guard on cases 3 and 4
+UNSORTED = Bipartition(tuple.__new__(Partition, (1, 2, 1)), Partition([2]))
+
+
+def scan_sample():
+    """Every bipartition of rank <= 12, 40 seeded ones of each rank 14-20,
+    and ``UNSORTED``."""
+    sample = list(all_biparts(12))
+    rng = random.Random(31)
+    for n in range(14, 21):
+        sample += rng.sample(enumerate_bipartitions(n), 40)
+    sample.append(UNSORTED)
+    return sample
+
+
+def test_scan_matches_the_definitions():
+    for b in scan_sample():
+        n, comps, runs_at, marked, mu_end, nu_end = params._scan(b)
+        assert n == sum(b.mu) + sum(b.nu), b
+        assert list(comps.items()) == list(components(b).items()), b
+        assert list(runs_at.items()) == list(runs(b).items()), b
+        assert sorted(marked, reverse=True) == list(marks(b)), b
+        for part, end in ((b.mu, mu_end), (b.nu, nu_end)):
+            # an end is read only at a positive value
+            got = {x: i for x, i in end.items() if x}
+            assert got == {x: run_end(part, x) for x in set(part)}, b
+    with pytest.raises(InvariantViolation, match="cases 3 and 4 both hold at r=1"):
+        restrict_exotic(UNSORTED)
 
 
 # --- paving predicates -----------------------------------------------------------

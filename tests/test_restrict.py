@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import springerbc.restrict as restrict_module
+from bipartition_ref import components, marks, run_end, runs
 from golden_data import (
     EXOTIC_RESTRICTION_2,
     EXOTIC_RESTRICTION_3,
@@ -20,8 +21,6 @@ from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
     Bipartition,
     OmegaParam,
-    _components,
-    _marked,
     _psi_vec,
     _violations,
     bipartition_from_text,
@@ -36,9 +35,7 @@ from springerbc.params import (
 from springerbc.partitions import (
     Partition,
     _lower,
-    _run_end,
     _shift,
-    sum_partitions,
     underlying_set,
 )
 from springerbc.qpoly import QPoly, ZERO, _step, geometric_sum, monomial
@@ -372,16 +369,17 @@ def test_wrong_rank_target_raises_under_python_O():
 
 
 def reference_exotic(b):
-    """The five-walk reference for ``_exotic``: the rank, the components,
-    the sum's runs and the marks each from a walk of their own, and each
-    run end in mu or nu from ``_run_end``."""
+    """The reference for ``_exotic`` on the definitions of
+    ``bipartition_ref``: the rank, the components, the runs and the marks
+    each from a walk of their own, and each run end in mu or nu by the
+    index of the value's last copy."""
     n = b.rank
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
     mu, nu = b.mu, b.nu
-    comps = _components(b)
-    runs = restrict_module._runs(sum_partitions(mu, nu))
-    marked = set(_marked(comps))
+    comps = components(b)
+    runs_at = runs(b)
+    marked = set(marks(b))
     out = CharSum()
 
     def emit(coeff, mu2, nu2):
@@ -395,7 +393,7 @@ def reference_exotic(b):
 
     mus_above, nus_above = set(), set()
     for r, (nab, delt) in comps.items():
-        m_gt, m_ge = runs[r]
+        m_gt, m_ge = runs_at[r]
         case3 = delt in nus_above
         case4 = nab in mus_above
         mus_above.add(nab)
@@ -406,7 +404,7 @@ def reference_exotic(b):
         if case3 and case4:
             raise InvariantViolation(f"cases 3 and 4 both hold at r={r} in {b}")
         if delt > 0:
-            m_nu = _run_end(nu, delt)
+            m_nu = run_end(nu, delt)
             grown = (_shift(mu, m_ge, m_nu, 1), _shift(nu, m_ge - 1, m_nu, -1))
             if case3:
                 emit(_step(2 * m_ge - 1, 2 * m_gt - 1), *grown)
@@ -418,8 +416,8 @@ def reference_exotic(b):
             continue
         emit(geometric_sum(2 * m_ge - 1, 2 * m_gt + 1), lowered, nu)
         j = restrict_module._largest_j(comps.items(), r, nab) if case4 else r
-        m_mu = _run_end(mu, nab)
-        m_gt_j = runs[j][0]
+        m_mu = run_end(mu, nab)
+        m_gt_j = runs_at[j][0]
         emit(
             monomial(2 * m_gt_j),
             _shift(mu, m_gt_j, m_mu, -1),
@@ -427,7 +425,7 @@ def reference_exotic(b):
         )
         for k in comps if j > r else ():
             if r < k <= j:
-                m_gt_k, m_ge_k = runs[k]
+                m_gt_k, m_ge_k = runs_at[k]
                 emit(
                     _step(2 * m_ge_k, 2 * m_gt_k),
                     _shift(mu, m_ge_k, m_mu, -1),
@@ -450,6 +448,22 @@ def test_one_scan_gives_the_reference_exotic_terms_in_order():
     for b in exotic_sample():
         got = list(restrict_exotic(b).terms.items())
         assert got == list(reference_exotic(b).terms.items()), b
+
+
+def test_zero_coefficient_target_is_not_built(monkeypatch):
+    # the part 2 of mu=[2] nu=[] is marked and occurs once: its lowered
+    # target has the zero coefficient, so _lower is never called
+    lower = restrict_module._lower
+    calls = []
+
+    def counted(p, x, copies=1):
+        calls.append((p, x))
+        return lower(p, x, copies)
+
+    monkeypatch.setattr(restrict_module, "_lower", counted)
+    got = restrict_exotic(bipartition_from_text("mu=[2] nu=[]"))
+    assert got == exotic_charsum({"mu=[1] nu=[]": [1]})
+    assert calls == []
 
 
 # A bipartition whose first shifted term is a growth term (mu up, nu down),
