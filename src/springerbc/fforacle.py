@@ -77,11 +77,12 @@ from .errors import InvalidParam, InvariantViolation
 from .gf import Echelon, nullspace
 from .params import (
     OmegaParam,
+    _corners,
+    _runs,
     _scan,
     check_rank,
     recover_bipartition,
     underlying_set,
-    x_crit,
 )
 from .partitions import Partition, _canonical
 
@@ -223,19 +224,19 @@ def standard_model_symplectic(p, fieldctx):
     """Matrix model over a characteristic-2 field for a (lam, chi) parameter."""
     if fieldctx.p != 2:
         raise InvalidParam(f"need characteristic 2, got {fieldctx.p}")
-    lam = p.lam
-    chi = p.chi_map()
+    runs = _runs(p.lam)
     pairs = []
-    for r in underlying_set(lam):
-        m_r = lam.count(r)
+    for r, (m_gt, m_ge) in runs.items():
+        m_r = m_ge - m_gt
         if m_r % 2:
             pairs.append((r, 1, 1))
         pairs.extend((r, s, s + 1) for s in range(1 + m_r % 2, m_r, 2))
     at, gram, nilp = _paired_strings(fieldctx, pairs)
-    for r, _ in x_crit(p):
-        if lam.count(r) % 2 == 0:
+    for r, c in _corners(tuple(runs), p.chi):
+        m_gt, m_ge = runs[r]
+        if (m_ge - m_gt) % 2 == 0:
             # correction on the first string at height chi(r)
-            nilp[at[(r, 2, r + 1 - chi[r])]][at[(r, 1, chi[r])]] = 1
+            nilp[at[(r, 2, r + 1 - c)]][at[(r, 1, c)]] = 1
     return _packed_model(fieldctx, at, gram, nilp, [0] * len(at))
 
 

@@ -3,11 +3,15 @@
 The first theory is parametrized by pairs (lam, chi) where lam is a
 partition of 2n and chi is a bounded monotone function on the distinct
 parts; the second by ordered pairs of partitions of total size n.  This
-module also provides the critical-value machinery that compresses chi to
-a finite point set and recovers it, the explicit block bijection between
-the two parameter sets, limit symbols, the bipartition bookkeeping (one
-scan of the columns gives every formula on a bipartition its components,
-runs, marks and run ends), and the affine-paving predicates.
+module also provides the sp2 bookkeeping (``_runs`` gives each distinct
+part r of lam its run of indices, and ``_corners`` the corner points that
+compress chi to a finite point set, which ``psi`` recovers and
+``_checked_chi`` recovers and checks), the explicit block bijection
+between the two parameter sets, limit symbols, the bipartition
+bookkeeping (one scan of the columns gives every formula on a bipartition
+its components, runs, marks and run ends), and the affine-paving
+predicates; every reader of an sp2 parameter takes its runs, chi vector
+and corners from here.
 
 A parameter is an immutable tuple subclass with no instance dict:
 ``OmegaParam(lam, chi)`` is the tuple (0, lam, chi) and
@@ -188,6 +192,22 @@ def omega_from_text(text):
 # Critical values
 
 
+def _runs(lam):
+    """(m(> r), m(>= r)) for each distinct part r of the sorted lam, in
+    decreasing order of r, from one pass: the run of r occupies the indices
+    m(> r) .. m(>= r) - 1."""
+    out = {}
+    prev, start = None, 0
+    for i, x in enumerate(lam):
+        if x != prev:
+            if i:
+                out[prev] = (start, i)
+            prev, start = x, i
+    if lam:
+        out[prev] = (start, len(lam))
+    return out
+
+
 def x_crit(p):
     """The corner points (r, chi(r)) where chi strictly exceeds every value at
     smaller parts and the slack r - chi(r) is strictly below every slack at
@@ -223,23 +243,44 @@ def _corners(und, vec):
 def psi(lam, points):
     """Recover a chi-like function on the distinct parts of lam from a point
     set: each value is the max of r - (a - b) over points with a >= r, of b
-    over points with a < r, and of 0."""
-    und = underlying_set(lam)
-    return dict(zip(und, _psi_vec(und, points)))
+    over points with a < r, and of 0.  The restriction formulas read the
+    same rule in ``_checked_chi``, which checks each value as it reads it
+    off."""
+    return {
+        r: max([0] + [r - (a - b) if a >= r else b for a, b in points])
+        for r in underlying_set(lam)
+    }
 
 
-def _psi_vec(und, points):
-    """``psi`` as a tuple aligned with the distinct parts ``und``.  The
-    graded sp2 restriction writes the same rule out again in
-    ``restrict._checked_chi``, which checks each value as it reads it off."""
+def _checked_chi(lam, und, points):
+    """``psi(lam, points)``'s values once lam with them passes the defining
+    conditions, read off in one pass over the distinct parts ``und``
+    (decreasing): each value is psi's max over the points, checked at once
+    against the value at the next larger part.  On the first failure it
+    raises InvalidParam with every message of ``_violations``.
+
+    psi of any point set meets condition 3 (the value does not rise, nor
+    the slack, from a part to a smaller one) and is never negative; the
+    check is kept all the same, as a guard on the rule written out here.
+    """
     out = []
+    prev = slack = und[0] if und else 0  # no bound at the largest part
     for r in und:
-        best = 0
+        c = 0
         for a, b in points:
             cand = r - (a - b) if a >= r else b
-            if cand > best:
-                best = cand
-        out.append(best)
+            if cand > c:
+                c = cand
+        if (
+            c > prev
+            or r - c > slack
+            or 2 * c > r
+            or (2 * c != r and lam.count(r) % 2)
+        ):
+            bad = _violations(lam, und, tuple(psi(lam, points).values()))
+            raise InvalidParam("; ".join(bad))
+        out.append(c)
+        prev, slack = c, r - c
     return tuple(out)
 
 
@@ -358,27 +399,22 @@ def enumerate_bipartitions(n):
 def iota(p):
     """Image of (lam, chi) in the bipartition world.
 
-    Scans lam with one 0 appended and cuts it into blocks: a part r with
-    chi(r) = r/2 is a singleton block with entry r/2, any other part pairs
-    with the next, equal, part and gives the entries (chi(r), r - chi(r)).
-    The entries, in order, are mu_1, nu_1, mu_2, nu_2, ...
+    Cuts lam into blocks run by run: each of the m copies of a part r with
+    chi(r) = r/2 is a singleton block with entry r/2, and any other run
+    pairs its copies into m/2 blocks, each with the entries
+    (chi(r), r - chi(r)).  The entries, in order, are mu_1, nu_1, mu_2,
+    nu_2, ...
     """
-    lam = list(p.lam) + [0]
-    chi = p.chi_map()
     entries = []
-    i = 0
-    while i < len(lam):
-        r = lam[i]
-        c = chi[r] if r else 0
+    for c, (r, (m_gt, m_ge)) in zip(p.chi, _runs(p.lam).items()):
+        m = m_ge - m_gt
         if 2 * c == r:
-            entries.append(c)
-            i += 1
+            entries += [c] * m
+        elif m % 2:
+            # the defining conditions force an even multiplicity
+            raise InvalidParam(f"{p}: part {m_ge} has no equal partner")
         else:
-            # the defining conditions force an equal partner
-            if lam[i + 1] != r:
-                raise InvalidParam(f"{p}: part {i + 1} has no equal partner")
-            entries += [c, r - c]
-            i += 2
+            entries += [c, r - c] * (m // 2)
     odds, evens = entries[0::2], entries[1::2]
     if odds != sorted(odds, reverse=True) or evens != sorted(evens, reverse=True):
         raise InvariantViolation(f"iota({p}): block values {odds}, {evens} unsorted")
@@ -573,20 +609,22 @@ def paving_predicates(p):
     part), and every odd multiplicity is exactly 1.  theorem_applies: the
     third part is at most 1, or chi vanishes identically.
     """
-    lam = p.lam
-    und = underlying_set(lam)
-    chi = p.chi_map()
-    crit = {r for r, _ in x_crit(p)}
+    lam, vec = p.lam, p.chi
+    runs = _runs(lam)
+    pairs = list(zip(runs, vec))  # (r, chi(r))
+    crit = dict(_corners(tuple(runs), vec))
     cond1 = True
-    for r in und:
-        if r in crit or chi[r] == 0:
+    for r, c in pairs:
+        if r in crit or c == 0:
             continue
-        below = any(rp < r and chi[rp] == chi[r] for rp in und)
-        above = any(rp > r and rp - chi[rp] == r - chi[r] for rp in und)
+        below = any(rp < r and cp == c for rp, cp in pairs)
+        above = any(rp > r and rp - cp == r - c for rp, cp in pairs)
         if not (below and above):
             cond1 = False
             break
-    cond2 = all(lam.count(r) % 2 == 0 or lam.count(r) == 1 for r in und)
+    cond2 = all(
+        (m_ge - m_gt) % 2 == 0 or m_ge - m_gt == 1 for m_gt, m_ge in runs.values()
+    )
     lemma_hypothesis = cond1 and cond2
-    theorem_applies = lam.part_at(3) <= 1 or all(c == 0 for c in p.chi)
+    theorem_applies = lam.part_at(3) <= 1 or all(c == 0 for c in vec)
     return lemma_hypothesis, theorem_applies

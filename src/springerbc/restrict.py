@@ -4,14 +4,15 @@ Both theories restrict by a case analysis over the distinct parts r of the
 relevant partition.  Each case emits finitely many terms: an integer
 polynomial coefficient in q times a rank n-1 parameter.  Terms whose
 coefficient is the zero polynomial are skipped before their target
-parameter is even constructed, and like terms are collected.  An sp2
-target's chi is ``psi`` of a point set; one pass over the target's
-distinct parts reads each value off the points and checks it against the
-defining conditions, so every target is validated as it is built.  An
-exotic source (mu, nu) is read by one ``params._scan`` of its columns,
-which gives both exotic formulas the rank and, for each distinct part of
-mu + nu, its components, its run and its mark, and where each component
-value's run ends in mu and in nu.
+parameter is even constructed, and like terms are collected.  Both sp2
+formulas read a source (lam, chi) by ``params._runs`` and
+``params._corners``, and a target's chi is ``psi`` of a point set, which
+``params._checked_chi`` reads off in one pass over the target's distinct
+parts and checks against the defining conditions, so every target is
+validated as it is built.  An exotic source (mu, nu) is read by one
+``params._scan`` of its columns, which gives both exotic formulas the rank
+and, for each distinct part of mu + nu, its components, its run and its
+mark, and where each component value's run ends in mu and in nu.
 
 A restriction depends on the parameter alone.  While ``_kept`` is a dict,
 which ``evaluator.value_table`` sets for the length of one table, each
@@ -27,14 +28,12 @@ from .errors import InvalidParam, InvariantViolation
 from .params import (
     Bipartition,
     OmegaParam,
+    _checked_chi,
     _corners,
-    _psi_vec,
+    _runs,
     _scan,
-    _violations,
     enumerate_omega,
     iota,
-    psi,
-    x_crit,
 )
 from .partitions import _drop, _lower, _shift, underlying_set
 from .qpoly import QPoly, ZERO, _step, geometric_sum, monomial
@@ -92,22 +91,6 @@ class CharSum:
         return f"CharSum[{body}]"
 
 
-def _runs(lam):
-    """(m(> r), m(>= r)) for each distinct part r of the sorted lam, in
-    decreasing order of r, from one pass: the run of r occupies the indices
-    m(> r) .. m(>= r) - 1."""
-    out = {}
-    prev, start = None, 0
-    for i, x in enumerate(lam):
-        if x != prev:
-            if i:
-                out[prev] = (start, i)
-            prev, start = x, i
-    if lam:
-        out[prev] = (start, len(lam))
-    return out
-
-
 def _largest_j(pairs, r, first):
     """The j rule: the largest part j whose first component is ``first``
     (r's) and whose second component is not repeated at any larger part.
@@ -135,38 +118,6 @@ def _reused(formula, p):
     if out is None:
         out = _kept[p] = formula(p)
     return out
-
-
-def _checked_chi(lam, und, points):
-    """``_psi_vec(und, points)`` once lam with those values passes the
-    defining conditions, read off in one pass over the distinct parts
-    ``und`` (decreasing): each value is psi's max over the points, checked
-    at once against the value at the next larger part.  On the first
-    failure it raises InvalidParam with every message of ``_violations``.
-
-    psi of any point set meets condition 3 (the value does not rise, nor
-    the slack, from a part to a smaller one) and is never negative; the
-    check is kept all the same, as a guard on the rule written out here.
-    """
-    out = []
-    prev = slack = und[0] if und else 0  # no bound at the largest part
-    for r in und:
-        c = 0
-        for a, b in points:
-            cand = r - (a - b) if a >= r else b
-            if cand > c:
-                c = cand
-        if (
-            c > prev
-            or r - c > slack
-            or 2 * c > r
-            or (2 * c != r and lam.count(r) % 2)
-        ):
-            bad = _violations(lam, und, _psi_vec(und, points))
-            raise InvalidParam("; ".join(bad))
-        out.append(c)
-        prev, slack = c, r - c
-    return tuple(out)
 
 
 def restrict_symplectic(p):
@@ -259,43 +210,39 @@ def restrict_symplectic_q1(p):
     n = p.rank
     if n < 1:
         raise InvalidParam("restriction needs rank >= 1")
-    lam = p.lam
-    chi = p.chi_map()
-    crit_pts = x_crit(p)
-    crit = {r for r, _ in crit_pts}
+    lam, vec = p.lam, p.chi
+    runs = _runs(lam)
+    crit_pts = _corners(tuple(runs), vec)
+    crit = dict(crit_pts)
     out = CharSum()
 
     def emit(const, lam_new, points):
         if const == 0:
             return
-        sub = OmegaParam.make(lam_new, psi(lam_new, points))
-        out.add(sub, QPoly((const,)))
+        chi = _checked_chi(lam_new, underlying_set(lam_new), points)
+        out.add(OmegaParam(lam_new, chi), QPoly((const,)))
 
-    for r, (m_gt, m_ge) in _runs(lam).items():
+    for c, (r, (m_gt, m_ge)) in zip(vec, runs.items()):
         m_r = m_ge - m_gt
-        c = chi[r]
         if r not in crit:
-            pair = _lower(lam, r, 2)
-            emit(m_r, pair, crit_pts)
+            emit(m_r, _lower(lam, r, 2), crit_pts)
             continue
+        others = [pt for pt in crit_pts if pt[0] != r]
         if 2 * c != r:
             pair = _lower(lam, r, 2)
-            star = (crit_pts | {(r - 1, c - 1)}) - {(r, c)}
-            emit(1, pair, crit_pts | {(r - 1, c)})
+            emit(1, pair, crit_pts + [(r - 1, c)])
             emit(m_r - 2, pair, crit_pts)
-            emit(1, pair, star)
+            emit(1, pair, others + [(r - 1, c - 1)])
         elif m_r % 2 == 1:
-            dstar = (crit_pts | {(r - 2, (r - 2) // 2)}) - {(r, c)}
             if m_r > 1:
                 emit(m_r - 1, _lower(lam, r, 2), crit_pts)
-            emit(1, _drop(lam, r), dstar)
+            emit(1, _drop(lam, r), others + [(r - 2, (r - 2) // 2)])
         else:
-            tstar = (crit_pts | {(r - 1, (r - 2) // 2)}) - {(r, c)}
             drop = _drop(lam, r)
             pair = _lower(lam, r, 2)
-            emit(1, drop, crit_pts | {(r - 2, (r - 2) // 2)})
+            emit(1, drop, crit_pts + [(r - 2, (r - 2) // 2)])
             emit(m_r - 2, pair, crit_pts)
-            emit(1, pair, tstar)
+            emit(1, pair, others + [(r - 1, (r - 2) // 2)])
     return out
 
 
@@ -401,7 +348,9 @@ def restrict_exotic_q1(b):
         if delt > 0:
             m_nu = nu_end[delt]
             emit(1, _shift(mu, m_ge, m_nu, 1), _shift(nu, m_ge - 1, m_nu, -1))
-        emit(2 * m_r - 2, _lower(mu, nab), nu)
+        const = 2 * m_r - 2
+        if const:  # zero exactly when the part occurs once
+            emit(const, _lower(mu, nab), nu)
         m_mu = mu_end[nab]
         j = _largest_j(comps.items(), r, nab) if case4 else r
         m_gt_j = runs[j][0]

@@ -188,6 +188,35 @@ def test_iota_examples():
     assert iota(om("1^4_0")) == bp("mu=[] nu=[1,1]")
 
 
+def reference_iota(p):
+    """``iota`` by the block-cutting definition: walk lam with one 0
+    appended; a part r with chi(r) = r/2 is the entry r/2, any other part
+    pairs with the next, equal, part and gives chi(r), r - chi(r)."""
+    lam = list(p.lam) + [0]
+    chi = p.chi_map()
+    entries, i = [], 0
+    while i < len(lam):
+        r = lam[i]
+        c = chi[r] if r else 0
+        if 2 * c == r:
+            entries.append(c)
+            i += 1
+        else:
+            assert lam[i + 1] == r, p
+            entries += [c, r - c]
+            i += 2
+    return Bipartition(Partition(entries[0::2]), Partition(entries[1::2]))
+
+
+def test_iota_cuts_blocks_run_by_run():
+    for n in range(15):
+        for p in enumerate_omega(n):
+            assert iota(p) == reference_iota(p), p
+    # an odd run off the ceiling: its last copy, part m(>= r), has no partner
+    with pytest.raises(InvalidParam, match=r"^4\^3_1 2\^2_1: part 3 has no equal"):
+        iota(OmegaParam(Partition([4, 4, 4, 2, 2]), (1, 1)))
+
+
 def test_iota_inv_examples():
     assert iota_inv(bp("mu=[1] nu=[1]")) == om("2^2_1")
     assert iota_inv(bp("mu=[] nu=[2]")) == om("2^2_0")

@@ -21,7 +21,6 @@ from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
     Bipartition,
     OmegaParam,
-    _psi_vec,
     _violations,
     bipartition_from_text,
     bipartition_to_text,
@@ -30,6 +29,7 @@ from springerbc.params import (
     iota,
     iota_inv,
     omega_from_text,
+    psi,
     validate_omega,
 )
 from springerbc.partitions import (
@@ -226,7 +226,7 @@ def test_wrong_rank_target_raises(monkeypatch):
 def reference_chi(lam, und, points):
     """The two-walk reference for ``_checked_chi``: psi of the points, then
     every defining condition of the target."""
-    chi = _psi_vec(und, points)
+    chi = tuple(psi(lam, points).values())
     bad = _violations(lam, und, chi)
     if bad:
         raise InvalidParam("; ".join(bad))
@@ -276,7 +276,7 @@ def test_broken_target_raises_its_violations(monkeypatch, case):
         monkeypatch.setattr(restrict_module, "_corners", lambda und, vec: corners)
     lam = Partition(lam)
     und = underlying_set(lam)
-    expected = "; ".join(_violations(lam, und, _psi_vec(und, points)))
+    expected = "; ".join(_violations(lam, und, tuple(psi(lam, points).values())))
     assert expected.startswith(case.split(",")[0])
     with pytest.raises(InvalidParam) as info:
         restrict_symplectic(source)
@@ -304,7 +304,7 @@ def parts_and_points(draw):
 def test_checked_chi_is_psi_exactly_where_the_conditions_hold(data):
     lam, points = data
     und = underlying_set(lam)
-    chi = _psi_vec(und, points)
+    chi = tuple(psi(lam, points).values())
     bad = _violations(lam, und, chi)
     assert not any(msg.startswith("condition 3") for msg in bad)
     if bad:
@@ -321,8 +321,8 @@ def test_wrong_rank_target_raises_under_python_O():
         import springerbc.restrict as r
         from springerbc.errors import InvalidParam, InvariantViolation
         from springerbc.params import (
-            Bipartition, OmegaParam, _psi_vec, _violations,
-            bipartition_from_text, omega_from_text,
+            Bipartition, OmegaParam, _violations,
+            bipartition_from_text, omega_from_text, psi,
         )
         from springerbc.partitions import Partition, underlying_set
 
@@ -333,8 +333,9 @@ def test_wrong_rank_target_raises_under_python_O():
                 print("raised")
 
         def refused(source, lam, points):
-            und = underlying_set(Partition(lam))
-            expected = "; ".join(_violations(Partition(lam), und, _psi_vec(und, points)))
+            lam = Partition(lam)
+            chi = tuple(psi(lam, points).values())
+            expected = "; ".join(_violations(lam, underlying_set(lam), chi))
             try:
                 r.restrict_symplectic(source)
             except InvalidParam as e:
@@ -450,9 +451,9 @@ def test_one_scan_gives_the_reference_exotic_terms_in_order():
         assert got == list(reference_exotic(b).terms.items()), b
 
 
-def test_zero_coefficient_target_is_not_built(monkeypatch):
-    # the part 2 of mu=[2] nu=[] is marked and occurs once: its lowered
-    # target has the zero coefficient, so _lower is never called
+def counted_lower(monkeypatch):
+    """The list of (partition, part) of every call of restrict's _lower,
+    which records them from here on."""
     lower = restrict_module._lower
     calls = []
 
@@ -461,7 +462,23 @@ def test_zero_coefficient_target_is_not_built(monkeypatch):
         return lower(p, x, copies)
 
     monkeypatch.setattr(restrict_module, "_lower", counted)
+    return calls
+
+
+def test_zero_coefficient_target_is_not_built(monkeypatch):
+    # the part 2 of mu=[2] nu=[] is marked and occurs once: its lowered
+    # target has the zero coefficient, so _lower is never called
+    calls = counted_lower(monkeypatch)
     got = restrict_exotic(bipartition_from_text("mu=[2] nu=[]"))
+    assert got == exotic_charsum({"mu=[1] nu=[]": [1]})
+    assert calls == []
+
+
+def test_zero_constant_target_is_not_built_at_q1(monkeypatch):
+    # the same part at q = 1: its lowered target has the constant
+    # 2 * 1 - 2 = 0, so _lower is never called there either
+    calls = counted_lower(monkeypatch)
+    got = restrict_exotic_q1(bipartition_from_text("mu=[2] nu=[]"))
     assert got == exotic_charsum({"mu=[1] nu=[]": [1]})
     assert calls == []
 
