@@ -13,8 +13,11 @@ to pair:
   or ``restrict_exotic``) on every parameter those queries restrict, in
   the order they restrict them, recorded in an untimed run.
 
-It prints one JSON line per pair, then a summary line with each side's
-median and the pairs the change won (its time lower).
+It prints one JSON line per pair, then a summary line.  For each metric
+the summary gives each side's quartiles (first, median, third), the pairs
+the change won (its time lower) and the verdict of ``bench/compare.py``
+under the bound BENCHMARK.json sets for the theory's end-to-end time
+(``sp2_s`` or ``exotic_s``).
 
 Example:
     python3 scripts/restrict_pairs.py PARENT/src src --pairs 30
@@ -25,12 +28,13 @@ import argparse
 import gc
 import importlib.util
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from compare import quartiles, verdict  # noqa: E402
 from workloads import Point  # noqa: E402
 
 SIDES = ("parent", "change")
@@ -100,7 +104,11 @@ def main():
     ap.add_argument("--pairs", type=int, default=30)
     ap.add_argument("--theory", choices=sorted(GRADED), default="sp2")
     args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error(f"--pairs must be >= 1, got {args.pairs}")
 
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == f"{args.theory}_s")
     metrics = (f"point_{args.theory}_s", "restrict_s")
     sides = {
         side: Side(load(getattr(args, side), f"springerbc_{side}"), args.theory)
@@ -121,11 +129,13 @@ def main():
         print(json.dumps(row), flush=True)
     summary = {"pairs": args.pairs, "restrict_calls": counts["change"]}
     for m, by_side in times.items():
-        won = sum(c < p for p, c in zip(by_side["parent"], by_side["change"]))
+        parent, change = by_side["parent"], by_side["change"]
+        won = sum(c < p for p, c in zip(parent, change))
         summary[m] = {
-            "parent_median": statistics.median(by_side["parent"]),
-            "change_median": statistics.median(by_side["change"]),
+            "parent_quartiles": quartiles(parent),
+            "change_quartiles": quartiles(change),
             "change_won": f"{won} of {args.pairs}",
+            "verdict": verdict(parent, change, won / args.pairs, bound, lower=True),
         }
     print(json.dumps(summary))
 

@@ -27,7 +27,8 @@ class Theory(SimpleNamespace):
 
     ``name`` is the theory's command-line name and ``param_type`` the class
     of its parameters.  ``enumerate(n)`` lists the rank-n parameters in
-    order, ``parse(args)`` reads one from the command-line options,
+    order, ``parse(args)`` reads one from the command-line options
+    and refuses the other theory's options, so that none is ignored;
     ``restrict`` and ``restrict_q1`` are the graded and ungraded
     restrictions, ``standard_model(param, field)`` is the oracle's matrix
     model and ``invariant(model, memo)`` recovers the parameter of a
@@ -55,12 +56,16 @@ def _exotic_empty_lines(b, q):
 def _parse_sp2(args):
     if args.param is None:
         raise InvalidParam("an sp2 parameter needs --param")
+    if args.mu is not None or args.nu is not None:
+        raise InvalidParam("an sp2 parameter takes --param, not --mu or --nu")
     return omega_from_text(args.param)
 
 
 def _parse_exotic(args):
     if args.mu is None or args.nu is None:
         raise InvalidParam("an exotic parameter needs --mu and --nu")
+    if args.param is not None:
+        raise InvalidParam("an exotic parameter takes --mu and --nu, not --param")
     return Bipartition(partition_from_text(args.mu), partition_from_text(args.nu))
 
 

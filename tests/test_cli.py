@@ -276,6 +276,17 @@ REJECTED = [
         "partition parts must be integers: '[３,1]'",
     ),
     ("restrict --theory sp2 --param ２^２_１", "bad parameter token '２^２_１'"),
+    # an option of the other theory's parameter is refused, not ignored
+    (
+        "symbol --mu [] --nu [] --r 4 --s 2 --m 1 --param x",
+        "an exotic parameter takes --mu and --nu, not --param",
+    ),
+    (
+        "restrict --theory exotic --mu [1] --nu [] --param 9^9_9",
+        "an exotic parameter takes --mu and --nu, not --param",
+    ),
+    ("paving --param 2^2_1 --mu [5]", "an sp2 parameter takes --param, not --mu or --nu"),
+    ("iota --param 2^2_1 --mu [7]", "an sp2 parameter takes --param, not --mu or --nu"),
     # int() refuses a string of more than 4300 digits
     (
         f"oracle --theory sp2 --param {'1' * 5000}^1_1 --q 2",

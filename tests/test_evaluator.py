@@ -1,10 +1,3 @@
-import json
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import pytest
 
 from golden_data import IOTA_PAIRS, VALUES_1, VALUES_2, VALUES_3
@@ -324,36 +317,6 @@ def test_narrow_slots_widen_to_exact_values(monkeypatch):
     for (param, w), v in got.items():
         assert type(v) is QPoly
         assert v == reference_value(param, w, memo), (param, w)
-
-
-def test_narrow_slots_widen_under_python_O():
-    # the overflow guard is a branch, not an assert
-    code = textwrap.dedent(
-        """
-        import json
-        import springerbc.evaluator as ev
-        from springerbc.params import enumerate_bipartitions, enumerate_omega
-
-        assert False, "asserts must be stripped"
-        ev._slot = 8
-        params = enumerate_omega(6) + enumerate_bipartitions(6)
-        values = [list(ev.value(p, w)) for p in params for w in ("id", "s1")]
-        print(ev._slot, json.dumps(values))
-        """
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    slot, values = done.stdout.split(" ", 1)
-    assert int(slot) > 8
-    params = enumerate_omega(6) + enumerate_bipartitions(6)
-    assert json.loads(values) == [list(value(p, w)) for p in params for w in ("id", "s1")]
 
 
 @pytest.mark.parametrize("theory", ["sp2", "exotic"])

@@ -120,7 +120,7 @@ def test_model_check_rejects_bad_adjointness():
     model = standard_model_exotic(bp("mu=[1] nu=[]"), GF3)
     broken = FieldModel(GF3, model.dim, model.gram, mat_mul(GF3, model.N, model.N), model.v)
     broken.N[0][0] = 1  # no longer self-adjoint (nor nilpotent-compatible)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="^nilpotent not self-adjoint for the form$"):
         broken.check()
 
 

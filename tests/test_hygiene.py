@@ -8,9 +8,13 @@ the module.  Package ``__init__.py`` files re-export what they import, and
 No function body in ``src/`` contains an import: every import is at
 module level, where the unused-import check above sees it.
 
-No check in ``src/`` is an ``assert`` statement or a raised
-``AssertionError``: ``python -O`` strips the first, and the package reports
-a failed check as ``InvariantViolation``.
+``python -O`` runs the same code in ``src/``: no module there holds an
+``assert`` statement or a raised ``AssertionError`` (``-O`` strips the
+first, and the package reports a failed check as ``InvariantViolation``),
+the name ``__debug__`` (``-O`` compiles out what it guards), a read of
+``sys.flags`` or the string ``PYTHONOPTIMIZE`` (either would let code read
+the level).  So each check that holds in-process holds under ``-O`` too,
+and no test needs to re-run one in a ``python -O`` child.
 
 The package raises two exception types, the two that ``errors.py``
 defines: every ``raise`` in ``src/`` names ``InvalidParam`` (bad input) or
@@ -37,6 +41,7 @@ together they cost about three quarters of the package's cold start.
 import ast
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,24 +94,65 @@ def test_no_imports_in_function_bodies_in_src():
     assert not found, "imports inside functions:\n" + "\n".join(found)
 
 
-def assertions(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
+def optimize_dependent(source):
+    """The (line, kind) of each place where this module text depends on
+    ``python -O``: an ``assert`` or a raised ``AssertionError``, the name
+    ``__debug__``, a read of ``sys.flags`` or the string
+    ``PYTHONOPTIMIZE``."""
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 yield node.lineno, "raise AssertionError"
         elif isinstance(node, ast.Assert):
             yield node.lineno, "assert"
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            yield node.lineno, "__debug__"
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "flags"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "sys"
+            and any(alias.name == "flags" for alias in node.names)
+        ):
+            yield node.lineno, "sys.flags"
+        elif isinstance(node, ast.Constant) and "PYTHONOPTIMIZE" in str(node.value):
+            yield node.lineno, "PYTHONOPTIMIZE"
 
 
 def test_no_assertions_in_src():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {what}"
         for path in sorted((ROOT / "src").rglob("*.py"))
-        for line, what in assertions(path)
+        for line, what in optimize_dependent(path.read_text())
     ]
-    assert not found, "assertions in src/:\n" + "\n".join(found)
+    assert not found, "code that python -O changes, in src/:\n" + "\n".join(found)
+
+
+def test_the_optimize_rule_reports_each_kind():
+    source = textwrap.dedent(
+        """
+        import os
+        import sys
+        from sys import flags
+        assert x
+        if __debug__:
+            raise AssertionError("unreachable")
+        level = sys.flags.optimize
+        level = os.environ["PYTHONOPTIMIZE"]
+        """
+    )
+    assert sorted(optimize_dependent(source)) == [
+        (4, "sys.flags"),
+        (5, "assert"),
+        (6, "__debug__"),
+        (7, "raise AssertionError"),
+        (8, "sys.flags"),
+        (9, "PYTHONOPTIMIZE"),
+    ]
 
 
 ERROR_TYPES = {"InvalidParam", "InvariantViolation"}

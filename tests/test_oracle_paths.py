@@ -11,12 +11,7 @@ against every rescaling of its line.
 """
 
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -579,50 +574,6 @@ def test_quotient_model_ignores_the_scale_of_the_line():
     assert checked > 0
 
 
-# --- checks under python -O --------------------------------------------------------------
-
-
-def test_type_of_ranks_raises_again_through_its_memo_under_python_O():
-    code = textwrap.dedent(
-        """
-        from springerbc.errors import InvariantViolation
-        from springerbc.fforacle import _type_of_ranks
-
-        assert False, "asserts must be stripped"
-        memo = {}
-        for _ in range(2):
-            try:
-                _type_of_ranks([4, 3, 1, 0], memo)
-            except InvariantViolation:
-                print("raised")
-        print(len(memo))
-        """
-    )
-    assert run_optimized(code) == ["raised", "raised", "0"]
-
-
-def test_model_check_raises_under_python_O():
-    code = textwrap.dedent(
-        """
-        from springerbc.errors import InvariantViolation
-        from springerbc.fforacle import FieldModel, standard_model_exotic
-        from springerbc.gf import field
-        from springerbc.params import bipartition_from_text
-
-        assert False, "asserts must be stripped"
-        F = field(3)
-        model = standard_model_exotic(bipartition_from_text("mu=[1] nu=[]"), F)
-        N = [row[:] for row in model.N]
-        N[0][0] = 1  # no longer self-adjoint for the form
-        try:
-            FieldModel(F, model.dim, model.gram, N, model.v).check()
-        except InvariantViolation:
-            print("raised")
-        """
-    )
-    assert run_optimized(code) == ["raised"]
-
-
 def test_model_check_rejects_odd_form():
     model = standard_model_exotic(
         next(b for b in enumerate_bipartitions(1) if b.mu), GF3
@@ -649,6 +600,7 @@ def split_form(F):
         (4, "degenerate", "form degenerate"),
         (2, "adjoint", "nilpotent not self-adjoint for the form"),
         (4, "adjoint", "nilpotent not self-adjoint for the form"),
+        (3, "adjoint", "nilpotent not self-adjoint for the form"),
         (3, "skew", "form not skew-symmetric"),
     ],
 )
@@ -703,87 +655,24 @@ def test_quotient_model_rejects_a_line_that_pairs_with_itself(F):
         quotient_model(model, F.rows.pack([1, 0, 0, 0]))
 
 
-def test_pivot_check_in_characteristic_2_raises_under_python_O():
-    code = textwrap.dedent(
-        """
-        from springerbc.errors import InvariantViolation
-        from springerbc.fforacle import FieldModel, quotient_model
-        from springerbc.gf import field
-
-        assert False, "asserts must be stripped"
-        F = field(4)
-        gram = [[3, 0, 0, 2], [0, 0, 1, 0], [0, 1, 0, 0], [2, 0, 0, 0]]
-        gram = [F.rows.pack(row) for row in gram]
-        zero = [0] * 4
-        try:
-            quotient_model(FieldModel(F, 4, gram, zero, 0), F.rows.pack([0, 0, 0, 1]))
-        except InvariantViolation as exc:
-            print("raised", exc)
-        """
-    )
-    assert run_optimized(code) == ["raised", "form", "not", "alternating"]
-
-
-def test_quotient_checks_over_a_prime_field_raise_under_python_O():
-    # over GF(7): the line e_0 pairs with itself (G[0][0] = 1); the line e_3 has f = -e_0 and pivots (3, 0), and
-    # leaves G[1][1] = 1 on the quotient's diagonal
-    code = textwrap.dedent(
-        """
-        from springerbc.errors import InvariantViolation
-        from springerbc.fforacle import FieldModel, quotient_model
-        from springerbc.gf import field
-
-        assert False, "asserts must be stripped"
-        F = field(7)
-        zero = [[0] * 4 for _ in range(4)]
-        cases = [
-            ([[1, 0, 0, 1], [0, 0, 1, 0], [0, 6, 0, 0], [6, 0, 0, 0]], [1, 0, 0, 0]),
-            ([[0, 0, 0, 1], [0, 1, 1, 0], [0, 6, 0, 0], [6, 0, 0, 0]], [0, 0, 0, 1]),
-        ]
-        for gram, line in cases:
-            try:
-                quotient_model(FieldModel(F, 4, gram, zero, [0] * 4), F.rows.pack(line))
-            except InvariantViolation as exc:
-                print("raised:", exc)
-        """
-    )
-    assert run_optimized(code) == [
-        "raised:", "form", "not", "alternating",
-        "raised:", "quotient", "form", "not", "alternating",
-    ]
-
-
 @pytest.mark.parametrize("F", [GF4, GF7], ids=["packed_rows", "list_rows"])
 @pytest.mark.parametrize("moves", ["nothing", "nilpotent", "form"])
 def test_quotient_diagonal_check_runs_for_every_line_of_its_pivots(F, moves):
-    # G[1][1] != 0 and otherwise alternating; the lines e_3 and e_0 + e_3
-    # both have the pivots (3, 0), and each leaves G[1][1] on the quotient's
-    # diagonal: with N = 0 and v = 0 no correction depends on the line, the
-    # entry N[1][0] makes the nilpotent's column correction nonzero, and
-    # G[0][1] the form's; a check that failed must not be skipped for a
-    # later line of the same pivots
+    # G[1][1] != 0 (1, then 2) and otherwise alternating; the lines e_3 and
+    # e_0 + e_3 both have the pivots (3, 0), and each leaves G[1][1] on the
+    # quotient's diagonal: with N = 0 and v = 0 no correction depends on the
+    # line, the entry N[1][0] makes the nilpotent's column correction
+    # nonzero, and G[0][1] the form's; a check that failed must not be
+    # skipped for a later line of the same pivots
     minus = F.neg(1)
-    gram = [[0, 0, 0, 1], [0, 2, 1, 0], [0, minus, 0, 0], [minus, 0, 0, 0]]
-    nilp = [[0] * 4 for _ in range(4)]
-    if moves == "nilpotent":
-        nilp[1][0] = 1
-    elif moves == "form":
-        gram[0][1], gram[1][0] = 1, minus
-    model = model_of_lists(F, gram, nilp, [0] * 4)
-    for line in ([0, 0, 0, 1], [1, 0, 0, 1], [0, 0, 0, 1]):
-        with pytest.raises(InvariantViolation, match="^quotient form not alternating$"):
-            quotient_model(model, F.rows.pack(line))
-
-
-def run_optimized(code):
-    """The words that code prints when run by ``python -O``."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()
+    for diagonal in (1, 2):
+        gram = [[0, 0, 0, 1], [0, diagonal, 1, 0], [0, minus, 0, 0], [minus, 0, 0, 0]]
+        nilp = [[0] * 4 for _ in range(4)]
+        if moves == "nilpotent":
+            nilp[1][0] = 1
+        elif moves == "form":
+            gram[0][1], gram[1][0] = 1, minus
+        model = model_of_lists(F, gram, nilp, [0] * 4)
+        for line in ([0, 0, 0, 1], [1, 0, 0, 1], [0, 0, 0, 1]):
+            with pytest.raises(InvariantViolation, match="^quotient form not alternating$"):
+                quotient_model(model, F.rows.pack(line))

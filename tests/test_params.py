@@ -1,12 +1,7 @@
 import copy
 import hashlib
-import os
 import pickle
 import random
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -238,32 +233,6 @@ def test_bijection_checks_raise():
         iota_inv(Bipartition(_unsorted((1, 2)), EMPTY))
     with pytest.raises(InvalidParam, match="no equal partner"):
         iota(OmegaParam(Partition([3]), (1,)))
-
-
-def test_bijection_checks_raise_under_python_O():
-    code = textwrap.dedent(
-        """
-        from springerbc.errors import InvariantViolation
-        from springerbc.params import Bipartition, iota_inv
-        from springerbc.partitions import EMPTY, Partition
-
-        assert False, "asserts must be stripped"
-        try:
-            iota_inv(Bipartition(EMPTY, tuple.__new__(Partition, (1, 2))))
-        except InvariantViolation:
-            print("raised")
-        """
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"]
 
 
 # sha256 of the lines "p|iota(p)" for every sp2 parameter and "b|iota_inv(b)"

@@ -1,9 +1,4 @@
-import os
 import random
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -315,60 +310,6 @@ def test_checked_chi_is_psi_exactly_where_the_conditions_hold(data):
         assert restrict_module._checked_chi(lam, und, points) == chi
 
 
-def test_wrong_rank_target_raises_under_python_O():
-    code = textwrap.dedent(
-        """
-        import springerbc.restrict as r
-        from springerbc.errors import InvalidParam, InvariantViolation
-        from springerbc.params import (
-            Bipartition, OmegaParam, _violations,
-            bipartition_from_text, omega_from_text, psi,
-        )
-        from springerbc.partitions import Partition, underlying_set
-
-        def attempt(fn, *args):
-            try:
-                fn(*args)
-            except InvariantViolation:
-                print("raised")
-
-        def refused(source, lam, points):
-            lam = Partition(lam)
-            chi = tuple(psi(lam, points).values())
-            expected = "; ".join(_violations(lam, underlying_set(lam), chi))
-            try:
-                r.restrict_symplectic(source)
-            except InvalidParam as e:
-                if str(e) == expected:
-                    print("raised")
-
-        assert False, "asserts must be stripped"
-        unsorted = tuple.__new__(Partition, (1, 2, 1))
-        attempt(r.restrict_exotic, Bipartition(unsorted, Partition([2])))  # cases 3, 4
-        attempt(r._largest_j, ((4, (2, 2)), (2, (1, 1))), 4, 1)
-        # targets breaking conditions 1 and 2 (see BROKEN_TARGETS)
-        refused(OmegaParam(Partition((4, 3, 1)), (2, 0, 0)), (3, 2, 1), [(2, 1)])
-        corners = r._corners
-        r._corners = lambda und, vec: []
-        refused(omega_from_text("2^2_1"), (1, 1), [(1, 1)])
-        r._corners = corners
-        r._lower = lambda p, x, copies=1: p
-        attempt(r.restrict_exotic, bipartition_from_text("mu=[] nu=[1]"))
-        attempt(r.restrict_symplectic, omega_from_text("1^2_0"))
-        """
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"] * 6
-
-
 def reference_exotic(b):
     """The reference for ``_exotic`` on the definitions of
     ``bipartition_ref``: the rank, the components, the runs and the marks
@@ -502,31 +443,3 @@ def test_broken_shift_raises(monkeypatch, term):
     with pytest.raises(InvariantViolation, match="emitted"):
         restrict_exotic(bipartition_from_text(text))
     assert called == steps
-
-
-def test_broken_shift_raises_under_python_O():
-    code = textwrap.dedent(
-        """
-        import springerbc.restrict as r
-        from springerbc.errors import InvariantViolation
-        from springerbc.params import bipartition_from_text
-
-        assert False, "asserts must be stripped"
-        r._shift = lambda p, a, b, step: p
-        for text in ("mu=[1] nu=[1]", "mu=[1] nu=[]"):  # growth, then chain
-            try:
-                r.restrict_exotic(bipartition_from_text(text))
-            except InvariantViolation:
-                print("raised")
-        """
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["raised"] * 2

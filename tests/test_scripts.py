@@ -70,6 +70,14 @@ def test_restrict_pairs_times_both_sides_on_the_same_calls():
         assert set(row[metric]) == {"parent", "change"}
         assert all(t > 0 for t in row[metric].values())
         assert summary[metric]["change_won"] in ("0 of 1", "1 of 1")
+        # one pair: each side's three quartiles are its one time
+        for side in ("parent", "change"):
+            assert summary[metric][f"{side}_quartiles"] == [row[metric][side]] * 3
+        assert summary[metric]["verdict"] in ("gain", "REGRESSION", "same")
+    # no pair to summarise is refused before either tree loads
+    done = run_script("restrict_pairs.py", src, src, "--pairs", "0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("error: --pairs must be >= 1, got 0\n")
 
 
 def test_restrict_pairs_times_the_exotic_kernel():
@@ -81,6 +89,9 @@ def test_restrict_pairs_times_the_exotic_kernel():
     assert summary["restrict_calls"] > 0
     for metric in ("point_exotic_s", "restrict_s"):
         assert all(t > 0 for t in row[metric].values())
+        assert set(summary[metric]) == {
+            "parent_quartiles", "change_quartiles", "change_won", "verdict"
+        }
 
 
 @pytest.mark.parametrize(

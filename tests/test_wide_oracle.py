@@ -13,12 +13,20 @@ GF(16), GF(32) and GF(64) run the oracle on rows of 4, 5 and 6 bits per
 entry.  The exotic sweeps over GF(5), GF(7), GF(11) and GF(13) run it over
 larger prime fields, and those over GF(9) and GF(25) over odd extension
 fields.
+
+The oracle's cost follows the dimension of the kernel of N more than the
+rank: it is l(lam) for sp2 and 2 l(mu + nu) = 2 max(l(mu), l(nu)) for
+exotic.  So the slices below bound the length as well, and reach ranks
+whose whole sweep the oracle cannot afford: sp2 with l(lam) <= 3 at
+rank 12 over GF(2) and GF(4), sp2 with l(lam) = 4 at rank 8 over GF(2),
+and exotic with l(mu + nu) <= 2 at rank 8 over GF(3).
 """
 
 import pytest
 
 from springerbc.fforacle import verify_against_formula
 from springerbc.gf import field
+from springerbc.params import Bipartition
 from springerbc.theory import THEORIES
 
 SWEEPS = [
@@ -41,11 +49,36 @@ SWEEPS = [
 ]
 
 
+# (theory, rank, field size, the lengths kept, the parameters kept)
+SLICES = [
+    pytest.param("sp2", 12, 2, range(4), 49, id="sp2-12-2-l<=3"),
+    pytest.param("sp2", 12, 4, range(4), 49, id="sp2-12-4-l<=3"),
+    pytest.param("sp2", 8, 2, (4,), 30, id="sp2-8-2-l=4"),
+    pytest.param("exotic", 8, 3, range(3), 55, id="exotic-8-3-l<=2"),
+]
+
+
+def failures(params, q):
+    reports = (verify_against_formula(param, field(q)) for param in params)
+    return [rep for rep in reports if not rep["pass"]]
+
+
 @pytest.mark.parametrize("theory, n, q", SWEEPS)
 def test_every_parameter_passes(theory, n, q):
-    failures = []
-    for param in THEORIES[theory].enumerate(n):
-        rep = verify_against_formula(param, field(q))
-        if not rep["pass"]:
-            failures.append(rep)
-    assert not failures, failures
+    failed = failures(THEORIES[theory].enumerate(n), q)
+    assert not failed, failed
+
+
+def length(param):
+    """l(lam) for sp2, max(l(mu), l(nu)) for exotic."""
+    if isinstance(param, Bipartition):
+        return max(len(param.mu), len(param.nu))
+    return len(param.lam)
+
+
+@pytest.mark.parametrize("theory, n, q, lengths, count", SLICES)
+def test_every_parameter_of_a_kernel_slice_passes(theory, n, q, lengths, count):
+    params = [p for p in THEORIES[theory].enumerate(n) if length(p) in lengths]
+    assert len(params) == count
+    failed = failures(params, q)
+    assert not failed, failed
