@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from springerbc.cli import charsum_text, pipe_safe, reported
+from springerbc.errors import InvalidParam
 from springerbc.evaluator import value_table
 from springerbc.qpoly import poly_to_text
 from springerbc.theory import THEORIES
@@ -20,6 +21,8 @@ def main():
     ap.add_argument("--n", type=int, required=True)
     args = ap.parse_args()
 
+    if args.n < 1:  # refused before any output, as ``springerbc equivalence`` does
+        raise InvalidParam(f"--n must be >= 1, got {args.n}")
     theory = THEORIES[args.theory]
     rows = value_table(args.n, args.theory)  # refuses an oversized rank first
     print(f"# restriction identities, rank {args.n}")

@@ -3,10 +3,19 @@
 A matrix here is a list of row lists of element codes, whatever the
 field's own row representation.  The package computes on rows alone; these
 are the list kernels it used before, so that tests can check its row
-computations against an independent route.
+computations against an independent route.  ``kernel_lines`` is the
+oracle's own walk over the lines of ker N, which the oracle tests read.
 """
 
-from springerbc.gf import Echelon
+from springerbc.fforacle import _lines
+from springerbc.gf import Echelon, nullspace
+
+
+def kernel_lines(model):
+    """The oracle's walk over the lines of ker N, in the field's row
+    representation."""
+    F = model.field
+    return _lines(F, nullspace(F, model.N))
 
 
 def mat_vec(F, mat, vec):

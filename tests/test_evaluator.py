@@ -1,7 +1,7 @@
 import pytest
 
 from golden_data import IOTA_PAIRS, VALUES_1, VALUES_2, VALUES_3
-from test_fast_paths import reference_value
+from reference import reference_value
 import springerbc.evaluator as evaluator
 import springerbc.restrict as restrict_module
 import springerbc.theory as theory
@@ -16,12 +16,10 @@ from springerbc.params import (
     check_rank,
     enumerate_bipartitions,
     enumerate_omega,
-    iota,
     omega_from_text,
 )
 from springerbc.partitions import Partition
 from springerbc.qpoly import QPoly
-from springerbc.restrict import restrict_exotic
 
 
 def test_base_table():
@@ -83,14 +81,6 @@ def test_value_table_shapes():
         value_table(2, "springer")
 
 
-def test_cross_theory_value_equality():
-    for n in range(1, 5):
-        for p in enumerate_omega(n):
-            b = iota(p)
-            assert value(p, "id") == value(b, "id"), p
-            assert value(p, "s1") == value(b, "s1"), p
-
-
 def test_constant_term_is_one():
     for n in range(1, 6):
         for b in enumerate_bipartitions(n):
@@ -121,17 +111,6 @@ def test_value_at_q1_matches_ungraded_recursion():
             assert value(p, "id")(1) == _value_q1(p), p
         for b in enumerate_bipartitions(n):
             assert value(b, "id")(1) == _value_q1(b), b
-
-
-def test_value_consistent_with_own_restriction():
-    # decomposing once and summing must reproduce the value
-    for n in range(2, 6):
-        for b in enumerate_bipartitions(n):
-            for w in ("id", "s1"):
-                total = QPoly()
-                for sub, coeff in restrict_exotic(b).terms.items():
-                    total = total + coeff * value(sub, w)
-                assert total == value(b, w), (b, w)
 
 
 @pytest.mark.parametrize("theory", ["sp2", "exotic"])

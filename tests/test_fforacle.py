@@ -7,7 +7,6 @@ from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.fforacle import (
     FieldModel,
     V_NOT_PERP,
-    _lines,
     brute_force_restriction,
     chi_invariant,
     exotic_invariant,
@@ -21,10 +20,11 @@ from springerbc.fforacle import (
 from springerbc.gf import field, nullspace
 from springerbc.params import (
     Bipartition,
-    bipartition_from_text,
+    bipartition_from_text as bp,
     enumerate_bipartitions,
     enumerate_omega,
     omega_from_text,
+    omega_from_text as om,
     underlying_set,
 )
 from springerbc.partitions import (
@@ -33,25 +33,10 @@ from springerbc.partitions import (
     union_partitions,
 )
 
-from listmat import mat_mul, mat_vec, packed, unpacked
+from listmat import kernel_lines, mat_mul, mat_vec, packed, unpacked
 
 GF2, GF3, GF4, GF5 = field(2), field(3), field(4), field(5)
 EXO1 = Bipartition(Partition([4, 3, 2, 2, 2, 2, 1]), Partition([3, 3, 3, 2, 1, 1]))
-
-
-def om(text):
-    return omega_from_text(text)
-
-
-def bp(text):
-    return bipartition_from_text(text)
-
-
-def kernel_lines(model):
-    """The oracle's walk over the lines of ker N, in the field's row
-    representation."""
-    F = model.field
-    return _lines(F, nullspace(F, model.N))
 
 
 # --- models ------------------------------------------------------------------
@@ -384,23 +369,6 @@ def test_rank_below_one_rejected():
             brute_force_restriction(param, F)
         with pytest.raises(InvalidParam):
             verify_against_formula(param, F)
-
-
-def test_verify_higher_rank_branch_coverage():
-    # formula branches that no rank <= 3 parameter reaches:
-    # - "4^1_2 3^2_1": a part that is not a corner, has nonzero chi and no
-    #   smaller part of equal chi (rank 5)
-    # - "4^2_1 2^2_1" and "4^2_1 2^3_1": corner with the secondary range of
-    #   parts above it nonempty, even and odd multiplicity (ranks 6, 7)
-    # - "6^2_1 4^2_1": corner with chi below the ceiling and a nonempty
-    #   secondary range (rank 10)
-    for text in ("4^1_2 3^2_1", "4^2_1 2^2_1", "4^2_1 2^3_1", "6^2_1 4^2_1"):
-        rep = verify_against_formula(om(text), GF2)
-        assert rep["pass"], rep
-    # the same rank-5 situation on the bipartition side, with its own
-    # nonempty secondary range (its marked part 2 pairs with 3 above)
-    rep = verify_against_formula(bp("mu=[2,2] nu=[1]"), GF3)
-    assert rep["pass"], rep
 
 
 def test_oversized_walk_is_refused_before_it_starts():

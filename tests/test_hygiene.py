@@ -5,6 +5,10 @@ An import counts as used when the name it binds appears anywhere else in
 the module.  Package ``__init__.py`` files re-export what they import, and
 ``__future__`` imports bind no name, so both are skipped.
 
+No test module imports another: references that several test modules
+read live in plain modules (``tests/reference.py``, ``tests/listmat.py``),
+so no ``tests/test_*.py`` imports a ``test_*`` module.
+
 No function body in ``src/`` contains an import: every import is at
 module level, where the unused-import check above sees it.
 
@@ -70,6 +74,56 @@ def test_no_unused_module_level_imports():
         for line, name in unused_imports(path)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def imported_names(source):
+    """The (line, name) of each module that this module text imports, and
+    of each name it imports from a module; a relative module keeps its
+    leading dots."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+            names += [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name
+
+
+def imports_of_tests(source):
+    """The imported names of this module text with a part that starts
+    ``test_``: the test modules it imports."""
+    for line, name in imported_names(source):
+        if any(part.startswith("test_") for part in name.split(".")):
+            yield line, name
+
+
+def test_no_test_module_imports_another():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        for line, name in imports_of_tests(path.read_text())
+    ]
+    assert not found, "test modules imported by tests:\n" + "\n".join(found)
+
+
+def test_the_test_import_rule_reports_each_form():
+    source = textwrap.dedent(
+        """
+        import test_cli
+        from test_fast_paths import reference_value
+        import springerbc.params as test_alias
+        from tests import test_gf
+        from reference import shift
+        """
+    )
+    assert sorted(imports_of_tests(source)) == [
+        (2, "test_cli"),
+        (3, "test_fast_paths"),
+        (5, "test_gf"),
+    ]
 
 
 def imports_in_functions(path):
@@ -269,25 +323,12 @@ def test_every_private_name_is_read_in_src():
 CONCURRENCY = {"threading", "_thread", "multiprocessing", "concurrent", "asyncio"}
 
 
-def concurrency_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            if name.split(".")[0] in CONCURRENCY:
-                yield node.lineno, name
-
-
 def test_src_starts_no_threads():
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted((ROOT / "src").rglob("*.py"))
-        for line, name in concurrency_imports(path)
+        for line, name in imported_names(path.read_text())
+        if name.split(".")[0] in CONCURRENCY
     ]
     assert not found, "concurrency imports in src/:\n" + "\n".join(found)
 

@@ -45,7 +45,16 @@ from springerbc.params import (
 )
 from springerbc.partitions import Partition, partitions_of
 
-from listmat import mat_mul, mat_vec, packed, rank, unpacked, vec_dot, vec_mat
+from listmat import (
+    kernel_lines,
+    mat_mul,
+    mat_vec,
+    packed,
+    rank,
+    unpacked,
+    vec_dot,
+    vec_mat,
+)
 
 GF2, GF3, GF4, GF5 = field(2), field(3), field(4), field(5)
 # larger prime fields, and an odd extension field
@@ -173,13 +182,6 @@ def ref_tally(model):
         sub = invariant(qm)
         tally[sub] = tally.get(sub, 0) + 1
     return tally, empty
-
-
-def kernel_lines(model):
-    """The oracle's walk over the lines of ker N, in the field's row
-    representation."""
-    F = model.field
-    return _lines(F, nullspace(F, model.N))
 
 
 def as_list(model, row):

@@ -1,11 +1,10 @@
 import copy
 import hashlib
 import pickle
-import random
 
 import pytest
 
-from bipartition_ref import components, marks, run_end, runs
+from reference import components, marks, run_end, runs, seeded_sample, unsorted
 from springerbc import params
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
@@ -13,6 +12,7 @@ from springerbc.params import (
     LimitSymbol,
     OmegaParam,
     bipartition_from_text,
+    bipartition_from_text as bp,
     bipartition_to_text,
     enumerate_bipartitions,
     enumerate_omega,
@@ -20,6 +20,7 @@ from springerbc.params import (
     iota,
     iota_inv,
     omega_from_text,
+    omega_from_text as om,
     omega_to_text,
     paving_predicates,
     phi,
@@ -30,7 +31,6 @@ from springerbc.params import (
     x_crit,
 )
 from springerbc.partitions import EMPTY, Partition, sum_partitions
-from springerbc.restrict import restrict_exotic
 
 # the running example: a rank-28 parameter with four corner points
 EX1_LAM = Partition([10, 10, 8, 8, 6, 5, 5, 4, 4, 2, 2, 1, 1])
@@ -38,14 +38,6 @@ EX1_CHI = {10: 4, 8: 3, 6: 3, 5: 2, 4: 2, 2: 1, 1: 0}
 EX1 = OmegaParam.make(EX1_LAM, EX1_CHI)
 
 EXO1 = Bipartition(Partition([4, 3, 2, 2, 2, 2, 1]), Partition([3, 3, 3, 2, 1, 1]))
-
-
-def om(text):
-    return omega_from_text(text)
-
-
-def bp(text):
-    return bipartition_from_text(text)
 
 
 def all_params(nmax):
@@ -220,17 +212,11 @@ def test_iota_inv_examples():
     assert iota(big) == bp("mu=[5,3,1] nu=[4,2]")
 
 
-def _unsorted(parts):
-    # a Partition that skips the constructor's sort: only internal code
-    # could build one, so the checks it trips guard results
-    return tuple.__new__(Partition, parts)
-
-
 def test_bijection_checks_raise():
     with pytest.raises(InvariantViolation, match="unsorted"):
-        iota_inv(Bipartition(EMPTY, _unsorted((1, 2))))
+        iota_inv(Bipartition(EMPTY, unsorted((1, 2))))
     with pytest.raises(InvariantViolation, match="carry chi"):
-        iota_inv(Bipartition(_unsorted((1, 2)), EMPTY))
+        iota_inv(Bipartition(unsorted((1, 2)), EMPTY))
     with pytest.raises(InvalidParam, match="no equal partner"):
         iota(OmegaParam(Partition([3]), (1,)))
 
@@ -411,7 +397,7 @@ def test_recover_round_trips():
 
 
 # The paper's (nabla, Delta) and Und_v are read from their definitions in
-# ``bipartition_ref``; the formulas read them from ``params._scan``.
+# ``reference``; the formulas read them from ``params._scan``.
 
 
 def test_nabla_delta_examples():
@@ -440,35 +426,21 @@ def test_marked_case_classification_exclusive():
             assert [case2, case3, case4].count(True) == 1, (b, r)
 
 
-# mu out of order, as only tuple.__new__ builds it: the scan reads it as it
-# stands, and restricting it reaches the guard on cases 3 and 4
-UNSORTED = Bipartition(tuple.__new__(Partition, (1, 2, 1)), Partition([2]))
-
-
-def scan_sample():
-    """Every bipartition of rank <= 12, 40 seeded ones of each rank 14-20,
-    and ``UNSORTED``."""
-    sample = list(all_biparts(12))
-    rng = random.Random(31)
-    for n in range(14, 21):
-        sample += rng.sample(enumerate_bipartitions(n), 40)
-    sample.append(UNSORTED)
-    return sample
-
-
 def test_scan_matches_the_definitions():
-    for b in scan_sample():
+    # every bipartition of rank <= 12, 40 seeded ones of each rank 14-20,
+    # and one with mu out of order, which the scan reads as it stands
+    sample = seeded_sample(enumerate_bipartitions, 31, range(13), range(14, 21))
+    for b in [*sample, Bipartition(unsorted((1, 2, 1)), Partition([2]))]:
         n, comps, runs_at, marked, mu_end, nu_end = params._scan(b)
         assert n == sum(b.mu) + sum(b.nu), b
         assert list(comps.items()) == list(components(b).items()), b
-        assert list(runs_at.items()) == list(runs(b).items()), b
+        lam = sum_partitions(b.mu, b.nu)
+        assert list(runs_at.items()) == list(runs(lam).items()), b
         assert sorted(marked, reverse=True) == list(marks(b)), b
         for part, end in ((b.mu, mu_end), (b.nu, nu_end)):
             # an end is read only at a positive value
             got = {x: i for x, i in end.items() if x}
             assert got == {x: run_end(part, x) for x in set(part)}, b
-    with pytest.raises(InvariantViolation, match="cases 3 and 4 both hold at r=1"):
-        restrict_exotic(UNSORTED)
 
 
 # --- paving predicates -----------------------------------------------------------

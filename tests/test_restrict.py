@@ -1,17 +1,21 @@
-import random
+"""The restriction formulas: golden tables, targets and coefficients, the
+q = 1 forms, and the guards of both case analyses.  The kernels' terms and
+their order are checked against ``reference``'s plain formulas in
+``test_fast_paths``.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import springerbc.restrict as restrict_module
-from bipartition_ref import components, marks, run_end, runs
 from golden_data import (
     EXOTIC_RESTRICTION_2,
     EXOTIC_RESTRICTION_3,
     IOTA_PAIRS,
     SP2_RESTRICTION_2,
 )
+from reference import unsorted
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.params import (
     Bipartition,
@@ -27,13 +31,8 @@ from springerbc.params import (
     psi,
     validate_omega,
 )
-from springerbc.partitions import (
-    Partition,
-    _lower,
-    _shift,
-    underlying_set,
-)
-from springerbc.qpoly import QPoly, ZERO, _step, geometric_sum, monomial
+from springerbc.partitions import Partition, underlying_set
+from springerbc.qpoly import QPoly, ZERO
 from springerbc.restrict import (
     CharSum,
     check_equivalence,
@@ -185,16 +184,11 @@ def test_charsum_term_order_is_enumeration_order():
     assert got == ["mu=[1,1] nu=[]", "mu=[1] nu=[1]", "mu=[] nu=[2]"]
 
 
-def _unsorted(parts):
-    # skips the constructor's sort: only broken code could pass such a value
-    return tuple.__new__(Partition, parts)
-
-
 def test_case_analysis_guards_raise():
-    with pytest.raises(InvariantViolation, match="cases 3 and 4"):
-        restrict_exotic(Bipartition(_unsorted((1, 2, 1)), Partition([2])))
+    with pytest.raises(InvariantViolation, match="cases 3 and 4 both hold at r=1"):
+        restrict_exotic(Bipartition(unsorted((1, 2, 1)), Partition([2])))
     with pytest.raises(InvariantViolation, match="below"):
-        restrict_exotic(Bipartition(_unsorted((1, 1)), _unsorted((1, 2))))
+        restrict_exotic(Bipartition(unsorted((1, 1)), unsorted((1, 2))))
     # parts (4, 2) with chi (2, 1), as (part, (chi, slack)) pairs: the part
     # with chi 1 lies below r = 4
     pairs = ((4, (2, 2)), (2, (1, 1)))
@@ -216,34 +210,6 @@ def test_wrong_rank_target_raises(monkeypatch):
         restrict_exotic(bipartition_from_text("mu=[] nu=[1]"))
     with pytest.raises(InvariantViolation):
         restrict_symplectic(omega_from_text("1^2_0"))
-
-
-def reference_chi(lam, und, points):
-    """The two-walk reference for ``_checked_chi``: psi of the points, then
-    every defining condition of the target."""
-    chi = tuple(psi(lam, points).values())
-    bad = _violations(lam, und, chi)
-    if bad:
-        raise InvalidParam("; ".join(bad))
-    return chi
-
-
-def sp2_sample():
-    """Every sp2 parameter of rank <= 12, then 40 seeded ones of each rank
-    14-18."""
-    params = [p for n in range(1, 13) for p in enumerate_omega(n)]
-    rng = random.Random(14)
-    for n in range(14, 19):
-        params += rng.sample(enumerate_omega(n), 40)
-    return params
-
-
-def test_one_pass_chi_gives_the_reference_terms_in_order(monkeypatch):
-    params = sp2_sample()
-    got = [list(restrict_symplectic(p).terms.items()) for p in params]
-    monkeypatch.setattr(restrict_module, "_checked_chi", reference_chi)
-    for p, terms in zip(params, got):
-        assert terms == list(restrict_symplectic(p).terms.items()), p
 
 
 # A target that breaks a defining condition, the parameter it is restricted
@@ -308,88 +274,6 @@ def test_checked_chi_is_psi_exactly_where_the_conditions_hold(data):
         assert str(info.value) == "; ".join(bad)
     else:
         assert restrict_module._checked_chi(lam, und, points) == chi
-
-
-def reference_exotic(b):
-    """The reference for ``_exotic`` on the definitions of
-    ``bipartition_ref``: the rank, the components, the runs and the marks
-    each from a walk of their own, and each run end in mu or nu by the
-    index of the value's last copy."""
-    n = b.rank
-    if n < 1:
-        raise InvalidParam("restriction needs rank >= 1")
-    mu, nu = b.mu, b.nu
-    comps = components(b)
-    runs_at = runs(b)
-    marked = set(marks(b))
-    out = CharSum()
-
-    def emit(coeff, mu2, nu2):
-        if not coeff:
-            return
-        if sum(mu2) + sum(nu2) != n - 1:
-            raise InvariantViolation(
-                f"restriction of {b} (rank {n}) emitted mu={mu2} nu={nu2}"
-            )
-        out.add(Bipartition(mu2, nu2), coeff)
-
-    mus_above, nus_above = set(), set()
-    for r, (nab, delt) in comps.items():
-        m_gt, m_ge = runs_at[r]
-        case3 = delt in nus_above
-        case4 = nab in mus_above
-        mus_above.add(nab)
-        nus_above.add(delt)
-        if r not in marked:
-            emit(geometric_sum(2 * m_ge, 2 * m_gt), mu, _lower(nu, delt))
-            continue
-        if case3 and case4:
-            raise InvariantViolation(f"cases 3 and 4 both hold at r={r} in {b}")
-        if delt > 0:
-            m_nu = run_end(nu, delt)
-            grown = (_shift(mu, m_ge, m_nu, 1), _shift(nu, m_ge - 1, m_nu, -1))
-            if case3:
-                emit(_step(2 * m_ge - 1, 2 * m_gt - 1), *grown)
-            else:
-                emit(monomial(2 * m_ge - 1), *grown)
-        lowered = _lower(mu, nab)
-        if case3:
-            emit(geometric_sum(2 * m_ge - 1, 2 * m_gt - 1), lowered, nu)
-            continue
-        emit(geometric_sum(2 * m_ge - 1, 2 * m_gt + 1), lowered, nu)
-        j = restrict_module._largest_j(comps.items(), r, nab) if case4 else r
-        m_mu = run_end(mu, nab)
-        m_gt_j = runs_at[j][0]
-        emit(
-            monomial(2 * m_gt_j),
-            _shift(mu, m_gt_j, m_mu, -1),
-            _shift(nu, m_gt_j, m_mu - 1, 1),
-        )
-        for k in comps if j > r else ():
-            if r < k <= j:
-                m_gt_k, m_ge_k = runs_at[k]
-                emit(
-                    _step(2 * m_ge_k, 2 * m_gt_k),
-                    _shift(mu, m_ge_k, m_mu, -1),
-                    _shift(nu, m_ge_k, m_mu - 1, 1),
-                )
-    return out
-
-
-def exotic_sample():
-    """Every bipartition of rank <= 12, then 40 seeded ones of each rank
-    14-18."""
-    params = [b for n in range(1, 13) for b in enumerate_bipartitions(n)]
-    rng = random.Random(14)
-    for n in range(14, 19):
-        params += rng.sample(enumerate_bipartitions(n), 40)
-    return params
-
-
-def test_one_scan_gives_the_reference_exotic_terms_in_order():
-    for b in exotic_sample():
-        got = list(restrict_exotic(b).terms.items())
-        assert got == list(reference_exotic(b).terms.items()), b
 
 
 def counted_lower(monkeypatch):

@@ -100,14 +100,16 @@ def test_restrict_pairs_times_the_exotic_kernel():
         ["oracle_sweep.py", "--max-n", "1", "--sp2-fields", "3"],  # odd field
         ["oracle_sweep.py", "--max-n", "1", "--exotic-fields", "6"],  # no field
         ["character_tables.py", "--theory", "sp2", "--n", "-1"],
+        ["character_tables.py", "--theory", "exotic", "--n", "0"],
         ["character_tables.py", "--theory", "exotic", "--n", "30"],
         ["oracle_sweep.py", "--max-n", "30"],
         # a field of the wrong characteristic after one that sweeps
         ["oracle_sweep.py", "--max-n", "2", "--exotic-fields", "4"],
         ["oracle_sweep.py", "--max-n", "2", "--sp2-fields", "2", "9"],
     ],
-    ids=["sp2_field_3", "exotic_field_6", "negative_rank", "oversized_rank",
-         "oversized_sweep", "exotic_field_4_after_sp2", "sp2_field_9_after_2"],
+    ids=["sp2_field_3", "exotic_field_6", "negative_rank", "zero_rank",
+         "oversized_rank", "oversized_sweep", "exotic_field_4_after_sp2",
+         "sp2_field_9_after_2"],
 )
 def test_bad_input_exits_2_without_traceback(argv):
     done = run_script(*argv)
