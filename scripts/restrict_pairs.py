@@ -11,7 +11,11 @@ to pair:
   cold, after ``clear_cache()``;
 - ``restrict_s``: the theory's graded restriction (``restrict_symplectic``
   or ``restrict_exotic``) on every parameter those queries restrict, in
-  the order they restrict them, recorded in an untimed run.
+  the order they restrict them, recorded query by query in an untimed
+  run.  Each query's restrictions run cold, after an untimed
+  ``clear_cache()``, as they do within the query: the part moves and
+  coefficients that the package memoizes until ``clear_cache()`` carry
+  over neither from one query to the next nor from the ``point`` pass.
 
 It prints one JSON line per pair, then a summary line.  For each metric
 the summary gives each side's quartiles (first, median, third), the pairs
@@ -61,15 +65,18 @@ class Side:
         ]
         restrict = sb.restrict
         graded = getattr(restrict, self.formula)
-        self.nodes = []
+        self.groups = []  # per query, the parameters it restricts
 
         def recorded(p):
-            self.nodes.append(p)
+            self.groups[-1].append(p)
             return graded(p)
 
         setattr(restrict, self.formula, recorded)  # the evaluator reads it per miss
         try:
-            self.point()
+            for p, w in self.queries:
+                self.groups.append([])
+                sb.evaluator.clear_cache()
+                sb.evaluator.value(p, w)
         finally:
             setattr(restrict, self.formula, graded)
 
@@ -85,10 +92,15 @@ class Side:
 
     def restrict(self):
         graded = getattr(self.sb.restrict, self.formula)
-        t0 = time.perf_counter()
-        for p in self.nodes:
-            graded(p)
-        return time.perf_counter() - t0
+        clear_cache = self.sb.evaluator.clear_cache
+        total = 0.0
+        for group in self.groups:
+            clear_cache()
+            t0 = time.perf_counter()
+            for p in group:
+                graded(p)
+            total += time.perf_counter() - t0
+        return total
 
     def measure(self):
         gc.collect()
@@ -114,7 +126,7 @@ def main():
         side: Side(load(getattr(args, side), f"springerbc_{side}"), args.theory)
         for side in SIDES
     }
-    counts = {side: len(s.nodes) for side, s in sides.items()}
+    counts = {side: sum(map(len, s.groups)) for side, s in sides.items()}
     if counts["parent"] != counts["change"]:
         sys.exit(f"the two trees make different numbers of restrictions: {counts}")
     times = {m: {side: [] for side in SIDES} for m in metrics}

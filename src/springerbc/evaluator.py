@@ -26,6 +26,12 @@ once, to 128 bits.
 The memo is a plain dict keyed by (parameter, w), shared across calls,
 and the packed restriction coefficients are kept in a second dict; both
 hold values at the current slot width only, and widening clears both.
+``clear_cache`` empties them and also the caches of the part moves
+(``partitions._lower``, ``_drop`` and ``_shift``) and of the coefficient
+builders (``qpoly.monomial``, ``geometric_sum`` and ``_step``), so nothing
+memoized outlives it: a query after ``clear_cache`` pays for every move
+and coefficient it makes, as it would in a fresh process, and is not
+warmed by the queries before it.
 Every memo miss of rank >= 2 calls ``restrict_symplectic`` or
 ``restrict_exotic`` through its module.  A table misses each parameter
 once at id and once at s1, so ``value_table`` opens the restriction store
@@ -39,7 +45,8 @@ a call made while another widens could mix widths.
 
 from . import restrict
 from .errors import InvalidParam
-from .qpoly import ONE, QPoly, _pack, _unpack
+from .partitions import _drop, _lower, _shift
+from .qpoly import ONE, QPoly, _pack, _step, _unpack, geometric_sum, monomial
 from .theory import THEORIES, of
 
 GROUP_ELEMENTS = ("id", "s1")
@@ -58,11 +65,14 @@ _BASE = _base_table()
 _memo = {}  # (param, w) -> (packed value, coefficient bound)
 _packs = {}  # QPoly -> (packed, l1 norm)
 _slot = 64  # bits per packed coefficient; only ever widened
+_MEMOIZED = (_lower, _drop, _shift, monomial, geometric_sum, _step)
 
 
 def clear_cache():
     _memo.clear()
     _packs.clear()
+    for fn in _MEMOIZED:
+        fn.cache_clear()
 
 
 def value(param, w, *, _inner=False):

@@ -2,13 +2,16 @@
 
 A partition is a weakly decreasing tuple of positive integers; the empty
 tuple is the unique partition of 0.  Indexing beyond the length reads as 0
-(use ``part_at``).  All operations return new, canonically sorted values.
+(use ``part_at``).  All operations return canonically sorted values.
 The restriction formulas move parts with the three slice moves below:
 lower copies of a part by 1, drop one copy by 2, and shift a run of
-indices up or down by 1.
+indices up or down by 1.  The moves return shared immutable values,
+memoized until ``evaluator.clear_cache``: one cold value query makes the
+same move many times, and the cache keeps each move's result once.
 """
 
 import re
+from functools import lru_cache
 from operator import add
 
 from .errors import InvalidParam, InvariantViolation
@@ -103,6 +106,8 @@ def sum_partitions(a, b):
 # Part moves by slicing.  Each keeps the sorted prefix and suffix of p as
 # they are and rebuilds only the parts it moves, so the result is never
 # sorted again; a move whose result would be out of order raises instead.
+# Each is memoized by its arguments (p a Partition), up to 2^14 entries;
+# a raise is never cached, so a bad move raises on every call.
 
 
 def _run_end(p, x, copies=1):
@@ -114,6 +119,7 @@ def _run_end(p, x, copies=1):
     return p.index(x) + m
 
 
+@lru_cache(maxsize=1 << 14)
 def _lower(p, x, copies=1):
     """The last ``copies`` copies of the part x become x - 1 (dropped at 0).
     Every later part is below x, so the result stays sorted."""
@@ -122,6 +128,7 @@ def _lower(p, x, copies=1):
     return _canonical(p[: i - copies] + mid + p[i:])
 
 
+@lru_cache(maxsize=1 << 14)
 def _drop(p, x):
     """The last copy of the part x becomes x - 2, placed after the run of
     x - 1 (dropped at 0)."""
@@ -133,6 +140,7 @@ def _drop(p, x):
     return _canonical(p[: i - 1] + p[i:e] + mid + p[e:])
 
 
+@lru_cache(maxsize=1 << 14)
 def _shift(p, a, b, step):
     """Add ``step``, +1 or -1, to the parts at the 0-based indices a..b-1;
     an empty interval (b <= a) is the identity.  An up-shift past the

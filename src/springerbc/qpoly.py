@@ -3,10 +3,14 @@
 Coefficients are stored ascending by degree with no trailing zeros; the
 zero polynomial is the empty tuple.  All arithmetic is exact integer
 arithmetic; in particular every division by (q - 1) that the restriction
-formulas need is realized up front as a geometric sum.
+formulas need is realized up front as a geometric sum.  The three builders
+of restriction coefficients (``monomial``, ``geometric_sum`` and ``_step``)
+return shared immutable values, memoized until ``evaluator.clear_cache``:
+a cold value query asks for the same few dozen coefficients many times.
 """
 
 import sys
+from functools import lru_cache
 from operator import add, neg
 
 from .errors import InvalidParam
@@ -137,6 +141,7 @@ ZERO = QPoly()
 ONE = QPoly((1,))
 
 
+@lru_cache(maxsize=1 << 14)
 def monomial(e):
     """The polynomial q^e."""
     if e < 0:
@@ -144,6 +149,7 @@ def monomial(e):
     return _canonical((0,) * e + (1,))
 
 
+@lru_cache(maxsize=1 << 14)
 def geometric_sum(a, b):
     """q^b + q^(b+1) + ... + q^(a-1); the zero polynomial when a == b.
 
@@ -155,6 +161,7 @@ def geometric_sum(a, b):
     return _canonical((0,) * b + (1,) * (a - b)) if a > b else ZERO
 
 
+@lru_cache(maxsize=1 << 14)
 def _step(a, b):
     """q^a - q^b for a >= b >= 0, built canonical: ``monomial(a) - monomial(b)``."""
     if a < b:

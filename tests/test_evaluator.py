@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from golden_data import IOTA_PAIRS, VALUES_1, VALUES_2, VALUES_3
@@ -16,6 +18,7 @@ from springerbc.params import (
     check_rank,
     enumerate_bipartitions,
     enumerate_omega,
+    iota,
     omega_from_text,
 )
 from springerbc.partitions import Partition
@@ -373,3 +376,62 @@ def test_table_size_is_checked_before_enumerating():
         check_rank(-1)
     with pytest.raises(InvalidParam, match="above the largest table rank"):
         value_table(10**9, "exotic")
+
+
+def _memoized():
+    """Every function of the package that keeps a cache, found by its
+    ``cache_clear``, in a fixed order."""
+    found = {
+        f"{module.__name__}.{name}": obj
+        for module in list(sys.modules.values())
+        if module is not None and module.__name__.startswith("springerbc.")
+        for name, obj in vars(module).items()
+        if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == module.__name__
+    }
+    return dict(sorted(found.items()))
+
+
+# a rank-12 parameter whose cold values, with its image under iota, make
+# every kind of part move and coefficient
+RANK12 = omega_from_text("8^1_4 4^1_2 2^4_1 1^4_0")
+
+
+def test_the_memoized_functions_are_the_part_moves_and_coefficients():
+    assert list(_memoized()) == [
+        "springerbc.partitions._drop",
+        "springerbc.partitions._lower",
+        "springerbc.partitions._shift",
+        "springerbc.qpoly._step",
+        "springerbc.qpoly.geometric_sum",
+        "springerbc.qpoly.monomial",
+    ]
+    assert set(_memoized().values()) == set(evaluator._MEMOIZED)
+    # bounded: a long run of queries without clear_cache cannot grow them
+    for fn in evaluator._MEMOIZED:
+        assert fn.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("w", GROUP_ELEMENTS)
+def test_clear_cache_empties_every_memoized_function(w):
+    evaluator.clear_cache()
+    for param in (RANK12, iota(RANK12)):
+        value(param, w)
+    sizes = {name: fn.cache_info().currsize for name, fn in _memoized().items()}
+    assert all(sizes.values()), sizes  # both theories together make every move
+    evaluator.clear_cache()
+    sizes = {name: fn.cache_info().currsize for name, fn in _memoized().items()}
+    assert set(sizes.values()) == {0}, sizes
+
+
+@pytest.mark.parametrize("param", [RANK12, iota(RANK12)], ids=["sp2", "exotic"])
+def test_cold_queries_make_the_same_cache_misses(param):
+    # nothing memoized outlives clear_cache, so a repeated cold query pays
+    # for every move and coefficient again, as a fresh process would
+    infos = []
+    for _ in range(2):
+        evaluator.clear_cache()
+        value(param, "s1")
+        infos.append([fn.cache_info() for fn in evaluator._MEMOIZED])
+    evaluator.clear_cache()
+    assert infos[0] == infos[1]
+    assert sum(info.misses for info in infos[0]) > 0

@@ -16,6 +16,7 @@ from springerbc.partitions import (
     underlying_set,
     union_partitions,
 )
+from springerbc.qpoly import _step, geometric_sum, monomial
 
 parts_st = st.lists(st.integers(1, 9), max_size=8).map(Partition)
 
@@ -120,6 +121,33 @@ def test_shift_round_trip_on_strict_partitions(data):
     a = data.draw(st.integers(0, len(p) - 1))
     b = data.draw(st.integers(a + 1, len(p)))
     assert _shift(_shift(p, a, b, 1), a, b, -1) == p
+
+
+# (memoized function, arguments it refuses with the error, arguments it takes)
+BAD_AND_GOOD_CALLS = {
+    "lower": (_lower, (Partition([4, 2]), 3), InvalidParam, (Partition([4, 2]), 4)),
+    "drop": (_drop, (Partition([1]), 1), InvalidParam, (Partition([3, 2]), 3)),
+    "shift": (
+        _shift, (Partition([4, 4, 3, 2]), 1, 3, 1), InvariantViolation,
+        (Partition([5, 4, 3, 2]), 1, 4, -1),
+    ),
+    "monomial": (monomial, (-1,), InvalidParam, (3,)),
+    "geometric_sum": (geometric_sum, (1, 2), InvalidParam, (4, 1)),
+    "step": (_step, (1, 2), InvalidParam, (4, 1)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_AND_GOOD_CALLS)
+def test_a_memoized_move_raises_on_every_bad_call(name):
+    # the cache keeps results only, never an exception, so the guard runs
+    # on every bad call: twice in a row, and again after a good call
+    fn, bad, error, good = BAD_AND_GOOD_CALLS[name]
+    for _ in range(2):
+        with pytest.raises(error):
+            fn(*bad)
+    assert fn(*good) is fn(*good)  # one shared value
+    with pytest.raises(error):
+        fn(*bad)
 
 
 def test_text_round_trip():

@@ -59,6 +59,28 @@ def test_oracle_sweep_summary_counts_the_lines_of_its_reports():
     assert int(match[2]) > 0
 
 
+def test_oracle_sweep_keeps_the_parameters_of_small_kernel():
+    done = run_script(
+        "oracle_sweep.py", "--max-n", "5", "--max-len", "2",
+        "--sp2-fields", "2", "--exotic-fields", "3",
+    )
+    assert done.returncode == 0, done.stderr
+    reports = [json.loads(line) for line in done.stdout.splitlines()]
+    # ranks 1-5: 20 sp2 parameters with l(lam) <= 2 and 49 exotic ones
+    # with max(l(mu), l(nu)) <= 2, out of 73 each
+    assert (sum(r["q"] == 2 for r in reports), len(reports)) == (20, 69)
+    assert all(r["pass"] for r in reports)
+    lengths = set()
+    for r in reports:
+        if r["q"] == 2:  # r^m_c tokens: the multiplicities add up to l(lam)
+            lengths.add(sum(int(re.split("[_^]", tok)[1]) for tok in r["param"].split()))
+        else:  # mu=[..] nu=[..]
+            lengths.add(max(len(re.findall(r"\d+", half)) for half in r["param"].split()))
+    assert lengths == {1, 2}
+    # the first parameter whose restriction has the exotic case-3 growth term
+    assert "mu=[2,1] nu=[1,1]" in [r["param"] for r in reports]
+
+
 def test_restrict_pairs_times_both_sides_on_the_same_calls():
     src = str(ROOT / "src")
     done = run_script("restrict_pairs.py", src, src, "--pairs", "1")
@@ -106,10 +128,14 @@ def test_restrict_pairs_times_the_exotic_kernel():
         # a field of the wrong characteristic after one that sweeps
         ["oracle_sweep.py", "--max-n", "2", "--exotic-fields", "4"],
         ["oracle_sweep.py", "--max-n", "2", "--sp2-fields", "2", "9"],
+        # sweeps that would walk nothing and read as a pass
+        ["oracle_sweep.py", "--max-n", "0"],
+        ["oracle_sweep.py", "--max-n", "2", "--sp2-fields", "--exotic-fields"],
+        ["oracle_sweep.py", "--max-n", "2", "--max-len", "0"],
     ],
     ids=["sp2_field_3", "exotic_field_6", "negative_rank", "zero_rank",
          "oversized_rank", "oversized_sweep", "exotic_field_4_after_sp2",
-         "sp2_field_9_after_2"],
+         "sp2_field_9_after_2", "empty_sweep", "no_field", "zero_max_len"],
 )
 def test_bad_input_exits_2_without_traceback(argv):
     done = run_script(*argv)
