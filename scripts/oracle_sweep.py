@@ -3,7 +3,8 @@
 
 Prints one JSON report line per (parameter, field) pair and exits 3 if any
 comparison fails.  A summary on stderr gives the number of failures, the
-time taken, the kernel lines walked and the lines walked per second.
+time taken, the kernel lines walked, the lines walked per second and the
+process's peak resident set size.
 
 ``--max-len L`` keeps, at each rank, the parameters whose kernel is
 small: l(lam) <= L for sp2, and max(l(mu), l(nu)) <= L for exotic (the
@@ -18,6 +19,7 @@ Example:
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -73,9 +75,10 @@ def main():
                     lines += sum(rep["tally"].values()) + rep["empty_fiber"]
                     print(json.dumps(rep))
     seconds = time.perf_counter() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(
         f"# {failed} failures, {seconds:.1f}s, {lines} kernel lines,"
-        f" {lines / seconds:.0f} lines/s",
+        f" {lines / seconds:.0f} lines/s, {peak_mb:.1f} MB peak RSS",
         file=sys.stderr,
     )
     return 3 if failed else 0

@@ -32,18 +32,18 @@ The invariants share smaller results between the quotients of one tally,
 in a dict that the tally passes to each call.  Both keep there the Jordan
 type of each sequence of ranks, keyed by the sequence, so its size check
 runs once per distinct sequence (the benchmark's oracle sweeps ask for
-6 147 types of 183 sequences, counted per tally).  The chi invariant keeps
+7 775 types of 183 sequences, counted per tally).  The chi invariant keeps
 the checked parameter of each (lam, chi), keyed by lam and chi's values,
-so the parameter's validation runs 113 times instead of 1 820.  The exotic
-invariant keeps the halved Jordan type of N with echelon bases of the
-images of its powers, keyed by N's frozen rows (the exotic sweeps have
-1 464 distinct N among 2 863 distinct quotients), and the bipartition
-recovered from a pair (halved type, Jordan type on V modulo the cyclic
-span of v), whose round-trip check so runs once per distinct pair.  Each
-result is a function of its key alone, keys of different kinds never
-compare equal (a tuple of ints, a pair led by a partition, bytes), and a
-key whose check fails is never stored, so it raises again on every call.
-The dict has the memo's lifetime.
+so the parameter's validation runs 113 times instead of 1 935.  The exotic
+invariant keeps the bipartition recovered from a pair (halved type, Jordan
+type on V modulo the cyclic span of v), whose round-trip check so runs
+once per distinct pair (63 times instead of 2 920).  Nothing is keyed by
+a matrix: the Jordan type and rank chain of N are computed on each call,
+as they are as large as the quotient and a large walk has about one N
+per line.  Each result is a function of its key alone, keys of different
+kinds never compare equal (a tuple of ints, a pair led by a partition),
+and a key whose check fails is never stored, so it raises again on every
+call.  The dict has the memo's lifetime.
 
 The invariants eliminate as little as they can.  A Jordan chain passes
 only nonzero rows to ``Echelon.add``: in the benchmark's oracle sweeps,
@@ -97,10 +97,12 @@ class VNotPerp:
 
 V_NOT_PERP = VNotPerp()
 
-# The most kernel lines one oracle call walks: at the 80 000 lines/s of the
-# benchmark's oracle sweeps (ranks 3 to 5, a shared 2-vCPU x86-64 host),
-# 10^7 lines take about two minutes, and longer at larger ranks, whose
-# quotients are larger.  A larger walk is refused before it starts.
+# The most kernel lines one oracle call walks.  At model dimension 40 (rank
+# 20, the largest accepted) a call does 3 300 to 4 300 lines/s on a shared
+# 2-vCPU x86-64 host (the exotic mu=[4,4,3,3,3,3] over GF(3): 265 720
+# lines in 62 s, at a 15 MB peak), so 10^7 lines take 40 to 50 minutes
+# there; the memory does not grow with the lines walked.  A larger walk is
+# refused before it starts.
 LINE_CAP = 10**7
 
 
@@ -388,10 +390,10 @@ def exotic_invariant(model, memo=None):
     Nx is the combination of the rows of N^T by x.
 
     ``memo`` is a dict shared by the invariants of one tally (see the
-    module docstring): it maps N's frozen rows to lam, that chain and the
-    rows of N^T, each pair (lam, hat) to the bipartition recovered from
-    it, and, through ``_type_of_ranks``, each rank sequence to its Jordan
-    type.
+    module docstring): it maps each pair (lam, hat) to the bipartition
+    recovered from it and, through ``_type_of_ranks``, each rank sequence
+    to its Jordan type.  Nothing is kept per N: the tally calls this once
+    per quotient object, and N's chain is as large as the quotient.
     """
     F = model.field
     if F.p == 2:
@@ -399,20 +401,15 @@ def exotic_invariant(model, memo=None):
     if memo is None:
         memo = {}
     R = F.rows
-    dim, N = model.dim, model.N
-    n_key = R.freeze(N)
-    known = memo.get(n_key)
-    if known is None:
-        nt = list(map(list, zip(*N)))
-        doubled, chain = jordan_type(F, nt, memo)
-        halved = []
-        for r in underlying_set(doubled):
-            m_r = doubled.count(r)
-            if m_r % 2:
-                raise InvalidParam(f"Jordan type {doubled} is not doubled")
-            halved.extend([r] * (m_r // 2))
-        known = memo[n_key] = Partition(halved), chain, nt
-    lam, chain, nt = known
+    nt = list(map(list, zip(*model.N)))
+    doubled, chain = jordan_type(F, nt, memo)
+    halved = []
+    for r in underlying_set(doubled):
+        m_r = doubled.count(r)
+        if m_r % 2:
+            raise InvalidParam(f"Jordan type {doubled} is not doubled")
+        halved.extend([r] * (m_r // 2))
+    lam = Partition(halved)
     sums = []  # dim(N^k V + S) for k = 1, 2, ...: the last, N^k V = 0, is dim S
     x, j = model.v, 0  # x = N^j v
     for image in chain:  # N^k V
@@ -421,7 +418,7 @@ def exotic_invariant(model, memo=None):
             j += 1
         sums.append(image.size + j)
     dim_s = sums[-1] if sums else 0
-    hat = _type_of_ranks([dim - dim_s] + [size - dim_s for size in sums], memo)
+    hat = _type_of_ranks([model.dim - dim_s] + [size - dim_s for size in sums], memo)
     b = memo.get((lam, hat))
     if b is None:
         b = memo[lam, hat] = recover_bipartition(lam, hat, lam.size)

@@ -255,12 +255,6 @@ class _ListRows:
     def diagonal(rows):
         return list(map(operator.getitem, rows, itertools.count()))
 
-    @staticmethod
-    def freeze(rows):
-        """A hashable value that determines rows among row sequences of the
-        same shape: field codes are below 64, so one byte each."""
-        return bytes(itertools.chain.from_iterable(rows))
-
 
 class _PackedRows:
     """Rows over GF(2^k) as ints: entry a of a row is bits k*a .. k*a + k - 1.

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from springerbc import fforacle
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.fforacle import (
     V_NOT_PERP,
@@ -521,6 +522,25 @@ def test_memoized_tally_matches_unmemoized():
     for p in enumerate_omega(4):
         model = standard_model_symplectic(p, GF2)
         assert brute_force_restriction(p, GF2) == ref_tally(model), p
+
+
+def test_exotic_memo_grows_with_its_small_keys_not_with_the_quotients(monkeypatch):
+    # nothing is kept per N: the memo holds only rank sequences and pairs
+    # led by a partition, so a tally whose quotients nearly all have their
+    # own N keeps far fewer entries than it has distinct quotients
+    calls = []
+
+    def spy(model, memo=None):
+        calls.append((memo, repr((model.N, model.gram, model.v))))
+        return exotic_invariant(model, memo)
+
+    monkeypatch.setattr(fforacle, "exotic_invariant", spy)
+    brute_force_restriction(bipartition_from_text("mu=[2,2,1] nu=[1]"), GF3)
+    memo = calls[0][0]
+    assert all(m is memo for m, _ in calls)
+    quotients = {rows for _, rows in calls}
+    assert not any(isinstance(key, bytes) for key in memo)
+    assert len(memo) < len(quotients)
 
 
 # --- line enumeration ----------------------------------------------------------------

@@ -52,11 +52,14 @@ def test_oracle_sweep_summary_counts_the_lines_of_its_reports():
     walked = sum(sum(r["tally"].values()) + r["empty_fiber"] for r in reports)
     assert any(r["empty_fiber"] for r in reports)
     match = re.fullmatch(
-        r"# 0 failures, [0-9.]+s, (\d+) kernel lines, (\d+) lines/s\n", done.stderr
+        r"# 0 failures, [0-9.]+s, (\d+) kernel lines, (\d+) lines/s,"
+        r" ([0-9]+\.[0-9]) MB peak RSS\n",
+        done.stderr,
     )
     assert match, done.stderr
     assert int(match[1]) == walked
     assert int(match[2]) > 0
+    assert float(match[3]) > 0
 
 
 def test_oracle_sweep_keeps_the_parameters_of_small_kernel():

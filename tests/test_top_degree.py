@@ -1,4 +1,4 @@
-"""The top degree of the character values, for n <= 12 (formula only).
+"""The top and bottom degrees of the character values (formula only).
 
 For an exotic bipartition b = (mu, nu) of rank n, the exotic Springer fibre
 has dimension d_b = 2 n(mu) + 2 n(nu) + |nu|, with n(mu) = sum (i - 1) mu_i,
@@ -20,6 +20,12 @@ d_b, the terms that reach it are exactly the b' that remove one box from
 mu or from nu, and each of those has leading coefficient 1.  Observed on
 every exotic restriction of ranks 1 to 12, and on every sp2 restriction of
 those ranks read through ``iota``, not proved here.
+
+The bottom degree is as plain: the constant terms of one restriction's
+coefficients sum to 1 (every restriction of ranks 2 to 12, both theories),
+and every value has constant term 1 (every parameter of rank at most 10,
+both theories, at id and s1), consistent with H^0 of a connected fibre
+being the trivial character.  Observed, not proved here.
 """
 
 from math import comb, factorial, prod
@@ -109,3 +115,19 @@ def test_top_degree_is_local_to_one_restriction(theory):
             assert max(degrees.values()) == d, p
             assert top == removals, p
             assert all(terms.terms[b2][-1] == 1 for b2 in top), p
+
+
+@pytest.mark.parametrize("theory", [EXOTIC, SP2], ids=["exotic", "sp2"])
+def test_constant_terms_of_one_restriction_sum_to_one(theory):
+    for n in range(2, 13):
+        for p in theory.enumerate(n):
+            terms = theory.restrict(p).terms.values()
+            assert sum(coefficient(c, 0) for c in terms) == 1, p
+
+
+@pytest.mark.parametrize("theory", [EXOTIC, SP2], ids=["exotic", "sp2"])
+def test_every_value_has_constant_term_one(theory):
+    for n in range(11):
+        for p in theory.enumerate(n):
+            for w in ("id", "s1"):
+                assert coefficient(value(p, w), 0) == 1, (p, w)
