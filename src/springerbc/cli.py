@@ -4,10 +4,11 @@ One subcommand per library operation, with stable text and JSON output so
 the tool can back golden tests and scripted sweeps.  Each ``cmd_*``
 returns its JSON documents (one per output line), its text and, for the
 verification commands (oracle, equivalence), an exit code; ``run`` alone
-prints.  Exit codes: 0 on success, 2 on bad input (a parse or validity
-error) or a broken internal invariant, 3 when a verification command finds
-a mismatch, 1 when the reader of stdout goes away before the output is
-written (as ``| head`` does).
+prints.  ``cmd_table`` builds only the format that ``--format`` asks for
+and returns the other one empty.  Exit codes: 0 on success, 2 on bad input
+(a parse or validity error) or a broken internal invariant, 3 when a
+verification command finds a mismatch, 1 when the reader of stdout goes
+away before the output is written (as ``| head`` does).
 """
 
 import argparse
@@ -69,15 +70,19 @@ def cmd_value(args):
 
 def cmd_table(args):
     desc = not args.ascending
-    doc, lines = [], []
-    for p, vid, vs1 in value_table(args.n, args.theory):
-        name = str(p)
-        t_id = poly_to_text(vid, desc)
-        t_s1 = poly_to_text(vs1, desc)
-        doc.append(dict(param=name, id=list(vid), s1=list(vs1),
-                        id_poly=t_id, s1_poly=t_s1))
-        lines.append(f"{name}\t{t_id}\t{t_s1}")
-    return [doc], "\n".join(lines)
+    rows = value_table(args.n, args.theory)
+    if args.format == "json":
+        doc = [
+            dict(param=str(p), id=list(vid), s1=list(vs1),
+                 id_poly=poly_to_text(vid, desc), s1_poly=poly_to_text(vs1, desc))
+            for p, vid, vs1 in rows
+        ]
+        return [doc], ""
+    lines = (
+        f"{p}\t{poly_to_text(vid, desc)}\t{poly_to_text(vs1, desc)}"
+        for p, vid, vs1 in rows
+    )
+    return [], "\n".join(lines)
 
 
 def cmd_iota(args):

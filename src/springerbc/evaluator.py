@@ -23,7 +23,7 @@ to rank 16 (bounds up to 61 bits, coefficients up to 55); at rank 18 the
 table's bounds reach 71 bits and its coefficients 65, so the slot widens
 once, to 128 bits.
 
-The memo is a plain dict keyed by (parameter, w), shared across calls,
+The memo is a plain dict keyed by (parameter, key), shared across calls,
 and the packed restriction coefficients are kept in a second dict; both
 hold values at the current slot width only, and widening clears both.
 ``clear_cache`` empties them and also the caches of the part moves
@@ -33,17 +33,22 @@ memoized outlives it: a query after ``clear_cache`` pays for every move
 and coefficient it makes, as it would in a fresh process, and is not
 warmed by the queries before it.
 Every memo miss of rank >= 2 calls ``restrict_symplectic`` or
-``restrict_exotic`` through its module.  A table misses each parameter
-once at id and once at s1, so ``value_table`` opens the restriction store
-of ``restrict`` for its length: the id miss keeps the parameter's terms
-and the s1 miss takes them back, and each formula runs once per
-parameter.  A single ``value`` keeps nothing: it asks one w, and kept
-terms would only be garbage for the collector to trace.
+``restrict_exotic`` through its module, once, and stores one entry.
+
+There are two recursions, chosen by what the caller asks for.  A single
+``value`` asks one w, keyed by "id" or "s1", and pays one multiply-add per
+term.  A value table asks each row under the private key ``_TABLE``,
+whose entry also carries the packed reg part b of the value: restricted
+all the way down, a parameter is a·(one) + b·(reg), worth a + b(1 + q) at
+id and a + b(1 - q) at s1, so the value at s1 is the value at id minus
+2q·b, read off the packed ints as ``id - (b << (slot + 1))``.  So a table
+restricts each parameter once, for both of its values.  The bound of the
+value at s1 is that of the value at id: both are the same sum of l1
+norms, over the same base bounds (1 at one, 2 at reg).
 ``value`` is not thread-safe: nothing in the package starts a thread, and
 a call made while another widens could mix widths.
 """
 
-from . import restrict
 from .errors import InvalidParam
 from .partitions import _drop, _lower, _shift
 from .qpoly import ONE, QPoly, _pack, _step, _unpack, geometric_sum, monomial
@@ -62,7 +67,9 @@ def _base_table():
 
 
 _BASE = _base_table()
+_TABLE = object()  # the key of a table row: values at id and s1 together
 _memo = {}  # (param, w) -> (packed value, coefficient bound)
+# (param, _TABLE) -> (packed value at id, coefficient bound, packed reg part)
 _packs = {}  # QPoly -> (packed, l1 norm)
 _slot = 64  # bits per packed coefficient; only ever widened
 _MEMOIZED = (_lower, _drop, _shift, monomial, geometric_sum, _step)
@@ -78,17 +85,19 @@ def clear_cache():
 def value(param, w, *, _inner=False):
     """Character value of the given parameter at w in {"id", "s1"}.
 
-    Internal: the recursion passes ``_inner`` and gets back (packed value,
-    coefficient bound) at the current slot width instead of a QPoly."""
+    Internal: the recursion passes ``_inner`` and gets back its memo entry
+    at the current slot width instead of a QPoly, and ``value_table`` asks
+    for both values of a row as w = ``_TABLE``."""
     global _slot
-    if w not in GROUP_ELEMENTS:
+    table = w is _TABLE
+    if not table and w not in GROUP_ELEMENTS:
         raise InvalidParam(f"group element must be one of {GROUP_ELEMENTS}, got {w!r}")
     key = (param, w)
     while True:
         entry = _memo.get(key)
         if entry is None:
             try:
-                entry = _miss(param, w, key)
+                entry = _row_miss(param, key) if table else _miss(param, w, key)
             except RecursionError:
                 if _inner:
                     raise
@@ -97,8 +106,11 @@ def value(param, w, *, _inner=False):
                 ) from None
         if _inner:
             return entry
-        packed, bound = entry
+        packed, bound = entry[:2]
         if bound < 1 << (_slot - 1):
+            if table:
+                s1 = packed - (entry[2] << (_slot + 1))
+                return _unpack(packed, _slot), _unpack(s1, _slot)
             return _unpack(packed, _slot)
         # a coefficient might not fit its slot: start over, wider
         while bound >= 1 << (_slot - 1):
@@ -131,6 +143,27 @@ def _miss(param, w, key):
     return entry
 
 
+def _row_miss(param, key):
+    """(packed value at id, coefficient bound, packed reg part) of ``key``,
+    memoized from rank 2 on: ``_miss`` at id, with the reg part summed
+    alongside."""
+    if param.rank <= 1:
+        # the reg part is 1 at reg, whose value at id is 1 + q, and 0 at
+        # one and at rank 0, whose values are 1
+        packed, bound = _miss(param, "id", (param, "id"))
+        return packed, bound, packed >> _slot
+    terms = of(param).restrict(param)
+    total = bound = reg = 0
+    for target, coeff in terms.terms.items():
+        sub, sub_bound, sub_reg = value(target, _TABLE, _inner=True)
+        c, norm = _packs.get(coeff) or _new_pack(coeff)
+        total += c * sub
+        bound += norm * sub_bound
+        reg += c * sub_reg
+    entry = _memo[key] = (total, bound, reg)
+    return entry
+
+
 def _new_pack(p):
     entry = _packs[p] = (_pack(p, _slot), sum(map(abs, p)))
     return entry
@@ -140,15 +173,9 @@ def value_table(n, theory):
     """Rows (parameter, value at id, value at s1) for every rank-n parameter,
     in enumeration order.  ``theory`` is a name in ``THEORIES``.  The
     enumeration refuses an oversized rank (``params.check_rank``) before any
-    value.  Each parameter's restriction is evaluated once for its id and
-    s1 misses (see the module docstring), and the store is closed on the
-    way out, also when a value raises."""
+    value.  Each row is one ``value`` call, which restricts each parameter
+    once for both of its values (see the module docstring)."""
     if theory not in THEORIES:
         names = " or ".join(map(repr, THEORIES))
         raise InvalidParam(f"theory must be {names}, got {theory!r}")
-    params = THEORIES[theory].enumerate(n)
-    restrict._kept = {}
-    try:
-        return [(p, value(p, "id"), value(p, "s1")) for p in params]
-    finally:
-        restrict._kept = None
+    return [(p, *value(p, _TABLE)) for p in THEORIES[theory].enumerate(n)]

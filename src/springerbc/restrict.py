@@ -13,13 +13,6 @@ validated as it is built.  An exotic source (mu, nu) is read by one
 ``params._scan`` of its columns, which gives both exotic formulas the rank
 and, for each distinct part of mu + nu, its components, its run and its
 mark, and where each component value's run ends in mu and in nu.
-
-A restriction depends on the parameter alone.  While ``_kept`` is a dict,
-which ``evaluator.value_table`` sets for the length of one table, each
-graded formula runs once for two calls of ``restrict_symplectic`` or
-``restrict_exotic``: the table restricts each parameter once at id and once
-at s1, and the second call returns the first call's CharSum.  Every other
-caller gets a fresh evaluation, and nothing is kept past the table.
 """
 
 from operator import sub
@@ -106,27 +99,10 @@ def _largest_j(pairs, r, first):
     raise InvariantViolation(f"no valid j for r={r}, first={first}")
 
 
-_kept = None  # param -> CharSum, while evaluator.value_table runs
-
-
-def _reused(formula, p):
-    """``formula(p)`` for the first of two calls, kept in ``_kept`` until
-    the second takes it back.  In a value table the second call comes from
-    the same row's s1 pass, unless the slots widen in between; the table
-    drops whatever is left when it ends."""
-    out = _kept.pop(p, None)
-    if out is None:
-        out = _kept[p] = formula(p)
-    return out
-
-
 def restrict_symplectic(p):
-    """Graded restriction for a (lam, chi) parameter of rank n >= 1."""
-    return _symplectic(p) if _kept is None else _reused(_symplectic, p)
+    """Graded restriction for a (lam, chi) parameter of rank n >= 1.
 
-
-def _symplectic(p):
-    """One scan of lam gives its runs; each target partition is lam with a
+    One scan of lam gives its runs; each target partition is lam with a
     part moved by slicing, and each target's chi is ``psi`` of its point
     set, computed and validated together by ``_checked_chi``."""
     n = p.rank
@@ -247,12 +223,9 @@ def restrict_symplectic_q1(p):
 
 
 def restrict_exotic(b):
-    """Graded restriction for a bipartition of rank n >= 1."""
-    return _exotic(b) if _kept is None else _reused(_exotic, b)
+    """Graded restriction for a bipartition of rank n >= 1.
 
-
-def _exotic(b):
-    """The case analysis over the distinct parts r of mu + nu, on the
+    The case analysis over the distinct parts r of mu + nu, on the
     bookkeeping of one ``_scan`` of b (see there).  Each target moves parts
     of mu and nu by slicing; every such move keeps the order by the case
     that emits it (see ``_shift``)."""

@@ -9,8 +9,6 @@ import springerbc.restrict as restrict_module
 import springerbc.theory as theory
 from springerbc.errors import InvalidParam, InvariantViolation
 from springerbc.evaluator import GROUP_ELEMENTS, value, value_table
-from springerbc.fforacle import verify_against_formula
-from springerbc.gf import field
 from springerbc.params import (
     Bipartition,
     OmegaParam,
@@ -37,8 +35,9 @@ def test_base_table():
 def test_rank0_and_errors():
     assert value(bipartition_from_text("mu=[] nu=[]"), "id") == (1,)
     assert value(omega_from_text(""), "s1") == (1,)
-    with pytest.raises(InvalidParam):
-        value(bipartition_from_text("mu=[] nu=[1]"), "w0")
+    for w in ("w0", None, "id+s1"):  # the table key is not a caller's to pass
+        with pytest.raises(InvalidParam):
+            value(bipartition_from_text("mu=[] nu=[1]"), w)
     with pytest.raises(InvalidParam):
         # rank-1 pair built without validation; not a real parameter
         value(OmegaParam(Partition([1, 1]), (1,)), "id")
@@ -137,91 +136,43 @@ def test_cold_table_restricts_once_per_memo_entry(monkeypatch, theory):
     assert evaluator._memo is memo and not memo
 
 
-def _count_restrictions(monkeypatch):
-    """Count the calls of the module attributes ``restrict_*`` (the ones the
-    evaluator and the tracer see) and the evaluations of the formulas
-    behind them, each as the list of parameters it was given."""
-    calls, evaluated = [], []
-    for public, formula in (
-        ("restrict_symplectic", "_symplectic"),
-        ("restrict_exotic", "_exotic"),
-    ):
-        for name, log in ((public, calls), (formula, evaluated)):
-            original = getattr(restrict_module, name)
-
-            def counted(param, original=original, log=log):
-                log.append(param)
-                return original(param)
-
-            monkeypatch.setattr(restrict_module, name, counted)
-    return calls, evaluated
-
-
 @pytest.mark.parametrize("theory", ["sp2", "exotic"])
 def test_cold_table_evaluates_each_formula_once_per_parameter(monkeypatch, theory):
-    # a value table restricts each parameter at id and again at s1; the
-    # second call returns the first call's terms instead of evaluating
-    # again, and drops them, so that the store is empty after every row
+    # a table row carries both values under one memo entry, so a cold table
+    # restricts each parameter once and stores one entry for it
     memo = evaluator._memo
-    original_value = evaluator.value
-    for n in range(9):
-        kept_after_row = []
+    calls = []
+    for name in ("restrict_symplectic", "restrict_exotic"):
+        original = getattr(restrict_module, name)
 
-        def row_value(param, w, **kwargs):
-            out = original_value(param, w, **kwargs)
-            if w == "s1" and not kwargs:
-                kept_after_row.append(len(restrict_module._kept))
-            return out
+        def counted(param, original=original):
+            calls.append(param)
+            return original(param)
 
-        calls, evaluated = _count_restrictions(monkeypatch)
-        monkeypatch.setattr(evaluator, "value", row_value)
-        evaluator.clear_cache()
-        try:
-            rows = value_table(n, theory)
-            distinct = {param for param, _ in memo}
-            assert len(calls) == len(memo) == 2 * len(distinct)
-            assert len(evaluated) == len(set(evaluated)) == len(distinct)
-            assert set(evaluated) == distinct
-            assert kept_after_row == [0] * len(rows)
-            assert restrict_module._kept is None
-        finally:
-            monkeypatch.undo()
-            evaluator.clear_cache()
-
-
-def test_restrictions_outside_a_table_keep_nothing(monkeypatch):
-    calls, evaluated = _count_restrictions(monkeypatch)
-    evaluator.clear_cache()
+        monkeypatch.setattr(restrict_module, name, counted)
     try:
-        for n in range(2, 7):
-            for param in enumerate_omega(n) + enumerate_bipartitions(n):
-                value(param, "id")
-                value(param, "s1")
-        assert restrict_module._kept is None
-        assert restrict_module.check_equivalence(6).passed
-        assert restrict_module._kept is None
-        exotic = bipartition_from_text("mu=[1] nu=[1,1]")
-        assert verify_against_formula(exotic, field(3))["pass"]
-        for text in ("2^2_1", "2^1_1 1^2_0", "3^2_1"):
-            assert verify_against_formula(omega_from_text(text), field(2))["pass"]
-        assert restrict_module._kept is None
-        # every call evaluated its formula: nothing was kept for a later one
-        assert evaluated == calls and len(calls) > 0
+        for n in range(9):
+            calls.clear()
+            evaluator.clear_cache()
+            value_table(n, theory)
+            distinct = {param for param, _ in memo}
+            assert len(calls) == len(set(calls)) == len(memo) == len(distinct)
+            assert set(calls) == distinct
     finally:
         evaluator.clear_cache()
 
 
 @pytest.mark.parametrize("theory", ["sp2", "exotic"])
 @pytest.mark.parametrize("k", [1, 7, 40])
-def test_a_failing_restriction_leaves_no_kept_terms(monkeypatch, theory, k):
+def test_a_failing_restriction_leaves_an_exact_memo(monkeypatch, theory, k):
     evaluator.clear_cache()
     expected = value_table(6, theory)
-    name = {"sp2": "_symplectic", "exotic": "_exotic"}[theory]
+    name = {"sp2": "restrict_symplectic", "exotic": "restrict_exotic"}[theory]
     original = getattr(restrict_module, name)
     seen = []
 
     def failing(param):
-        seen.append(len(restrict_module._kept))
+        seen.append(param)
         if len(seen) == k:
             raise InvariantViolation(f"injected at {param}")
         return original(param)
@@ -231,14 +182,12 @@ def test_a_failing_restriction_leaves_no_kept_terms(monkeypatch, theory, k):
     try:
         with pytest.raises(InvariantViolation, match="injected"):
             value_table(6, theory)
-        assert (seen[-1] > 0) == (k > 1)  # terms were kept when it failed
-        assert restrict_module._kept is None
+        assert len(evaluator._memo) < k  # at most one entry per restriction
         monkeypatch.undo()
         # the memo the failed table left behind, then a cold one
         assert value_table(6, theory) == expected
         evaluator.clear_cache()
         assert value_table(6, theory) == expected
-        assert restrict_module._kept is None
     finally:
         monkeypatch.undo()
         evaluator.clear_cache()
@@ -246,23 +195,13 @@ def test_a_failing_restriction_leaves_no_kept_terms(monkeypatch, theory, k):
 
 @pytest.mark.parametrize("theory", ["sp2", "exotic"])
 def test_table_slots_widen_mid_table_to_exact_values(monkeypatch, theory):
-    # 8-bit slots overflow within the rank-6 table: the slots widen and the
-    # memo is cleared while terms are kept for a row's s1 call
-    kept_at_widening = []
-    clear_cache = evaluator.clear_cache
-
-    def widening():
-        kept_at_widening.append(len(restrict_module._kept))
-        clear_cache()
-
+    # 8-bit slots overflow within the rank-6 table: the slots widen, the
+    # memo is cleared and the row is computed again
     monkeypatch.setattr(evaluator, "_slot", 8)
-    clear_cache()
-    monkeypatch.setattr(evaluator, "clear_cache", widening)
+    evaluator.clear_cache()
     try:
         rows = value_table(6, theory)
         assert evaluator._slot > 8
-        assert max(kept_at_widening) > 0
-        assert restrict_module._kept is None
     finally:
         monkeypatch.undo()
         evaluator.clear_cache()
@@ -272,6 +211,30 @@ def test_table_slots_widen_mid_table_to_exact_values(monkeypatch, theory):
             assert type(got) is QPoly
             assert got == value(param, w), (param, w)
     evaluator.clear_cache()
+
+
+@pytest.mark.parametrize("theory", ["sp2", "exotic"])
+def test_table_entries_keep_the_single_value_bounds(theory):
+    # the fold changes no bound, so the slots widen at the same ranks: every
+    # table entry holds the packed id entry, the s1 bound is the id bound,
+    # and id - 2q * (reg part) is the packed s1 entry
+    memo, slot = evaluator._memo, evaluator._slot
+    evaluator.clear_cache()
+    try:
+        for n in range(2, 11):
+            for p, _, _ in value_table(n, theory):
+                value(p, "id")
+                value(p, "s1")
+        assert evaluator._slot == slot
+        rows = [(p, entry) for (p, key), entry in memo.items() if key is evaluator._TABLE]
+        for p, (packed, bound, reg) in rows:
+            assert (packed, bound) == memo[p, "id"], p
+            s1, s1_bound = memo[p, "s1"]
+            assert bound == s1_bound, p
+            assert packed - (reg << (slot + 1)) == s1, p
+        assert len(memo) == 3 * len(rows) > 0
+    finally:
+        evaluator.clear_cache()
 
 
 def _all_values(max_rank):
@@ -335,7 +298,7 @@ def test_traced_counter_identities(monkeypatch, theory):
     evaluator.clear_cache()
     try:
         rows = evaluator.value_table(6, theory)
-        assert counts["top"] == 2 * len(rows)
+        assert counts["top"] == len(rows)
         assert counts["misses"] == counts["restricts"] == len(memo) > 0
         assert counts["calls"] == counts["top"] + counts["miss_terms"]
     finally:
